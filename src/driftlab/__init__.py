@@ -6,7 +6,8 @@ conditional mutual information estimation by conditional noise
 contrastive estimation (cmi), small trainable networks (model) on a
 minimal autodiff engine (tensorcore), synthetic shifted datasets (data),
 the adversarial training loop (pipeline), evaluation statistics with
-Bayes-error bounds and the Friedman test (evalstats), and a CLI (cli).
+Bayes-error bounds and the Friedman test (evalstats), one reader for the
+line-oriented input files (textio), and a CLI (cli).
 """
 
 __version__ = "0.1.0"

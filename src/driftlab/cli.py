@@ -8,7 +8,6 @@ deterministic: identical inputs produce byte-identical stdout.
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,9 @@ from .cmi import (
     exact_cmi,
     load_joint,
     optimal_scorer,
+    pair_positive,
     sample_contrastive,
+    train_scorer,
 )
 from .errors import (
     ContractError,
@@ -34,6 +35,7 @@ from .evalstats import (
     bayes_bound,
     competition_ranks,
     emit_report,
+    format_rank,
     friedman,
     load_accuracy_table,
     load_rank_table,
@@ -42,6 +44,7 @@ from .ot import (
     CostMatrix,
     DiscreteMeasure,
     ar_wwd_primal,
+    load_measure,
     nested_cost,
     wasserstein_exact,
 )
@@ -51,20 +54,14 @@ from .pipeline import (
     run_experiment,
     run_sweep,
 )
-from .tensorcore import SplitMix64, as_tensor, backward, step, OptimState
+from .tensorcore import OptimState, SplitMix64
+from .textio import read_fields, records
 
 
 def _fmt(value):
     """Ten significant digits, plain positional notation."""
     return np.format_float_positional(float(value), precision=10,
                                       unique=False, fractional=False)
-
-
-def _fmt_rank(r):
-    r = float(r)
-    if r == int(r):
-        return str(int(r))
-    return repr(round(r, 4))
 
 
 # ---------------------------------------------------------------------
@@ -136,7 +133,6 @@ def cmd_ot(args):
     is a feature vector and the ground cost is the 1-D quadratic
     transport distance between dimension measures.
     """
-    from .ot import load_measure
     mu = load_measure(args.source)
     nu = load_measure(args.target)
     if args.nested:
@@ -170,22 +166,15 @@ def cmd_ot(args):
 
 def _load_features(path):
     rows = []
-    width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values = [float(p) for p in line.split(",")]
-            except ValueError:
-                raise ParseError(f"non-numeric field in {line!r}", line=lineno)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(f"expected {width} fields, got {len(values)}",
-                                 line=lineno)
-            rows.append(values)
+    for lineno, line in records(path):
+        try:
+            values = [float(p) for p in line.split(",")]
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} fields, got {len(values)}",
+                             line=lineno)
+        rows.append(values)
     if not rows:
         raise ContractError(f"no rows in feature file {path}")
     return np.array(rows)
@@ -233,12 +222,8 @@ def cmd_cmi(args):
         scorer = BilinearScorer(Zs.shape[1], SplitMix64(args.seed))
         if args.train_steps:
             optim = OptimState(scorer.parameters(), lr=1e-3, method="adam")
-            paired = as_tensor(Zs[_nearest_rows(Zt, Zs)])
-            anchors = as_tensor(Zt)
-            for _ in range(args.train_steps):
-                obj = scorer.objective_graph(paired, anchors)
-                grads = backward(obj, wrt=scorer.parameters())
-                step(optim, [-g for g in grads])
+            train_scorer(scorer, Zs[pair_positive(Zt, Zs)], Zt,
+                         args.train_steps, optim)
         terms = cnce_terms(scorer, contrastive_from_features(Zs, Zt))
         out["cnce"], out["se"] = _terms_summary(terms)
         out["k"] = int(Zt.shape[0])
@@ -255,23 +240,13 @@ def cmd_cmi(args):
     return 0
 
 
-def _nearest_rows(Zt, Zs):
-    from .cmi import pair_positive
-    return pair_positive(Zt, Zs)
-
-
 # ---------------------------------------------------------------------
 # friedman
 # ---------------------------------------------------------------------
 
 def _sniff_rank_table(path):
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields_ = line.replace("\t", ",").split(",")
-            return fields_ and fields_[-1].strip() == "avg_rank"
+    for _, line in records(path):
+        return line.replace("\t", ",").split(",")[-1].strip() == "avg_rank"
     return False
 
 
@@ -305,8 +280,8 @@ def cmd_friedman(args):
     print(",".join(header))
     avgs = rnk.printed_avg if rnk.printed_avg is not None else rnk.avg_ranks
     for i, name in enumerate(rnk.methods):
-        cells = [_fmt_rank(r) for r in rnk.ranks[i]]
-        print(",".join([name] + cells + [_fmt_rank(avgs[i])]))
+        cells = [format_rank(r) for r in [*rnk.ranks[i], avgs[i]]]
+        print(",".join([name] + cells))
     print(f"chi2 {_fmt(stats['chi2'])}")
     if stats["f_stat"] is None:
         print("f_stat undefined")
@@ -320,33 +295,9 @@ def cmd_friedman(args):
 # bound
 # ---------------------------------------------------------------------
 
-def _load_bound_inputs(path):
-    names = {f.name for f in fields(BoundInputs)}
-    values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", line=lineno)
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in names:
-                raise ParseError(f"unknown bound input {key!r}", line=lineno)
-            if key in values:
-                raise ParseError(f"duplicate key {key!r}", line=lineno)
-            try:
-                values[key] = int(val) if key == "num_classes" else float(val)
-            except ValueError:
-                raise ParseError(f"bad value for {key!r}: {val.strip()!r}",
-                                 line=lineno)
-    return BoundInputs(**values)
-
-
 def cmd_bound(args):
     """Exit codes: 0 success, 2 invalid input file."""
-    bounds = bayes_bound(_load_bound_inputs(args.inputs))
+    bounds = bayes_bound(read_fields(args.inputs, BoundInputs))
     if args.format == "structured":
         sys.stdout.write(emit_report(bounds))
     else:

@@ -13,21 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError
+from .errors import ContractError, DimensionError, NumericError, ParseError
 from .tensorcore import (
     MLP,
     SplitMix64,
     add,
     as_tensor,
+    backward,
     constant,
     logsumexp,
     matmul,
     mul,
+    step,
     sub,
     tmean,
     transpose,
     tsum,
 )
+from .textio import records
 
 _SCORE_FLOOR = -30.0
 
@@ -118,12 +121,6 @@ def exact_cmi(joint):
             continue
         total += pz[k] * mutual_information(t[:, :, k] / pz[k])
     return max(total, 0.0)
-
-
-def interaction_information(joint):
-    """I(X_s; X_t) - I(X_s; X_t | Z); negative values indicate synergy."""
-    pair = joint.table.sum(axis=2)
-    return mutual_information(pair) - exact_cmi(joint)
 
 
 @dataclass
@@ -240,6 +237,28 @@ class BilinearScorer:
         pos = tsum(mul(scores, eye), axis=1)                     # (N,)
         terms = add(sub(pos, logsumexp(scores, axis=1)), constant(np.log(n)))
         return tmean(terms)
+
+
+def train_scorer(scorer, paired, anchors, steps, optim):
+    """Ascend the in-batch contrastive bound for `steps` full-batch steps.
+
+    ``paired`` holds the positive source row for each anchor row; both
+    are (N, M) feature arrays held fixed. steps=0 leaves the scorer
+    untouched. Divergence raises a numeric error naming the step at
+    which values left the finite range.
+    """
+    if steps < 0:
+        raise ContractError("steps must be nonnegative")
+    paired, anchors = as_tensor(paired), as_tensor(anchors)
+    params = scorer.parameters()
+    for k in range(steps):
+        try:
+            obj = scorer.objective_graph(paired, anchors)
+            grads = backward(obj, wrt=params)
+            step(optim, [-g for g in grads])
+        except NumericError as exc:
+            raise NumericError(f"scorer training diverged at step {k}: {exc}")
+    return scorer
 
 
 # ---------------------------------------------------------------------
@@ -373,22 +392,18 @@ def load_joint(path):
     """Read a joint from delimited text: one cell per line,
     ``x_s,x_t,z,probability``. Unlisted cells are zero."""
     cells = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError("expected x_s,x_t,z,probability", line=lineno)
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), int(parts[2])
-                p = float(parts[3])
-            except ValueError:
-                raise ParseError(f"bad field in {line!r}", line=lineno)
-            if i < 0 or j < 0 or v < 0:
-                raise ParseError("negative index", line=lineno)
-            cells.append((i, j, v, p))
+    for lineno, line in records(path):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError("expected x_s,x_t,z,probability", line=lineno)
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), int(parts[2])
+            p = float(parts[3])
+        except ValueError:
+            raise ParseError(f"bad field in {line!r}", line=lineno)
+        if i < 0 or j < 0 or v < 0:
+            raise ParseError("negative index", line=lineno)
+        cells.append((i, j, v, p))
     if not cells:
         raise ContractError(f"no cells in joint file {path}")
     a = max(c[0] for c in cells) + 1

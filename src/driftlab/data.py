@@ -1,8 +1,8 @@
-"""Synthetic covariate-shift generators and domain file ingestion.
+"""Synthetic covariate-shift generator.
 
-Both generators follow the same discipline: a deterministic labeling
-rule defined on input space (the same rule in both domains, up to the
-known rigid motion between them), samples drawn class-first with
+The two-moons generator follows one discipline: a deterministic
+labeling rule defined on input space (the same rule in both domains, up
+to the known rigid motion between them), samples drawn class-first with
 rejection so the stored labels always agree with the rule, and exact
 per-class counts. That makes the shared-conditional contract checkable
 by literally relabeling the data.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError
+from .errors import ContractError, DimensionError
 from .tensorcore import SplitMix64
 
 _DOMAIN_TAGS = ("source", "target")
@@ -159,144 +159,3 @@ def gen_two_moons_shift(n=500, rotation_deg=30.0, noise_sigma=0.1,
 
     return (LabeledDomain(xs, ys, "source"),
             LabeledDomain(xt, yt, "target"))
-
-
-# ---------------------------------------------------------------------
-# gaussian shift
-# ---------------------------------------------------------------------
-
-def gaussian_label_rule(points, means, covariances):
-    """Equal-prior density argmax over the class Gaussians; ties to the
-    lowest class index."""
-    p = np.asarray(points, dtype=np.float64)
-    scores = []
-    for mean, cov in zip(means, covariances):
-        diff = p - mean
-        inv = np.linalg.inv(cov)
-        _, logdet = np.linalg.slogdet(cov)
-        maha = (diff @ inv * diff).sum(axis=1)
-        scores.append(-0.5 * (maha + logdet))
-    return np.argmax(np.column_stack(scores), axis=1).astype(np.int64)
-
-
-def _check_spd(cov):
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ContractError("covariance must be square")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ContractError("covariance must be symmetric")
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ContractError("covariance must be positive-definite")
-
-
-def _sample_gaussian_class(rng, mean, chol, cls, count, means, covariances):
-    accepted = []
-    have = 0
-    d = mean.shape[0]
-    while have < count:
-        draw = max(count - have, 8) * 2
-        pts = mean + rng.normal((draw, d)) @ chol.T
-        keep = gaussian_label_rule(pts, means, covariances) == cls
-        pts = pts[keep]
-        accepted.append(pts)
-        have += pts.shape[0]
-    return np.concatenate(accepted)[:count]
-
-
-def gen_gaussian_shift(means, covariances, shift_vector, n=500, seed=0):
-    """Per-class Gaussians; the target is every class conditional
-    translated by the same shift vector.
-
-    Labels follow the equal-prior Bayes rule in the pre-shift frame,
-    sampled class-first with rejection so stored labels and rule agree.
-    """
-    means = [np.asarray(m, dtype=np.float64) for m in means]
-    if len(means) < 2:
-        raise ContractError("need at least two classes")
-    chols = [_check_spd(c) for c in covariances]
-    covariances = [np.asarray(c, dtype=np.float64) for c in covariances]
-    shift = np.asarray(shift_vector, dtype=np.float64)
-    if shift.shape != means[0].shape:
-        raise DimensionError("shift vector dimension mismatch")
-    if n < len(means):
-        raise ContractError("need at least one sample per class")
-
-    rng = SplitMix64(seed)
-    src_rng, tgt_rng = rng.spawn(1), rng.spawn(2)
-    c = len(means)
-    counts = [n // c + (1 if i < n % c else 0) for i in range(c)]
-
-    def build(sub_rng, offset, tag):
-        xs, ys = [], []
-        for cls in range(c):
-            pts = _sample_gaussian_class(sub_rng, means[cls], chols[cls],
-                                         cls, counts[cls], means, covariances)
-            xs.append(pts + offset)
-            ys.append(np.full(counts[cls], cls, np.int64))
-        return LabeledDomain(np.concatenate(xs), np.concatenate(ys), tag)
-
-    return (build(src_rng, 0.0, "source"),
-            build(tgt_rng, shift, "target"))
-
-
-# ---------------------------------------------------------------------
-# file I/O
-# ---------------------------------------------------------------------
-
-_DELIMS = {"csv": ",", "tsv": "\t"}
-
-
-def save_domain(domain, path, format="csv"):
-    if format not in _DELIMS:
-        raise ContractError(f"unknown format {format!r}")
-    sep = _DELIMS[format]
-    d = domain.X.shape[1]
-    header = sep.join([f"f{i + 1}" for i in range(d)] + ["label", "domain"])
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row, label in zip(domain.X, domain.labels):
-            fields = [repr(float(v)) for v in row]
-            fh.write(sep.join(fields + [str(int(label)), domain.domain]) + "\n")
-
-
-def load_domain(path, format="csv"):
-    """Read a delimited domain file with header ``f1,...,fd,label,domain``."""
-    if format not in _DELIMS:
-        raise ContractError(f"unknown format {format!r}")
-    sep = _DELIMS[format]
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    lines = [(i + 1, ln) for i, ln in enumerate(lines)
-             if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ContractError(f"empty domain file {path}")
-    header_no, header = lines[0]
-    cols = header.split(sep)
-    if len(cols) < 3 or cols[-2] != "label" or cols[-1] != "domain":
-        raise ParseError(f"bad header {header!r}: expected f1..fd,label,domain",
-                         line=header_no)
-    d = len(cols) - 2
-    if cols[:d] != [f"f{i + 1}" for i in range(d)]:
-        raise ParseError(f"feature columns must be f1..f{d}", line=header_no)
-    rows, labels, tags = [], [], []
-    for lineno, ln in lines[1:]:
-        parts = ln.split(sep)
-        if len(parts) != d + 2:
-            raise ParseError(f"expected {d + 2} fields, got {len(parts)}",
-                             line=lineno)
-        try:
-            rows.append([float(v) for v in parts[:d]])
-            labels.append(int(parts[d]))
-        except ValueError:
-            raise ParseError(f"malformed row {ln!r}", line=lineno)
-        tags.append(parts[d + 1])
-    if not rows:
-        raise ContractError(f"no data rows in {path}")
-    if any(v < 0 for v in labels):
-        raise ContractError("label out of range: negative")
-    tag = tags[0]
-    if any(t != tag for t in tags):
-        raise ParseError("mixed domain tags in one file", line=lines[1][0])
-    return LabeledDomain(np.array(rows), np.array(labels), tag)

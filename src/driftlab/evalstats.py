@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParseError
+from .textio import records
 
 RANK_MODES = ("competition", "average")
 
@@ -334,24 +335,13 @@ def emit_report(report, path=None):
     return text
 
 
-def load_report(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _split_table_line(line):
     sep = "\t" if "\t" in line else ","
     return [cell.strip() for cell in line.split(sep)]
 
 
 def _read_table_rows(path):
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    rows = []
-    for lineno, line in enumerate(raw, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rows.append((lineno, _split_table_line(line)))
+    rows = [(lineno, _split_table_line(line)) for lineno, line in records(path)]
     if len(rows) < 2:
         raise ParseError("table needs a header row and at least one data row")
     return rows
@@ -435,14 +425,15 @@ def save_rank_table(ranks, path):
     avg = ranks.printed_avg if ranks.printed_avg is not None else ranks.avg_ranks
     lines = ["method," + ",".join(ranks.tasks) + ",avg_rank"]
     for name, row, a in zip(ranks.methods, ranks.ranks, avg):
-        cells = [_format_rank(v) for v in row]
-        lines.append(name + "," + ",".join(cells) + "," + repr(round(float(a), 4)))
+        cells = [format_rank(v) for v in [*row, a]]
+        lines.append(name + "," + ",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _format_rank(v):
-    v = float(v)
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
+def format_rank(r):
+    """A rank as printed in tables: integers bare, others to 4 decimals."""
+    r = float(r)
+    if r == int(r):
+        return str(int(r))
+    return repr(round(r, 4))

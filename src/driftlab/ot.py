@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError, InfeasibleError, ParseError
+from .textio import records
 
 _MASS_TOL = 1e-12
 _MARGINAL_TOL = 1e-9
@@ -41,6 +42,9 @@ class DiscreteMeasure:
             raise ContractError("atom count differs from weight count")
         if self.weights.size == 0:
             raise ContractError("empty measure")
+        if not (np.all(np.isfinite(self.atoms))
+                and np.all(np.isfinite(self.weights))):
+            raise ContractError("atoms and weights must be finite")
         if np.any(self.weights < 0):
             raise ContractError("negative weight")
         s = float(self.weights.sum())
@@ -392,26 +396,19 @@ def load_measure(path):
     """Read a measure from delimited text: one atom per line,
     ``weight,coord1[,coord2,...]``. Blank lines and # comments skipped."""
     rows = []
-    width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ParseError("expected weight,coord1[,coord2,...]", line=lineno)
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"non-numeric field in {line!r}", line=lineno)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"expected {width} fields, got {len(values)}", line=lineno
-                )
-            rows.append(values)
+    for lineno, line in records(path):
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise ParseError("expected weight,coord1[,coord2,...]", line=lineno)
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(
+                f"expected {len(rows[0])} fields, got {len(values)}", line=lineno
+            )
+        rows.append(values)
     if not rows:
         raise ContractError(f"no atoms in measure file {path}")
     arr = np.array(rows)

@@ -13,12 +13,19 @@ classifier.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cmi import BilinearScorer, cnce_estimate, contrastive_from_features, pair_positive
+from .cmi import (
+    BilinearScorer,
+    cnce_estimate,
+    contrastive_from_features,
+    pair_positive,
+    train_scorer,
+)
 from .data import LabeledDomain, _parse_ratio, gen_two_moons_shift
 from .dualcritic import (
     Critic,
@@ -48,6 +55,7 @@ from .tensorcore import (
     select_rows,
     step,
 )
+from .textio import coerce_field, read_fields
 
 DATASETS = ("two-moons",)
 
@@ -83,6 +91,10 @@ class TrainConfig:
     use_regularizer: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ContractError(f"{f.name} must be finite, got {val!r}")
         if self.dataset not in DATASETS:
             raise ContractError(f"unknown dataset {self.dataset!r}")
         if not 0.0 < self.beta < 1.0:
@@ -149,53 +161,11 @@ def save_config(config, path):
         fh.write(canonical_config_text(config))
 
 
-def _coerce(name, raw, kind):
-    raw = raw.strip()
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(raw)
-    return kind(raw)
-
-
-_FIELD_TYPES = {"seed": int, "dataset": str, "n_per_domain": int,
-                "rotation_deg": float, "noise_sigma": float,
-                "source_ratio": str, "target_ratio": str,
-                "feature_dim": int, "batch_size": int, "epochs": int,
-                "beta": float, "alpha": float, "lam": float,
-                "lr_model": float, "lr_critic": float, "lr_scorer": float,
-                "critic_steps": int, "scorer_steps": int,
-                "use_global": bool, "use_local": bool,
-                "use_classifier": bool, "use_regularizer": bool}
-
-
 def load_config(path):
     """Parse a key=value config file; unknown keys and bad values are
     parse errors naming the offending line."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ParseError("expected key=value", line=lineno)
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ParseError(f"unknown config key {key!r}", line=lineno)
-            if key in values:
-                raise ParseError(f"duplicate config key {key!r}", line=lineno)
-            try:
-                values[key] = _coerce(key, raw, _FIELD_TYPES[key])
-            except ValueError:
-                raise ParseError(f"bad value for {key!r}: {raw.strip()!r}",
-                                 line=lineno)
     try:
-        return TrainConfig(**values)
+        return read_fields(path, TrainConfig)
     except ContractError as exc:
         raise ParseError(str(exc))
 
@@ -204,16 +174,11 @@ def apply_overrides(config, assignments):
     """Return a config with key=value overrides applied (CLI --set)."""
     values = {f.name: getattr(config, f.name) for f in fields(config)}
     for item in assignments:
-        if "=" not in item:
-            raise ContractError(f"override must look like key=value: {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ContractError(f"unknown config key {key!r}")
         try:
-            values[key] = _coerce(key, raw, _FIELD_TYPES[key])
-        except ValueError:
-            raise ContractError(f"bad value for {key!r}: {raw.strip()!r}")
+            key, value = coerce_field(TrainConfig, item)
+        except ValueError as exc:
+            raise ContractError(f"override {item!r}: {exc}")
+        values[key] = value
     return TrainConfig(**values)
 
 
@@ -417,17 +382,11 @@ def adversarial_step(state, batch_s, batch_t, config):
             raise NumericError(f"global consistency term: {exc}")
 
     if config.use_local and config.scorer_steps > 0:
-        paired = zs[pair_positive(zt, zs)]
-        params = state.scorer.parameters()
-        for k in range(config.scorer_steps):
-            try:
-                obj = state.scorer.objective_graph(as_tensor(paired),
-                                                   as_tensor(zt))
-                grads = backward(obj, wrt=params)
-                step(state.optim_scorer, [-g for g in grads])
-            except NumericError as exc:
-                raise NumericError(
-                    f"local consistency term diverged at step {k}: {exc}")
+        try:
+            train_scorer(state.scorer, zs[pair_positive(zt, zs)], zt,
+                         config.scorer_steps, state.optim_scorer)
+        except NumericError as exc:
+            raise NumericError(f"local consistency term: {exc}")
 
     try:
         total, _ = rlglc_objective(state, batch_s, batch_t, config)

@@ -110,12 +110,6 @@ def parameter(x, name):
     return Tensor(np.array(x, dtype=np.float64, copy=True), op="param", name=name)
 
 
-def stop_gradient(x):
-    """Detach: same value, no parents."""
-    x = as_tensor(x)
-    return Tensor(x.value, op="stopgrad")
-
-
 # ---------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------
@@ -329,7 +323,7 @@ def select_rows(a, indices):
 
 
 # ---------------------------------------------------------------------
-# tape and backward pass
+# backward pass
 # ---------------------------------------------------------------------
 
 def topo_order(root):
@@ -351,17 +345,6 @@ def topo_order(root):
     return order
 
 
-class Tape:
-    """Topologically ordered record of the primitives behind one output."""
-
-    def __init__(self, root):
-        self.root = root
-        self.nodes = topo_order(root)
-
-    def gradients(self, wrt, build_graph=False):
-        return backward(self.root, wrt, build_graph=build_graph)
-
-
 def backward(root, wrt, build_graph=False):
     """Gradients of a scalar ``root`` with respect to each tensor in ``wrt``.
 
@@ -369,8 +352,6 @@ def backward(root, wrt, build_graph=False):
     Tensor nodes so the gradients can be differentiated again. Tensors
     not reachable from ``root`` get exact zeros.
     """
-    if isinstance(root, Tape):
-        root = root.root
     if root.value.size != 1:
         raise ContractError("backward seed must be scalar")
     grads = {id(root): constant(np.ones_like(root.value))}
@@ -389,12 +370,6 @@ def backward(root, wrt, build_graph=False):
             g = constant(np.zeros_like(p.value))
         out.append(g if build_graph else g.value)
     return out
-
-
-def forward(net, x):
-    """Run ``net`` on ``x`` and return (output, Tape)."""
-    out = net.forward(x)
-    return out, Tape(out)
 
 
 # ---------------------------------------------------------------------

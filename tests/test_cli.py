@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from driftlab.cli import main
-from driftlab.evalstats import load_report
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -61,7 +60,7 @@ class TestTrain:
         run(capsys, "train", "--config", cfg, "--report", str(a))
         run(capsys, "train", "--config", cfg, "--report", str(b),
             "--set", "beta=0.7")
-        ra, rb = load_report(a), load_report(b)
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
         assert ra["config_hash"] != rb["config_hash"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -152,6 +151,17 @@ class TestOt:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("row,flag", [("0.25,nan", "--nested"),
+                                          ("nan,3.0", "--beta=0")])
+    def test_non_finite_input_exits_2(self, capsys, tmp_path, row, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.25,0.0\n0.25,1.0\n0.25,2.0\n" + row + "\n")
+        code, out, err = run(capsys, "ot", str(OT / "uniform4.csv"),
+                             str(bad), flag)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_mass_mismatch_is_infeasible(self, capsys, tmp_path):
         heavy = tmp_path / "heavy.csv"
@@ -331,6 +341,13 @@ class TestBound:
         assert code == 2
         assert "entropy" in err
 
+    def test_missing_key_exits_2(self, capsys, tmp_path):
+        inputs = tmp_path / "b.cfg"
+        inputs.write_text("num_classes=2\n")
+        code, _, err = run(capsys, "bound", str(inputs))
+        assert code == 2
+        assert "label_entropy" in err
+
     def test_structured_matches_bayes_bound(self, capsys):
         from driftlab.evalstats import bayes_bound
         code, out, _ = run(capsys, "bound",
@@ -346,6 +363,35 @@ class TestBound:
             "num_classes": 2,
         })
         assert json.loads(out) == want
+
+
+# ---------------------------------------------------------------------
+# unreadable inputs
+# ---------------------------------------------------------------------
+
+READERS = {
+    "ot": lambda bad: ["ot", bad, str(OT / "uniform4.csv")],
+    "cmi-joint": lambda bad: ["cmi", "--joint", bad],
+    "cmi-features": lambda bad: ["cmi", "--source", bad, "--target", bad],
+    "friedman": lambda bad: ["friedman", bad],
+    "bound": lambda bad: ["bound", bad],
+    "train": lambda bad: ["train", "--config", bad],
+}
+
+
+@pytest.mark.parametrize("kind", ["non-ascii", "directory"])
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_unreadable_input_exits_2(capsys, tmp_path, command, kind):
+    if kind == "directory":
+        bad = tmp_path
+    else:
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# header\n0.5,1\xff\n")
+    code, out, err = run(capsys, *READERS[command](str(bad)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------

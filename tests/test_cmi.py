@@ -17,17 +17,16 @@ from driftlab.cmi import (
     cnce_terms,
     contrastive_from_features,
     exact_cmi,
-    interaction_information,
     load_joint,
-    mutual_information,
     optimal_scorer,
     pair_positive,
     sample_contrastive,
     save_joint,
+    train_scorer,
     verify_assumption1,
 )
-from driftlab.errors import ContractError, ParseError
-from driftlab.tensorcore import SplitMix64, as_tensor, backward
+from driftlab.errors import ContractError, NumericError, ParseError
+from driftlab.tensorcore import OptimState, SplitMix64, as_tensor, backward
 
 
 def triple_loop_cmi(table):
@@ -109,51 +108,6 @@ def test_joint_validation():
         t[0, 0, 0] = 1.5
         t[0, 0, 1] = -0.5
         DiscreteJoint(t)
-
-
-# ---------------------------------------------------------------------
-# interaction_information
-# ---------------------------------------------------------------------
-
-def test_fully_independent_z_gives_zero_interaction():
-    # Z carrying no information leaves I(A;B|Z) = I(A;B), so the
-    # interaction term vanishes
-    rng = np.random.default_rng(21)
-    pair = rng.random((3, 3)) + 0.1
-    pair /= pair.sum()
-    pz = np.array([0.4, 0.6])
-    j = DiscreteJoint(np.einsum("ab,z->abz", pair, pz))
-    assert interaction_information(j) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_conditionally_independent_recovers_pair_mi():
-    # when A and B are independent given Z the conditional term is zero
-    # and the interaction equals the full pair mutual information
-    rng = np.random.default_rng(22)
-    j = cond_independent_joint(rng)
-    pair = j.table.sum(axis=2)
-    assert interaction_information(j) == pytest.approx(
-        mutual_information(pair), abs=1e-12)
-
-
-def test_xor_synergy():
-    t = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            t[a, b, a ^ b] = 0.25
-    assert interaction_information(DiscreteJoint(t)) == pytest.approx(
-        -math.log(2), abs=1e-14)
-
-
-def test_chain_rule_identity():
-    # I(A;B) - I(A;B|C) must equal I(A;C) - I(A;C|B) for any joint
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        j = random_joint(rng)
-        lhs = interaction_information(j)
-        swapped = DiscreteJoint(np.transpose(j.table, (0, 2, 1)))
-        rhs = interaction_information(swapped)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 # ---------------------------------------------------------------------
@@ -375,6 +329,32 @@ def test_bilinear_terms_respect_bound():
     zt = rng.normal((8, 3))
     batch = contrastive_from_features(zs, zt)
     assert np.all(cnce_terms(sc, batch) <= math.log(8))
+
+
+def scorer_batch(seed):
+    rng = SplitMix64(seed)
+    sc = BilinearScorer(3, rng.spawn(1), hidden=(5,))
+    zs = rng.normal((8, 3))
+    zt = rng.normal((8, 3))
+    return sc, zs[pair_positive(zt, zs)], zt
+
+
+def test_train_scorer_zero_steps_is_identity():
+    sc, paired, zt = scorer_batch(9)
+    before = [p.value.copy() for p in sc.parameters()]
+    train_scorer(sc, paired, zt, 0, OptimState(sc.parameters()))
+    assert all(np.array_equal(a, p.value)
+               for a, p in zip(before, sc.parameters()))
+    with pytest.raises(ContractError):
+        train_scorer(sc, paired, zt, -1, OptimState(sc.parameters()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_scorer_divergence_names_the_step():
+    sc, paired, zt = scorer_batch(10)
+    with pytest.raises(NumericError, match="step 1"):
+        train_scorer(sc, paired, zt, 3,
+                     OptimState(sc.parameters(), lr=1e160))
 
 
 # ---------------------------------------------------------------------

@@ -1,20 +1,12 @@
 """Generator tests: distributional equality at zero shift, exact class
-ratios, the shared-labeling contract, and file round trips."""
+ratios, and the shared-labeling contract."""
 
 import numpy as np
 import pytest
 
 from driftlab.cmi import DiscreteJoint, verify_assumption1
-from driftlab.data import (
-    LabeledDomain,
-    gaussian_label_rule,
-    gen_gaussian_shift,
-    gen_two_moons_shift,
-    load_domain,
-    save_domain,
-    two_moons_label_rule,
-)
-from driftlab.errors import ContractError, ParseError
+from driftlab.data import LabeledDomain, gen_two_moons_shift, two_moons_label_rule
+from driftlab.errors import ContractError
 
 
 def energy_statistic(a, b):
@@ -93,58 +85,6 @@ def test_two_moons_contract_errors():
 
 
 # ---------------------------------------------------------------------
-# gaussian shift
-# ---------------------------------------------------------------------
-
-FIX_MEANS = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
-FIX_COVS = [np.eye(2), np.eye(2)]
-
-
-def test_zero_shift_same_law():
-    src, tgt = gen_gaussian_shift(FIX_MEANS, FIX_COVS, np.zeros(2), n=150, seed=5)
-    p = energy_permutation_pvalue(src.X, tgt.X, n_perm=200, seed=3)
-    assert p > 0.01
-
-
-def test_large_shift_breaks_source_rule():
-    # analytic fixture: source Bayes rule is the sign of the first
-    # feature; after a (10, 0) shift everything lands on one side
-    _, tgt = gen_gaussian_shift(FIX_MEANS, FIX_COVS, np.array([10.0, 0.0]),
-                                n=400, seed=5)
-    pred = (tgt.X[:, 0] > 0).astype(int)
-    acc = (pred == tgt.labels).mean()
-    assert acc < 0.60
-
-
-def test_gaussian_relabel_contract():
-    src, tgt = gen_gaussian_shift(FIX_MEANS, FIX_COVS, np.array([2.0, -1.0]),
-                                  n=200, seed=7)
-    assert np.array_equal(gaussian_label_rule(src.X, FIX_MEANS, FIX_COVS),
-                          src.labels)
-    unshifted = tgt.X - np.array([2.0, -1.0])
-    assert np.array_equal(gaussian_label_rule(unshifted, FIX_MEANS, FIX_COVS),
-                          tgt.labels)
-
-
-def test_gaussian_seeded_bytes_identical(tmp_path):
-    a = gen_gaussian_shift(FIX_MEANS, FIX_COVS, np.array([1.0, 0.0]), n=60, seed=2)
-    b = gen_gaussian_shift(FIX_MEANS, FIX_COVS, np.array([1.0, 0.0]), n=60, seed=2)
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_domain(a[0], pa)
-    save_domain(b[0], pb)
-    assert pa.read_bytes() == pb.read_bytes()
-
-
-def test_non_pd_covariance_rejected():
-    with pytest.raises(ContractError):
-        gen_gaussian_shift(FIX_MEANS, [np.eye(2), -np.eye(2)], np.zeros(2))
-    with pytest.raises(ContractError):
-        gen_gaussian_shift(FIX_MEANS,
-                           [np.eye(2), np.array([[1.0, 0.5], [0.3, 1.0]])],
-                           np.zeros(2))
-
-
-# ---------------------------------------------------------------------
 # the shared-label mode feeds the assumption-1 check
 # ---------------------------------------------------------------------
 
@@ -164,79 +104,6 @@ def test_shared_label_mode_passes_assumption1():
     report = verify_assumption1(joint)
     assert report.passed
     assert report.entropy > 0
-
-
-# ---------------------------------------------------------------------
-# file I/O
-# ---------------------------------------------------------------------
-
-def test_roundtrip_identity(tmp_path):
-    src, _ = gen_two_moons_shift(n=50, rotation_deg=20, seed=1)
-    path = tmp_path / "dom.csv"
-    save_domain(src, path)
-    back = load_domain(path)
-    assert np.array_equal(back.X, src.X)
-    assert np.array_equal(back.labels, src.labels)
-    assert back.domain == "source"
-
-
-def test_fixture_file_exact(tmp_path):
-    path = tmp_path / "three.csv"
-    path.write_text(
-        "f1,f2,label,domain\n"
-        "0.5,-1.25,0,target\n"
-        "2.0,3.5,1,target\n"
-        "-0.75,0.0,1,target\n")
-    dom = load_domain(path)
-    assert np.array_equal(dom.X, [[0.5, -1.25], [2.0, 3.5], [-0.75, 0.0]])
-    assert np.array_equal(dom.labels, [0, 1, 1])
-    assert dom.domain == "target"
-
-
-def test_empty_file_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ContractError):
-        load_domain(path)
-    header_only = tmp_path / "header.csv"
-    header_only.write_text("f1,f2,label,domain\n")
-    with pytest.raises(ContractError):
-        load_domain(header_only)
-
-
-def test_malformed_rows_report_line_numbers(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("f1,f2,label,domain\n0.5,1.0,0,source\nbad,row\n")
-    with pytest.raises(ParseError, match="line 3"):
-        load_domain(path)
-    nonnum = tmp_path / "nonnum.csv"
-    nonnum.write_text("f1,f2,label,domain\n0.5,x,0,source\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_domain(nonnum)
-
-
-def test_negative_label_rejected(tmp_path):
-    path = tmp_path / "neg.csv"
-    path.write_text("f1,f2,label,domain\n0.5,1.0,-1,source\n")
-    with pytest.raises(ContractError, match="label"):
-        load_domain(path)
-
-
-def test_bad_header_rejected(tmp_path):
-    path = tmp_path / "hdr.csv"
-    path.write_text("a,b,label,domain\n0.5,1.0,0,source\n")
-    with pytest.raises(ParseError):
-        load_domain(path)
-
-
-def test_tsv_format(tmp_path):
-    src, _ = gen_two_moons_shift(n=20, seed=6)
-    path = tmp_path / "dom.tsv"
-    save_domain(src, path, format="tsv")
-    back = load_domain(path, format="tsv")
-    assert np.array_equal(back.X, src.X)
-    with pytest.raises(ContractError):
-        load_domain(path, format="parquet")
 
 
 def test_labeled_domain_validation():

@@ -1,5 +1,6 @@
 """Rank aggregation, Friedman statistics, Bayes bounds, and report emission."""
 
+import json
 import math
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from driftlab.evalstats import (
     friedman,
     load_accuracy_table,
     load_rank_table,
-    load_report,
     save_accuracy_table,
     save_rank_table,
     threshold_th,
@@ -302,7 +302,7 @@ class TestEmitReport:
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         emit_report(report, p1)
-        emit_report(load_report(p1), p2)
+        emit_report(json.loads(p1.read_text()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_numpy_values_normalized(self):

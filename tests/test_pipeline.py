@@ -73,6 +73,9 @@ class TestTrainConfig:
         {"lr_model": 0.0}, {"batch_size": 1}, {"epochs": -1},
         {"critic_steps": -1}, {"feature_dim": 0}, {"n_per_domain": 3},
         {"dataset": "mnist"}, {"source_ratio": "0:5"},
+        {"lr_model": math.nan}, {"lr_critic": math.inf}, {"alpha": math.nan},
+        {"lam": math.inf}, {"beta": math.nan}, {"rotation_deg": math.nan},
+        {"noise_sigma": math.inf},
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ContractError):

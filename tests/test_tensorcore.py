@@ -23,30 +23,29 @@ def test_forward_identity_net():
     net = tc.MLP([3, 3], rng, name="id")
     net.set_values([np.eye(3), np.zeros(3)])
     x = np.array([[1.0, 2.0, 3.0]])
-    out, tape = tc.forward(net, x)
+    out = net.forward(x)
     np.testing.assert_array_equal(out.value, x)
-    assert tape.root is out
 
 
 def test_forward_single_affine_layer():
     rng = tc.SplitMix64(0)
     net = tc.MLP([1, 1], rng, name="aff")
     net.set_values([np.array([[2.0]]), np.array([1.0])])
-    out, _ = tc.forward(net, np.array([[3.0]]))
+    out = net.forward(np.array([[3.0]]))
     assert out.value[0, 0] == 7.0
 
 
 def test_forward_golden_seed7():
     net = tc.MLP([2, 3, 2], tc.SplitMix64(7), name="g")
-    out, _ = tc.forward(net, GOLDEN_SEED7_INPUT)
+    out = net.forward(GOLDEN_SEED7_INPUT)
     np.testing.assert_allclose(out.value, GOLDEN_SEED7_OUTPUT, rtol=0, atol=1e-15)
 
 
 def test_forward_deterministic():
     net = tc.MLP([2, 4, 2], tc.SplitMix64(3), name="d")
     x = tc.SplitMix64(5).normal((6, 2))
-    a, _ = tc.forward(net, x)
-    b, _ = tc.forward(net, x)
+    a = net.forward(x)
+    b = net.forward(x)
     np.testing.assert_array_equal(a.value, b.value)
 
 
