@@ -171,6 +171,8 @@ def _load_features(path):
             values = [float(p) for p in line.split(",")]
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", line=lineno)
+        if not all(np.isfinite(values)):
+            raise ParseError(f"non-finite value in {line!r}", line=lineno)
         if rows and len(values) != len(rows[0]):
             raise ParseError(f"expected {len(rows[0])} fields, got {len(values)}",
                              line=lineno)
@@ -221,7 +223,7 @@ def cmd_cmi(args):
             raise ContractError("feature widths differ between domains")
         scorer = BilinearScorer(Zs.shape[1], SplitMix64(args.seed))
         if args.train_steps:
-            optim = OptimState(scorer.parameters(), lr=1e-3, method="adam")
+            optim = OptimState(scorer.parameters(), lr=1e-3)
             train_scorer(scorer, Zs[pair_positive(Zt, Zs)], Zt,
                          args.train_steps, optim)
         terms = cnce_terms(scorer, contrastive_from_features(Zs, Zt))

@@ -45,6 +45,8 @@ class DiscreteJoint:
         self.table = np.asarray(self.table, dtype=np.float64)
         if self.table.ndim != 3:
             raise DimensionError("joint table must have three axes")
+        if not np.all(np.isfinite(self.table)):
+            raise ContractError("probabilities must be finite")
         if np.any(self.table < 0):
             raise ContractError("negative probability")
         if abs(self.table.sum() - 1.0) > 1e-12:
@@ -300,8 +302,8 @@ def cnce_estimate(scorer, batches):
 def pair_positive(Zt, Zs):
     """Index of the nearest source row for every target row
     (squared Euclidean; ties go to the lowest index)."""
-    Zt = np.asarray(getattr(Zt, "features", Zt), dtype=np.float64)
-    Zs = np.asarray(getattr(Zs, "features", Zs), dtype=np.float64)
+    Zt = np.asarray(Zt, dtype=np.float64)
+    Zs = np.asarray(Zs, dtype=np.float64)
     if Zt.shape[0] == 0 or Zs.shape[0] == 0:
         raise ContractError("empty batch")
     d = ((Zt[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2)
@@ -319,8 +321,8 @@ def build_negatives(i, n):
 
 def contrastive_from_features(Zs, Zt):
     """Build the in-batch contrastive structure from two feature batches."""
-    Zs = np.asarray(getattr(Zs, "features", Zs), dtype=np.float64)
-    Zt = np.asarray(getattr(Zt, "features", Zt), dtype=np.float64)
+    Zs = np.asarray(Zs, dtype=np.float64)
+    Zt = np.asarray(Zt, dtype=np.float64)
     n = Zt.shape[0]
     pairing = pair_positive(Zt, Zs)
     idx = np.stack([np.concatenate([[i], build_negatives(i, n)]) for i in range(n)])

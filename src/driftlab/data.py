@@ -45,20 +45,14 @@ class LabeledDomain:
 
 
 def _parse_ratio(ratio):
-    """Accept 'a:b' strings, (a, b) pairs, or a class-0 fraction."""
-    if isinstance(ratio, str):
-        parts = ratio.split(":")
-        if len(parts) != 2:
-            raise ContractError(f"ratio must look like '3:7', got {ratio!r}")
-        try:
-            a, b = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ContractError(f"non-numeric ratio {ratio!r}")
-    elif isinstance(ratio, (tuple, list)) and len(ratio) == 2:
-        a, b = float(ratio[0]), float(ratio[1])
-    else:
-        frac = float(ratio)
-        a, b = frac, 1.0 - frac
+    """The class-0 fraction of an 'a:b' ratio string."""
+    parts = ratio.split(":")
+    if len(parts) != 2:
+        raise ContractError(f"ratio must look like '3:7', got {ratio!r}")
+    try:
+        a, b = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ContractError(f"non-numeric ratio {ratio!r}")
     if a <= 0 or b <= 0:
         raise ContractError("degenerate class ratio: both sides must be positive")
     return a / (a + b)

@@ -48,7 +48,7 @@ class Critic:
 
 
 def _features(batch):
-    f = np.asarray(getattr(batch, "features", batch), dtype=np.float64)
+    f = np.asarray(batch, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] == 0:
         raise ContractError("need a nonempty 2-D feature batch")
     return f
@@ -56,7 +56,7 @@ def _features(batch):
 
 def measure_normalize(features):
     """Rowwise softplus + L1 normalization (numeric path)."""
-    f = np.asarray(getattr(features, "features", features), dtype=np.float64)
+    f = np.asarray(features, dtype=np.float64)
     w = np.logaddexp(0.0, f)
     return w / w.sum(axis=1, keepdims=True)
 
@@ -134,7 +134,7 @@ def train_critic(critic, Zs, Zt, steps, optim=None):
     if np.any(fs < 0) or np.any(ft < 0):
         raise ContractError("critic training expects measure-normalized features")
     if optim is None:
-        optim = OptimState(critic.parameters(), lr=1e-3, method="adam")
+        optim = OptimState(critic.parameters(), lr=1e-3)
     params = critic.parameters()
     for k in range(steps):
         try:

@@ -3,7 +3,7 @@ Bayes-error bound evaluation.
 
 Accuracy tables hold percent scores for m methods across n tasks (an
 "Avg" column, when present, is just another task column). Ranks are
-assigned per task with the competition convention by default: tied
+assigned per task with the competition convention: tied
 methods share the smallest position and the following positions are
 skipped, so scores (100.0, 100.0, 99.8) rank as (1, 1, 3).
 """
@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ParseError
 from .textio import records
-
-RANK_MODES = ("competition", "average")
 
 # Printed per-method averages are rounded to one decimal, so they may
 # sit up to 0.05 away from the mean of the printed ranks.
@@ -223,29 +221,19 @@ def bayes_bound(inputs):
     return out
 
 
-def competition_ranks(table, mode="competition"):
+def competition_ranks(table):
     """Rank methods within every task column, higher accuracy first.
 
-    Competition mode gives tied methods the smallest shared position
-    and skips the following positions ("1224"). Average mode hands the
-    tie group the mean of the positions it occupies.
+    Tied methods share the smallest position they occupy and the
+    following positions are skipped ("1224").
     """
-    if mode not in RANK_MODES:
-        raise ContractError(f"mode must be one of {RANK_MODES}")
     vals = table.values
     m, n = vals.shape
     ranks = np.empty((m, n), dtype=np.float64)
     for j in range(n):
         col = vals[:, j]
         for i in range(m):
-            better = int(np.sum(col > col[i]))
-            if mode == "competition":
-                ranks[i, j] = better + 1
-            else:
-                tied = int(np.sum(col == col[i]))
-                ranks[i, j] = better + (tied + 1) / 2.0
-    if mode == "competition":
-        ranks = ranks.astype(np.int64).astype(np.float64)
+            ranks[i, j] = int(np.sum(col > col[i])) + 1
     return RankTable(list(table.methods), list(table.tasks), ranks)
 
 

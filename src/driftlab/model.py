@@ -1,23 +1,18 @@
-"""Learnable pieces of the adaptation model: the feature extractor, the
-classifier head, their losses, and flat-text checkpoints.
+"""Losses, prediction and flat-text checkpoints for the adaptation
+model's two networks, the feature extractor phi and the classifier head
+psi, both plain :class:`~driftlab.tensorcore.MLP` perceptrons.
 
-Both networks are small leaky-ReLU perceptrons (two hidden layers by
-default). The classification loss is a numerically safe mean negative
+The classification loss is a numerically safe mean negative
 log-softmax; the weight penalty is a plain L2 sum over weight matrices
 with biases excluded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError
 from .tensorcore import (
-    MLP,
-    Tensor,
-    as_tensor,
     constant,
     logsumexp,
     mul,
@@ -26,77 +21,19 @@ from .tensorcore import (
     tmean,
     tsum,
 )
+from .textio import records
 
 CHECKPOINT_MAGIC = "driftlab-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass
-class FeatureBatch:
-    """Extracted features with their domain tag and optional labels."""
-
-    features: np.ndarray
-    domain: str = ""
-    labels: np.ndarray = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise DimensionError("features must be 2-D")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape[0] != self.features.shape[0]:
-                raise ContractError("label count differs from feature count")
-
-    def __len__(self):
-        return self.features.shape[0]
-
-
-class FeatureExtractor:
-    def __init__(self, d_in, d_out, rng, hidden=(64, 64), name="phi"):
-        self.d_in = d_in
-        self.d_out = d_out
-        self.net = MLP([d_in, *hidden, d_out], rng, head=None, name=name)
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def weights(self):
-        return self.net.weights()
-
-    def forward(self, x):
-        return self.net.forward(x)
-
-
-class Classifier:
-    def __init__(self, d_in, n_classes, rng, hidden=(64, 64), name="psi"):
-        if n_classes < 2:
-            raise ContractError("need at least two classes")
-        self.n_classes = n_classes
-        self.net = MLP([d_in, *hidden, n_classes], rng, head=None, name=name)
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def weights(self):
-        return self.net.weights()
-
-    def forward(self, x):
-        return self.net.forward(x)
 
 
 # ---------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------
 
-def extract(phi, X, domain="", labels=None):
-    """Run the extractor over rows of X and tag the result."""
-    X = np.asarray(getattr(X, "features", X), dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != phi.d_in:
-        raise DimensionError(
-            f"extractor expects (N, {phi.d_in}) input, got {X.shape}")
-    out = phi.forward(as_tensor(X)).value
-    return FeatureBatch(out, domain=domain, labels=labels)
+def extract(phi, X):
+    """The extractor's (N, M) feature array for the rows of X."""
+    return phi.forward(X).value
 
 
 def _onehot(labels, n_classes):
@@ -113,11 +50,10 @@ def _onehot(labels, n_classes):
 
 def cross_entropy_loss(psi, features, labels):
     """Mean negative log-softmax of the true-class logits (a scalar
-    Tensor; use .item() for the value)."""
-    feats = features if isinstance(features, Tensor) else as_tensor(
-        np.asarray(getattr(features, "features", features), dtype=np.float64))
-    logits = psi.forward(feats)
-    onehot = constant(_onehot(labels, psi.n_classes))
+    Tensor; use .item() for the value). ``features`` is an array or a
+    Tensor, through which gradients then flow."""
+    logits = psi.forward(features)
+    onehot = constant(_onehot(labels, psi.sizes[-1]))
     true_logit = tsum(mul(logits, onehot), axis=1)
     return tmean(sub(logsumexp(logits, axis=1), true_logit))
 
@@ -136,14 +72,13 @@ def regularizer(networks, alpha):
     return mul(total, constant(0.5 * alpha))
 
 
-def predict(psi, phi, X):
-    """Class labels and softmax probabilities for raw inputs.
+def predict(psi, features):
+    """Class labels and softmax probabilities for extracted features.
 
     Ties in the argmax resolve to the lowest class index. Probability
     rows sum to 1 within 1e-9.
     """
-    feats = extract(phi, X)
-    logits = psi.forward(as_tensor(feats.features)).value
+    logits = psi.forward(features).value
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
@@ -178,48 +113,40 @@ def save_checkpoint(path, params):
 
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint back into a dict."""
+    lines = records(path)
+    lineno, header = next(lines, (1, ""))
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != CHECKPOINT_MAGIC:
+        raise ParseError(f"not a checkpoint file: {header!r}", line=lineno)
+    if parts[1] != f"v{CHECKPOINT_VERSION}":
+        raise ParseError(f"unsupported checkpoint version {parts[1]}",
+                         line=lineno)
     params = {}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != CHECKPOINT_MAGIC:
-            raise ParseError(f"not a checkpoint file: {header!r}", line=1)
-        if parts[1] != f"v{CHECKPOINT_VERSION}":
-            raise ParseError(f"unsupported checkpoint version {parts[1]}", line=1)
-        lineno = 1
-        while True:
-            head = fh.readline()
-            if not head:
-                break
-            lineno += 1
-            head = head.strip()
-            if not head:
-                continue
-            fields = head.split()
-            if fields[0] != "param" or len(fields) < 3:
-                raise ParseError(f"expected a param header, got {head!r}",
-                                 line=lineno)
-            name = fields[1]
-            try:
-                ndim = int(fields[2])
-                shape = tuple(int(d) for d in fields[3:3 + ndim])
-            except ValueError:
-                raise ParseError("malformed shape header", line=lineno)
-            if len(shape) != ndim:
-                raise ParseError("shape header shorter than declared rank",
-                                 line=lineno)
-            data = fh.readline()
-            lineno += 1
-            try:
-                values = np.array([float(v) for v in data.split()])
-            except ValueError:
-                raise ParseError("non-numeric parameter data", line=lineno)
-            expected = int(np.prod(shape)) if shape else 1
-            if values.size != expected:
-                raise ParseError(
-                    f"expected {expected} values for {name}, got {values.size}",
-                    line=lineno)
-            params[name] = values.reshape(shape)
+    for lineno, head in lines:
+        fields = head.split()
+        if fields[0] != "param" or len(fields) < 3:
+            raise ParseError(f"expected a param header, got {head!r}",
+                             line=lineno)
+        name = fields[1]
+        try:
+            ndim = int(fields[2])
+            shape = tuple(int(d) for d in fields[3:3 + ndim])
+        except ValueError:
+            raise ParseError("malformed shape header", line=lineno)
+        if len(shape) != ndim:
+            raise ParseError("shape header shorter than declared rank",
+                             line=lineno)
+        lineno, data = next(lines, (lineno + 1, ""))
+        try:
+            values = np.array([float(v) for v in data.split()])
+        except ValueError:
+            raise ParseError("non-numeric parameter data", line=lineno)
+        expected = int(np.prod(shape)) if shape else 1
+        if values.size != expected:
+            raise ParseError(
+                f"expected {expected} values for {name}, got {values.size}",
+                line=lineno)
+        params[name] = values.reshape(shape)
     return params
 
 

@@ -176,14 +176,13 @@ def _ssp(graph, s, t, want, n):
     return total, pot
 
 
-def min_cost_flow(supplies, demands, capacities, unit_costs):
-    """Transportation-shaped min-cost flow.
+def min_cost_flow(supplies, demands, unit_costs):
+    """Transportation-shaped min-cost flow on the complete bipartite graph.
 
     Row i may emit at most ``supplies[i]``; column j must receive exactly
-    ``demands[j]``; edge (i, j) carries at most ``capacities[i, j]``
-    (None for uncapacitated) at unit cost ``unit_costs[i, j]`` >= 0.
-    Returns a FlowResult whose potentials certify optimality through
-    complementary slackness.
+    ``demands[j]``; every edge (i, j) is uncapacitated at unit cost
+    ``unit_costs[i, j]`` >= 0. Returns a FlowResult whose potentials
+    certify optimality through complementary slackness.
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
@@ -195,12 +194,6 @@ def min_cost_flow(supplies, demands, capacities, unit_costs):
         raise ContractError("negative supply or demand")
     if np.any(unit_costs < 0):
         raise ContractError("unit costs must be nonnegative")
-    if capacities is not None:
-        capacities = np.asarray(capacities, dtype=np.float64)
-        if capacities.shape != (n, m):
-            raise DimensionError("capacity shape mismatch")
-        if np.any(capacities < 0):
-            raise ContractError("negative capacity")
     total_demand = float(demands.sum())
     if supplies.sum() < total_demand - 1e-9:
         raise InfeasibleError(
@@ -214,9 +207,7 @@ def min_cost_flow(supplies, demands, capacities, unit_costs):
         g.add_edge(s, i, float(supplies[i]), 0.0)
     for i in range(n):
         for j in range(m):
-            cap = np.inf if capacities is None else float(capacities[i, j])
-            if cap > 0:
-                g.add_edge(i, n + j, cap, float(unit_costs[i, j]))
+            g.add_edge(i, n + j, np.inf, float(unit_costs[i, j]))
     for j in range(m):
         g.add_edge(n + j, t, float(demands[j]), 0.0)
 
@@ -258,32 +249,21 @@ def wasserstein_exact(mu, nu, cost, p=None):
         )
     if cost.values.shape != (len(mu), len(nu)):
         raise DimensionError("cost matrix shape does not match the measures")
-    res = min_cost_flow(mu.weights, nu.weights, None, cost.values ** p)
+    res = min_cost_flow(mu.weights, nu.weights, cost.values ** p)
     plan = TransportPlan(res.flows, mu.weights, nu.weights)
     return res.cost ** (1.0 / p), plan
 
 
-def feature_to_measure(z, mode="softplus"):
+def feature_to_measure(z):
     """View a feature vector as a measure on positions {1/M, ..., 1}.
 
-    The weight of atom j is a nonnegative transform of z[j], normalized
-    to total mass 1. Modes: "softplus-normalize" (default),
-    "relu-normalize", "softmax"; the short aliases "softplus" and
-    "relu" are accepted.
+    The weight of atom j is softplus(z[j]), normalized to total mass 1.
     """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     M = z.size
     if M < 1:
         raise ContractError("empty feature vector")
-    if mode in ("softplus", "softplus-normalize"):
-        w = np.logaddexp(0.0, z)
-    elif mode in ("relu", "relu-normalize"):
-        w = np.maximum(z, 0.0)
-    elif mode == "softmax":
-        e = np.exp(z - z.max())
-        w = e / e.sum()
-    else:
-        raise ContractError(f"unknown mode {mode!r}")
+    w = np.logaddexp(0.0, z)
     s = w.sum()
     if s <= 0:
         raise ContractError("degenerate measure: all weights vanish after transform")
@@ -324,19 +304,18 @@ def w2_dimension(zA, zB):
 
 
 def _batch_features(batch):
-    f = getattr(batch, "features", batch)
-    f = np.asarray(f, dtype=np.float64)
+    f = np.asarray(batch, dtype=np.float64)
     if f.ndim != 2:
         raise DimensionError("feature batch must be 2-D")
     return f
 
 
-def nested_cost(batchA, batchB, mode="softplus"):
+def nested_cost(batchA, batchB):
     """Pairwise ground-cost matrix of per-sample dimension measures."""
     A = _batch_features(batchA)
     B = _batch_features(batchB)
-    measuresA = [feature_to_measure(row, mode) for row in A]
-    measuresB = [feature_to_measure(row, mode) for row in B]
+    measuresA = [feature_to_measure(row) for row in A]
+    measuresB = [feature_to_measure(row) for row in B]
     G = np.zeros((len(measuresA), len(measuresB)))
     for i, ma in enumerate(measuresA):
         for j, mb in enumerate(measuresB):
@@ -344,7 +323,7 @@ def nested_cost(batchA, batchB, mode="softplus"):
     return CostMatrix(G, p=1.0)
 
 
-def wwd(batchA, batchB, mode="softplus", weightsA=None, weightsB=None):
+def wwd(batchA, batchB, weightsA=None, weightsB=None):
     """Nested distance: outer 1-Wasserstein over samples, inner 1-D
     2-Wasserstein between feature vectors viewed as dimension measures."""
     A = _batch_features(batchA)
@@ -355,7 +334,7 @@ def wwd(batchA, batchB, mode="softplus", weightsA=None, weightsB=None):
         weightsB = np.full(B.shape[0], 1.0 / B.shape[0])
     mu = DiscreteMeasure(np.arange(A.shape[0], dtype=np.float64), weightsA)
     nu = DiscreteMeasure(np.arange(B.shape[0], dtype=np.float64), weightsB)
-    return wasserstein_exact(mu, nu, nested_cost(A, B, mode), p=1.0)
+    return wasserstein_exact(mu, nu, nested_cost(A, B), p=1.0)
 
 
 def ar_wwd_primal(source, target, cost, beta):
@@ -374,7 +353,7 @@ def ar_wwd_primal(source, target, cost, beta):
     if cost.values.shape != (len(source), len(target)):
         raise DimensionError("cost matrix shape does not match the measures")
     caps = source.weights / (1.0 - beta)
-    res = min_cost_flow(caps, target.weights, None, cost.values ** cost.p)
+    res = min_cost_flow(caps, target.weights, cost.values ** cost.p)
     plan = TransportPlan(res.flows, res.flows.sum(axis=1), target.weights)
     return res.cost ** (1.0 / cost.p), plan
 

@@ -38,8 +38,6 @@ from .dualcritic import (
 from .errors import ContractError, NumericError, ParseError
 from .evalstats import accuracy, emit_report
 from .model import (
-    Classifier,
-    FeatureExtractor,
     collect_params,
     cross_entropy_loss,
     extract,
@@ -48,6 +46,7 @@ from .model import (
     save_checkpoint,
 )
 from .tensorcore import (
+    MLP,
     OptimState,
     SplitMix64,
     as_tensor,
@@ -119,8 +118,8 @@ class TrainConfig:
 class TrainState:
     """Networks, optimizers, and the append-only metric history."""
 
-    phi: FeatureExtractor
-    psi: Classifier
+    phi: MLP
+    psi: MLP
     critic: Critic
     scorer: BilinearScorer
     optim_model: OptimState
@@ -188,7 +187,7 @@ def apply_overrides(config, assignments):
 
 def _generation_ratio(ratio):
     """'uniform' batching draws from a balanced generated domain."""
-    if isinstance(ratio, str) and ratio.strip().lower() == "uniform":
+    if ratio.strip().lower() == "uniform":
         return "1:1"
     return ratio
 
@@ -208,7 +207,7 @@ def make_dataset(config):
 
 def _ratio_counts(batch_size, ratio):
     """Exact per-class counts for a stratified batch, or None for uniform."""
-    if isinstance(ratio, str) and ratio.strip().lower() == "uniform":
+    if ratio.strip().lower() == "uniform":
         return None
     frac0 = _parse_ratio(ratio)
     c0 = frac0 * batch_size
@@ -298,10 +297,10 @@ def epoch_batches(dataset, rng, config):
 
 def init_state(config, input_dim=2, num_classes=2):
     rng = SplitMix64(config.seed)
-    phi = FeatureExtractor(input_dim, config.feature_dim, rng.spawn(11),
-                           hidden=PHI_HIDDEN)
-    psi = Classifier(config.feature_dim, num_classes, rng.spawn(12),
-                     hidden=PSI_HIDDEN)
+    phi = MLP([input_dim, *PHI_HIDDEN, config.feature_dim], rng.spawn(11),
+              name="phi")
+    psi = MLP([config.feature_dim, *PSI_HIDDEN, num_classes], rng.spawn(12),
+              name="psi")
     critic = Critic(config.feature_dim, rng.spawn(13), lam=config.lam,
                     beta=config.beta)
     scorer = BilinearScorer(config.feature_dim, rng.spawn(14))
@@ -311,11 +310,9 @@ def init_state(config, input_dim=2, num_classes=2):
         critic=critic,
         scorer=scorer,
         optim_model=OptimState(phi.parameters() + psi.parameters(),
-                               lr=config.lr_model, method="adam"),
-        optim_critic=OptimState(critic.parameters(), lr=config.lr_critic,
-                                method="adam"),
-        optim_scorer=OptimState(scorer.parameters(), lr=config.lr_scorer,
-                                method="adam"),
+                               lr=config.lr_model),
+        optim_critic=OptimState(critic.parameters(), lr=config.lr_critic),
+        optim_scorer=OptimState(scorer.parameters(), lr=config.lr_scorer),
         rng=rng.spawn(15),
     )
 
@@ -370,8 +367,8 @@ def adversarial_step(state, batch_s, batch_t, config):
     """
     xs = np.asarray(batch_s.X, dtype=np.float64)
     xt = np.asarray(batch_t.X, dtype=np.float64)
-    zs = extract(state.phi, xs).features
-    zt = extract(state.phi, xt).features
+    zs = extract(state.phi, xs)
+    zt = extract(state.phi, xt)
 
     if config.use_global and config.critic_steps > 0:
         try:
@@ -410,10 +407,10 @@ def _label_entropy(labels):
 
 def evaluate_metrics(state, source, target, epoch):
     """Accuracy, alignment, contrastive, and classification metrics."""
-    pred_s, _ = predict(state.psi, state.phi, source.X)
-    pred_t, _ = predict(state.psi, state.phi, target.X)
-    zs = extract(state.phi, source.X).features
-    zt = extract(state.phi, target.X).features
+    zs = extract(state.phi, source.X)
+    zt = extract(state.phi, target.X)
+    pred_s, _ = predict(state.psi, zs)
+    pred_t, _ = predict(state.psi, zt)
     gcm = dual_objective(state.critic, measure_normalize(zs),
                          measure_normalize(zt))
     cnce = cnce_estimate(state.scorer, contrastive_from_features(zs, zt))

@@ -27,7 +27,12 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
 
-LEAKY_SLOPE = 0.01  # default leaky-ReLU slope
+LEAKY_SLOPE = 0.01  # negative-side slope of every leaky ReLU
+
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _as_array(x):
@@ -283,11 +288,11 @@ def softplus(a):
     return Tensor(sv, parents=((a, lambda g: mul(g, sigmoid(a))),), op="softplus")
 
 
-def leaky_relu(a, slope=LEAKY_SLOPE):
+def leaky_relu(a):
     a = as_tensor(a)
-    mask = constant(np.where(a.value > 0, 1.0, slope))
+    mask = constant(np.where(a.value > 0, 1.0, LEAKY_SLOPE))
     return Tensor(
-        np.where(a.value > 0, a.value, slope * a.value),
+        np.where(a.value > 0, a.value, LEAKY_SLOPE * a.value),
         parents=((a, lambda g: mul(g, mask)),),
         op="leaky_relu",
     )
@@ -478,12 +483,11 @@ class MLP:
     (features, logits) or "sigmoid" for a [0, 1] bounded scalar head.
     """
 
-    def __init__(self, sizes, rng, head=None, slope=LEAKY_SLOPE, name="mlp"):
+    def __init__(self, sizes, rng, head=None, name="mlp"):
         if len(sizes) < 2:
             raise ContractError("MLP needs at least input and output sizes")
         self.sizes = list(sizes)
         self.head = head
-        self.slope = slope
         self.name = name
         self.layers = [
             Linear(sizes[i], sizes[i + 1], rng, name=f"{name}.layer{i}")
@@ -499,7 +503,7 @@ class MLP:
         for i, layer in enumerate(self.layers):
             h = layer.apply(h)
             if i < len(self.layers) - 1:
-                h = leaky_relu(h, self.slope)
+                h = leaky_relu(h)
         if self.head == "sigmoid":
             h = sigmoid(h)
         return h
@@ -529,26 +533,18 @@ class MLP:
 # ---------------------------------------------------------------------
 
 class OptimState:
-    """Adam (default) or plain SGD state for a fixed parameter list."""
+    """Adam state for a fixed parameter list."""
 
-    def __init__(self, params, lr=1e-3, method="adam", beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0):
-        if method not in ("adam", "sgd"):
-            raise ContractError(f"unknown optimizer {method!r}")
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.method = method
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
 
 def step(state, grads):
-    """Apply one optimizer update in place. Returns the state."""
+    """Apply one Adam update in place. Returns the state."""
     if len(grads) != len(state.params):
         raise ContractError("gradient count mismatch")
     state.t += 1
@@ -558,16 +554,11 @@ def step(state, grads):
             raise DimensionError(f"gradient shape mismatch for {p.name or i}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {p.name or i}")
-        if state.weight_decay:
-            g = g + state.weight_decay * p.value
-        if state.method == "sgd":
-            p.value = p.value - state.lr * g
-        else:
-            state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-            state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-            mhat = state.m[i] / (1 - state.beta1 ** state.t)
-            vhat = state.v[i] / (1 - state.beta2 ** state.t)
-            p.value = p.value - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
+        mhat = state.m[i] / (1 - ADAM_BETA1 ** state.t)
+        vhat = state.v[i] / (1 - ADAM_BETA2 ** state.t)
+        p.value = p.value - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state
 
 

@@ -40,7 +40,7 @@ from driftlab.evalstats import (
     friedman,
     load_rank_table,
 )
-from driftlab.model import Classifier, FeatureExtractor, cross_entropy_loss, regularizer
+from driftlab.model import cross_entropy_loss, regularizer
 from driftlab.ot import (
     CostMatrix,
     DiscreteMeasure,
@@ -51,7 +51,7 @@ from driftlab.ot import (
     wasserstein_exact,
 )
 from driftlab.pipeline import TrainConfig, TrainState, rlglc_objective, run_experiment
-from driftlab.tensorcore import OptimState, SplitMix64, as_tensor, finite_diff_check
+from driftlab.tensorcore import MLP, OptimState, SplitMix64, as_tensor, finite_diff_check
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -223,7 +223,7 @@ def test_criterion_5_dual_primal_consistency():
         fs = measure_normalize(zs)
         ft = measure_normalize(zt)
         critic = Critic(5, SplitMix64(100 + idx), lam=0.5, beta=beta)
-        optim = OptimState(critic.parameters(), lr=5e-3, method="adam")
+        optim = OptimState(critic.parameters(), lr=5e-3)
         train_critic(critic, fs, ft, 150, optim)
         residual.append(float(estimate_alignment_residual(critic, fs, ft)))
 
@@ -236,7 +236,7 @@ def test_criterion_5_dual_primal_consistency():
 def test_criterion_6_gradient_integrity():
     rng = SplitMix64(61)
 
-    psi = Classifier(3, 2, rng.spawn(1), hidden=(3,))
+    psi = MLP([3, 3, 2], rng.spawn(1), name="psi")
     feats = np.array([[0.2, -0.4, 1.1], [0.9, 0.3, -0.7]])
     labels = np.array([0, 1])
     err = finite_diff_check(
@@ -265,7 +265,7 @@ def test_criterion_6_gradient_integrity():
         scorer.parameters())
     assert err < 1e-4
 
-    net = FeatureExtractor(2, 3, rng.spawn(9), hidden=(4,))
+    net = MLP([2, 4, 3], rng.spawn(9), name="phi")
     err = finite_diff_check(lambda: regularizer([net], 0.7), net.parameters())
     assert err < 1e-4
 
@@ -273,8 +273,8 @@ def test_criterion_6_gradient_integrity():
     cfg = TrainConfig(n_per_domain=8, batch_size=2, feature_dim=3,
                       epochs=0, target_ratio="5:5")
     state = TrainState(
-        phi=FeatureExtractor(2, 3, rng.spawn(10), hidden=(4,)),
-        psi=Classifier(3, 2, rng.spawn(11), hidden=(3,)),
+        phi=MLP([2, 4, 3], rng.spawn(10), name="phi"),
+        psi=MLP([3, 3, 2], rng.spawn(11), name="psi"),
         critic=Critic(3, rng.spawn(12), hidden=(4,), lam=cfg.lam,
                       beta=cfg.beta),
         scorer=BilinearScorer(3, rng.spawn(13), hidden=(4,)),

@@ -245,6 +245,24 @@ class TestCmi:
         lines = dict(line.split() for line in out.strip().splitlines())
         assert set(lines) == {"cnce", "se"}
 
+    @pytest.mark.parametrize("mode", ["joint", "features"])
+    def test_non_finite_input_exits_2(self, capsys, tmp_path, mode):
+        bad = tmp_path / "bad.csv"
+        if mode == "joint":
+            bad.write_text("0,0,0,0.5\n1,1,0,nan\n")
+            argv = ["--joint", str(bad)]
+        else:
+            good = tmp_path / "good.csv"
+            good.write_text("0.5,1.0\n-1.0,2.0\n")
+            bad.write_text("0.5,1.0\nnan,2.0\n")
+            argv = ["--source", str(bad), "--target", str(good)]
+        code, out, err = run(capsys, "cmi", *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+        if mode == "features":
+            assert "line 2" in err
+
     def test_joint_and_features_conflict(self, capsys):
         code, _, _ = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
                          "--source", "a.csv", "--target", "b.csv")

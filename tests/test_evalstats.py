@@ -170,22 +170,6 @@ class TestCompetitionRanks:
         r = competition_ranks(t)
         assert r.ranks[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_average_mode_splits_positions(self):
-        t = table([[100.0], [100.0], [99.8]])
-        r = competition_ranks(t, mode="average")
-        assert r.ranks[:, 0].tolist() == [1.5, 1.5, 3.0]
-
-    def test_average_mode_preserves_column_sum(self):
-        rng = np.random.default_rng(5)
-        vals = np.round(rng.uniform(40, 100, size=(9, 4)), 1)
-        r = competition_ranks(table(vals), mode="average")
-        m = vals.shape[0]
-        assert np.allclose(r.ranks.sum(axis=0), m * (m + 1) / 2.0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ContractError):
-            competition_ranks(table([[1.0], [2.0]]), mode="dense")
-
     @given(st.lists(st.integers(0, 1000), min_size=2, max_size=12),
            st.integers(1, 3))
     @settings(max_examples=150, deadline=None)

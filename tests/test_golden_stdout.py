@@ -55,9 +55,13 @@ def _cases():
                                     "--train-steps", "5", "--seed", "2"]
     cases["bound/equal_ln2"] = ["bound",
                                 str(FIXTURES / "bound" / "equal_ln2.cfg")]
-    cases["train/toy"] = ["train", "--config",
-                          str(FIXTURES / "train" / "toy.cfg"),
-                          "--report", "{tmp}/report.json"]
+    toy = ["train", "--config", str(FIXTURES / "train" / "toy.cfg"),
+           "--report", "{tmp}/report.json"]
+    cases["train/toy"] = toy
+    cases["train/toy/no-local"] = [*toy, "--set", "use_local=false"]
+    cases["train/toy/no-global"] = [*toy, "--set", "use_global=false"]
+    cases["train/toy/uniform"] = [*toy, "--set", "source_ratio=uniform",
+                                  "--set", "target_ratio=uniform"]
     return {f"{name}/{fmt}": argv + ["--format", fmt]
             for name, argv in cases.items() for fmt in FORMATS}
 

@@ -8,9 +8,6 @@ import pytest
 
 from driftlab.errors import ContractError, DimensionError, ParseError
 from driftlab.model import (
-    Classifier,
-    FeatureBatch,
-    FeatureExtractor,
     collect_params,
     cross_entropy_loss,
     extract,
@@ -20,7 +17,7 @@ from driftlab.model import (
     restore_params,
     save_checkpoint,
 )
-from driftlab.tensorcore import SplitMix64, finite_diff_check, parameter
+from driftlab.tensorcore import MLP, SplitMix64, finite_diff_check, parameter
 
 GOLDEN_INPUT = np.array([[0.5, -0.25], [1.0, 2.0]])
 GOLDEN_FEATURES = np.array([
@@ -30,7 +27,7 @@ GOLDEN_FEATURES = np.array([
 
 
 def golden_extractor():
-    return FeatureExtractor(2, 3, SplitMix64(77), hidden=(4, 4))
+    return MLP([2, 4, 4, 3], SplitMix64(77), name="phi")
 
 
 # ---------------------------------------------------------------------
@@ -38,25 +35,24 @@ def golden_extractor():
 # ---------------------------------------------------------------------
 
 def test_identity_extractor():
-    phi = FeatureExtractor(2, 2, SplitMix64(0), hidden=())
-    phi.net.layers[0].w.value[...] = np.eye(2)
-    phi.net.layers[0].b.value[...] = 0.0
+    phi = MLP([2, 2], SplitMix64(0), name="phi")
+    phi.layers[0].w.value[...] = np.eye(2)
+    phi.layers[0].b.value[...] = 0.0
     X = np.array([[1.5, -2.0], [0.0, 3.0]])
-    assert np.allclose(extract(phi, X).features, X)
+    assert np.allclose(extract(phi, X), X)
 
 
 def test_zero_weight_extractor_returns_bias():
-    phi = FeatureExtractor(2, 3, SplitMix64(1), hidden=())
-    phi.net.layers[0].w.value[...] = 0.0
-    phi.net.layers[0].b.value[...] = np.array([0.5, -1.0, 2.0])
-    out = extract(phi, np.random.default_rng(2).normal(size=(4, 2))).features
+    phi = MLP([2, 3], SplitMix64(1), name="phi")
+    phi.layers[0].w.value[...] = 0.0
+    phi.layers[0].b.value[...] = np.array([0.5, -1.0, 2.0])
+    out = extract(phi, np.random.default_rng(2).normal(size=(4, 2)))
     assert np.allclose(out, [0.5, -1.0, 2.0])
 
 
 def test_golden_fixture_frozen():
-    fb = extract(golden_extractor(), GOLDEN_INPUT, domain="source")
-    assert np.allclose(fb.features, GOLDEN_FEATURES, atol=1e-15)
-    assert fb.domain == "source"
+    features = extract(golden_extractor(), GOLDEN_INPUT)
+    assert np.allclose(features, GOLDEN_FEATURES, atol=1e-15)
 
 
 def test_extract_shape_mismatch():
@@ -65,16 +61,9 @@ def test_extract_shape_mismatch():
 
 
 def test_extract_deterministic():
-    a = extract(golden_extractor(), GOLDEN_INPUT).features
-    b = extract(golden_extractor(), GOLDEN_INPUT).features
+    a = extract(golden_extractor(), GOLDEN_INPUT)
+    b = extract(golden_extractor(), GOLDEN_INPUT)
     assert np.array_equal(a, b)
-
-
-def test_feature_batch_validation():
-    with pytest.raises(ContractError):
-        FeatureBatch(np.zeros((3, 2)), labels=np.zeros(2))
-    with pytest.raises(DimensionError):
-        FeatureBatch(np.zeros(3))
 
 
 # ---------------------------------------------------------------------
@@ -82,7 +71,7 @@ def test_feature_batch_validation():
 # ---------------------------------------------------------------------
 
 def zeroed_classifier(d_in=3, n_classes=2):
-    psi = Classifier(d_in, n_classes, SplitMix64(5), hidden=(4,))
+    psi = MLP([d_in, 4, n_classes], SplitMix64(5), name="psi")
     for p in psi.parameters():
         p.value[...] = 0.0
     return psi
@@ -96,9 +85,9 @@ def test_uniform_logits_give_ln2():
 
 
 def test_large_margin_correct_logits_near_zero():
-    psi = Classifier(2, 2, SplitMix64(9), hidden=())
-    psi.net.layers[0].w.value[...] = np.array([[40.0, -40.0], [0.0, 0.0]])
-    psi.net.layers[0].b.value[...] = 0.0
+    psi = MLP([2, 2], SplitMix64(9), name="psi")
+    psi.layers[0].w.value[...] = np.array([[40.0, -40.0], [0.0, 0.0]])
+    psi.layers[0].b.value[...] = 0.0
     feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
     loss = cross_entropy_loss(psi, feats, np.array([0, 1]))
     assert loss.item() == pytest.approx(0.0, abs=1e-10)
@@ -106,7 +95,7 @@ def test_large_margin_correct_logits_near_zero():
 
 def test_matches_scalar_reference():
     # independent reference: per-row softmax written out longhand
-    psi = Classifier(2, 3, SplitMix64(13), hidden=(5,))
+    psi = MLP([2, 5, 3], SplitMix64(13), name="psi")
     feats = np.random.default_rng(3).normal(size=(4, 2))
     labels = np.array([2, 0, 1, 2])
     loss = cross_entropy_loss(psi, feats, labels).item()
@@ -133,7 +122,7 @@ def test_out_of_range_label_rejected():
 
 def test_cross_entropy_nonnegative_random():
     rng = np.random.default_rng(7)
-    psi = Classifier(3, 4, SplitMix64(21), hidden=(6,))
+    psi = MLP([3, 6, 4], SplitMix64(21), name="psi")
     for _ in range(10):
         feats = rng.normal(size=(5, 3))
         labels = rng.integers(0, 4, size=5)
@@ -164,9 +153,9 @@ def test_regularizer_single_weight():
 
 
 def test_regularizer_excludes_biases():
-    psi = Classifier(2, 2, SplitMix64(3), hidden=(4,))
+    psi = MLP([2, 4, 2], SplitMix64(3), name="psi")
     base = regularizer(psi, 1.0).item()
-    for layer in psi.net.layers:
+    for layer in psi.layers:
         layer.b.value[...] = 100.0
     assert regularizer(psi, 1.0).item() == pytest.approx(base, abs=1e-12)
 
@@ -183,7 +172,7 @@ def test_regularizer_gradient_is_alpha_times_weight():
 
 def test_regularizer_convex_second_differences():
     rng = np.random.default_rng(11)
-    phi = FeatureExtractor(2, 2, SplitMix64(4), hidden=(3,))
+    phi = MLP([2, 3, 2], SplitMix64(4), name="phi")
     for _ in range(5):
         direction = [rng.normal(size=w.value.shape) for w in phi.weights()]
         vals = []
@@ -201,48 +190,49 @@ def test_regularizer_convex_second_differences():
 # ---------------------------------------------------------------------
 
 def test_predict_confident_logits():
-    psi = Classifier(2, 2, SplitMix64(2), hidden=())
-    psi.net.layers[0].w.value[...] = np.array([[10.0, -10.0], [0.0, 0.0]])
-    psi.net.layers[0].b.value[...] = 0.0
-    phi = FeatureExtractor(2, 2, SplitMix64(0), hidden=())
-    phi.net.layers[0].w.value[...] = np.eye(2)
-    phi.net.layers[0].b.value[...] = 0.0
-    labels, probs = predict(psi, phi, np.array([[1.0, 0.0]]))
+    psi = MLP([2, 2], SplitMix64(2), name="psi")
+    psi.layers[0].w.value[...] = np.array([[10.0, -10.0], [0.0, 0.0]])
+    psi.layers[0].b.value[...] = 0.0
+    phi = MLP([2, 2], SplitMix64(0), name="phi")
+    phi.layers[0].w.value[...] = np.eye(2)
+    phi.layers[0].b.value[...] = 0.0
+    labels, probs = predict(psi, extract(phi, np.array([[1.0, 0.0]])))
     assert labels[0] == 0
     assert probs[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_predict_tie_breaks_lowest_index():
     psi = zeroed_classifier(d_in=2, n_classes=3)
-    phi = FeatureExtractor(2, 2, SplitMix64(0), hidden=())
-    phi.net.layers[0].w.value[...] = np.eye(2)
-    phi.net.layers[0].b.value[...] = 0.0
-    labels, probs = predict(psi, phi, np.array([[0.3, 0.7]]))
+    phi = MLP([2, 2], SplitMix64(0), name="phi")
+    phi.layers[0].w.value[...] = np.eye(2)
+    phi.layers[0].b.value[...] = 0.0
+    labels, probs = predict(psi, extract(phi, np.array([[0.3, 0.7]])))
     assert labels[0] == 0
     assert np.allclose(probs, 1 / 3)
 
 
 def test_predict_rows_sum_to_one():
-    psi = Classifier(3, 4, SplitMix64(6), hidden=(5,))
+    psi = MLP([3, 5, 4], SplitMix64(6), name="psi")
     phi = golden_extractor()
-    _, probs = predict(psi, phi, np.random.default_rng(5).normal(size=(10, 2)))
+    X = np.random.default_rng(5).normal(size=(10, 2))
+    _, probs = predict(psi, extract(phi, X))
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_predict_invariant_to_constant_logit_shift():
-    psi = Classifier(3, 3, SplitMix64(8), hidden=())
+    psi = MLP([3, 3], SplitMix64(8), name="psi")
     phi = golden_extractor()
     X = np.random.default_rng(9).normal(size=(6, 2))
-    labels_a, probs_a = predict(psi, phi, X)
-    psi.net.layers[-1].b.value[...] = psi.net.layers[-1].b.value + 7.5
-    labels_b, probs_b = predict(psi, phi, X)
+    labels_a, probs_a = predict(psi, extract(phi, X))
+    psi.layers[-1].b.value[...] = psi.layers[-1].b.value + 7.5
+    labels_b, probs_b = predict(psi, extract(phi, X))
     assert np.array_equal(labels_a, labels_b)
     assert np.allclose(probs_a, probs_b, atol=1e-9)
 
 
 def test_predict_golden_fixture():
     psi = zeroed_classifier(d_in=3, n_classes=2)
-    labels, probs = predict(psi, golden_extractor(), GOLDEN_INPUT)
+    labels, probs = predict(psi, extract(golden_extractor(), GOLDEN_INPUT))
     assert np.array_equal(labels, [0, 0])
     assert np.allclose(probs, 0.5)
 
@@ -253,8 +243,8 @@ def test_predict_golden_fixture():
 
 def test_checkpoint_roundtrip_exact(tmp_path):
     phi = golden_extractor()
-    psi = Classifier(3, 2, SplitMix64(5), hidden=(4,))
-    params = collect_params({"phi": phi.net, "psi": psi.net})
+    psi = MLP([3, 4, 2], SplitMix64(5), name="psi")
+    params = collect_params({"phi": phi, "psi": psi})
     path = tmp_path / "ck.txt"
     save_checkpoint(path, params)
     back = load_checkpoint(path)
@@ -266,11 +256,11 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 def test_checkpoint_restore_reproduces_outputs(tmp_path):
     phi = golden_extractor()
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, collect_params({"phi": phi.net}))
-    phi2 = FeatureExtractor(2, 3, SplitMix64(123), hidden=(4, 4))
-    restore_params({"phi": phi2.net}, load_checkpoint(path))
-    assert np.array_equal(extract(phi2, GOLDEN_INPUT).features,
-                          extract(phi, GOLDEN_INPUT).features)
+    save_checkpoint(path, collect_params({"phi": phi}))
+    phi2 = MLP([2, 4, 4, 3], SplitMix64(123), name="phi")
+    restore_params({"phi": phi2}, load_checkpoint(path))
+    assert np.array_equal(extract(phi2, GOLDEN_INPUT),
+                          extract(phi, GOLDEN_INPUT))
 
 
 def test_checkpoint_version_field(tmp_path):
@@ -299,9 +289,18 @@ def test_checkpoint_rejects_truncated_data(tmp_path):
 
 
 def test_restore_rejects_shape_mismatch(tmp_path):
-    phi = FeatureExtractor(2, 2, SplitMix64(0), hidden=())
+    phi = MLP([2, 2], SplitMix64(0), name="phi")
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, collect_params({"phi": phi.net}))
-    other = FeatureExtractor(2, 3, SplitMix64(0), hidden=())
+    save_checkpoint(path, collect_params({"phi": phi}))
+    other = MLP([2, 3], SplitMix64(0), name="phi")
     with pytest.raises((DimensionError, ContractError)):
-        restore_params({"phi": other.net}, load_checkpoint(path))
+        restore_params({"phi": other}, load_checkpoint(path))
+
+
+def test_checkpoint_unreadable_path_is_parse_error(tmp_path):
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(b"driftlab-checkpoint v1\nparam a 1 1\n1.0\xff\n")
+    with pytest.raises(ParseError, match="line 3"):
+        load_checkpoint(raw)
+    with pytest.raises(ParseError, match=str(tmp_path)):
+        load_checkpoint(tmp_path)

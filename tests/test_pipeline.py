@@ -14,7 +14,7 @@ from driftlab.data import LabeledDomain, gen_two_moons_shift
 from driftlab.dualcritic import Critic, dual_objective, measure_normalize
 from driftlab.errors import ContractError, NumericError, ParseError
 from driftlab.evalstats import emit_report
-from driftlab.model import Classifier, FeatureExtractor, cross_entropy_loss, extract, regularizer
+from driftlab.model import cross_entropy_loss, extract, regularizer
 from driftlab.pipeline import (
     TrainConfig,
     TrainState,
@@ -34,6 +34,7 @@ from driftlab.pipeline import (
     train,
 )
 from driftlab.tensorcore import (
+    MLP,
     OptimState,
     SplitMix64,
     as_tensor,
@@ -258,8 +259,8 @@ class TestObjective:
         bs, bt = tiny_batches(cfg)
         _, bd = rlglc_objective(state, bs, bt, cfg)
 
-        zs = extract(state.phi, bs.X).features
-        zt = extract(state.phi, bt.X).features
+        zs = extract(state.phi, bs.X)
+        zt = extract(state.phi, bt.X)
         want_global = dual_objective(state.critic, measure_normalize(zs),
                                      measure_normalize(zt))
         want_local = float(state.scorer.objective_graph(
@@ -305,7 +306,7 @@ class TestObjective:
         cfg = tiny_config(beta=0.01, critic_steps=60)
         state = init_state(cfg)
         bs, _ = tiny_batches(cfg)
-        zs = extract(state.phi, bs.X).features
+        zs = extract(state.phi, bs.X)
         from driftlab.dualcritic import train_critic
         train_critic(state.critic, measure_normalize(zs),
                      measure_normalize(zs), 60, state.optim_critic)
@@ -318,8 +319,8 @@ class TestObjective:
                           epochs=0, target_ratio="5:5")
         rng = SplitMix64(21)
         state = TrainState(
-            phi=FeatureExtractor(2, 3, rng.spawn(1), hidden=(4,)),
-            psi=Classifier(3, 2, rng.spawn(2), hidden=(3,)),
+            phi=MLP([2, 4, 3], rng.spawn(1), name="phi"),
+            psi=MLP([3, 3, 2], rng.spawn(2), name="psi"),
             critic=Critic(3, rng.spawn(3), hidden=(4,), lam=cfg.lam,
                           beta=cfg.beta),
             scorer=BilinearScorer(3, rng.spawn(4), hidden=(4,)),
@@ -379,8 +380,8 @@ class TestAdversarialStep:
                           use_global=False)
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg)
-        zs = extract(state.phi, bs.X).features
-        zt = extract(state.phi, bt.X).features
+        zs = extract(state.phi, bs.X)
+        zt = extract(state.phi, bt.X)
         paired = as_tensor(zs[pair_positive(zt, zs)])
         before = float(state.scorer.objective_graph(paired,
                                                     as_tensor(zt)).item())
@@ -422,7 +423,7 @@ class TestAdversarialStep:
                 step(state.optim_model, backward(loss, wrt=params))
         from driftlab.model import predict
         from driftlab.evalstats import accuracy
-        preds, _ = predict(state.psi, state.phi, target.X)
+        preds, _ = predict(state.psi, extract(state.phi, target.X))
         plain = accuracy(preds, target.labels)
         assert abs(rep["final"]["target_acc"] - plain) <= 0.5
 

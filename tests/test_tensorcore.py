@@ -141,16 +141,9 @@ def test_second_derivative_cubic():
 
 def test_step_zero_gradient_keeps_params():
     p = tc.parameter(np.array([1.0, -2.0]), "p")
-    state = tc.OptimState([p], lr=0.1, method="adam")
+    state = tc.OptimState([p], lr=0.1)
     tc.step(state, [np.zeros(2)])
     np.testing.assert_array_equal(p.value, np.array([1.0, -2.0]))
-
-
-def test_step_sgd_arithmetic():
-    p = tc.parameter(1.0, "p")
-    state = tc.OptimState([p], lr=0.1, method="sgd")
-    tc.step(state, [np.array(2.0)])
-    assert p.value == pytest.approx(0.8)
 
 
 def test_step_adam_matches_scalar_reference():
@@ -168,7 +161,7 @@ def test_step_adam_matches_scalar_reference():
         expected.append(theta)
 
     p = tc.parameter(1.0, "p")
-    state = tc.OptimState([p], lr=lr, method="adam", beta1=b1, beta2=b2, eps=eps)
+    state = tc.OptimState([p], lr=lr)
     got = []
     for g in grads:
         tc.step(state, [np.array(g)])
