@@ -65,8 +65,11 @@ class ContrastiveBatch:
     values: an (N, K) integer array for tabulated alphabets or an
     (N, K, M) float array of feature rows. When the batch was built by
     the in-batch rule, ``candidate_indices`` records which anchors the
-    candidates came from so the no-self-negative invariant can be
-    checked (and K equals the batch size under that rule).
+    candidates came from, and ``candidates`` must equal
+    ``anchors[candidate_indices]``; the no-self-negative invariant is
+    checked too (and K equals the batch size under that rule). Because
+    every candidate is an anchor, a feature scorer runs its network
+    once per anchor and gathers candidate rows by these indices.
     """
 
     sources: np.ndarray
@@ -88,6 +91,10 @@ class ContrastiveBatch:
             rows = np.arange(n)[:, None]
             if np.any(idx[:, 1:] == rows):
                 raise ContractError("positive index found among negatives")
+            if np.any((idx < 0) | (idx >= n)):
+                raise ContractError("candidate index outside the batch")
+            if not np.array_equal(self.candidates, self.anchors[idx]):
+                raise ContractError("candidates differ from the anchors they index")
 
     @property
     def k(self):
@@ -210,17 +217,20 @@ class BilinearScorer:
         return self.net.parameters()
 
     def score_matrix(self, batch):
+        """(N, K) scores of an in-batch feature batch.
+
+        Every candidate is one of the N anchors, so the network runs
+        once on the anchor rows and each candidate's embedding is
+        gathered by ``batch.candidate_indices``.
+        """
+        if batch.candidate_indices is None:
+            raise ContractError("feature scoring needs candidate_indices")
         anchors = np.asarray(batch.anchors, dtype=np.float64)
         sources = np.asarray(batch.sources, dtype=np.float64)
-        cand = np.asarray(batch.candidates, dtype=np.float64)
-        if cand.ndim != 3:
-            raise DimensionError("feature candidates must be (N, K, M)")
-        n, k, m = cand.shape
         gs = self.net.forward(as_tensor(sources)).value
-        gc = self.net.forward(as_tensor(cand.reshape(n * k, m))).value
-        gc = gc.reshape(n, k, -1)
+        ga = self.net.forward(as_tensor(anchors)).value
         own = (gs * anchors).sum(axis=1)
-        cross = (gc * anchors[:, None, :]).sum(axis=2)
+        cross = (ga[batch.candidate_indices] * anchors[:, None, :]).sum(axis=2)
         return 0.5 * (own[:, None] + cross)
 
     def objective_graph(self, paired_sources, anchors):
@@ -325,7 +335,13 @@ def contrastive_from_features(Zs, Zt):
     Zt = np.asarray(Zt, dtype=np.float64)
     n = Zt.shape[0]
     pairing = pair_positive(Zt, Zs)
-    idx = np.stack([np.concatenate([[i], build_negatives(i, n)]) for i in range(n)])
+    if n < 2:
+        raise ContractError("batch of size 1 has no negatives")
+    # Row i is [i, then build_negatives(i, n)]: negative slot j holds
+    # index j below the diagonal and j + 1 from it on.
+    rows = np.arange(n)[:, None]
+    slots = np.arange(n - 1)[None, :]
+    idx = np.concatenate([rows, slots + (slots >= rows)], axis=1)
     return ContrastiveBatch(
         sources=Zs[pairing],
         anchors=Zt,

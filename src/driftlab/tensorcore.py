@@ -16,6 +16,14 @@ Design notes
   is itself a differentiable graph. Passing ``build_graph=True`` to
   :func:`backward` therefore supports second derivatives, which the
   critic's slope penalty needs for its own training.
+* Finiteness is checked where values are made: ``Tensor.__init__``
+  raises ``NumericError`` naming the op of any node holding a NaN or an
+  infinity. The ops in ``_FINITE_PRESERVING`` skip the check, which is
+  exact: each only moves, copies, scales down or squashes finite inputs
+  (``transpose``, ``reshape``, ``gather``, ``broadcast``, ``leaky_relu``,
+  ``sigmoid``, ``softplus``), so a finite input cannot give them a
+  non-finite output, and every input was itself checked where it was
+  made.
 * Randomness comes from :class:`SplitMix64`, a counter-based 64-bit
   generator (algorithm documented on the class) so that golden fixtures
   do not depend on any library's RNG internals.
@@ -33,6 +41,13 @@ LEAKY_SLOPE = 0.01  # negative-side slope of every leaky ReLU
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Ops whose output is finite whenever their inputs are; Tensor.__init__
+# skips the finite check for them (see the design notes).
+_FINITE_PRESERVING = frozenset(
+    ("transpose", "reshape", "gather", "broadcast", "leaky_relu", "sigmoid",
+     "softplus")
+)
 
 
 def _as_array(x):
@@ -52,7 +67,7 @@ class Tensor:
 
     def __init__(self, value, parents=(), op="leaf", name=None):
         self.value = _as_array(value)
-        if not np.all(np.isfinite(self.value)):
+        if op not in _FINITE_PRESERVING and not np.isfinite(self.value).all():
             raise NumericError(f"non-finite values produced by op '{op}'")
         self.parents = tuple(parents)
         self.op = op
@@ -218,16 +233,25 @@ def tsum(a, axis=None, keepdims=False):
     orig = a.value.shape
 
     def vjp(g):
-        if axis is None:
-            return mul(g, constant(np.ones(orig)))
-        gg = g
-        if not keepdims:
+        if axis is not None and not keepdims:
             kshape = list(orig)
             kshape[axis] = 1
-            gg = reshape(gg, tuple(kshape))
-        return mul(gg, constant(np.ones(orig)))
+            g = reshape(g, tuple(kshape))
+        return broadcast(g, orig)
 
     return Tensor(a.value.sum(axis=axis, keepdims=keepdims), parents=((a, vjp),), op="sum")
+
+
+def broadcast(a, shape):
+    """Broadcast ``a`` to ``shape`` under numpy's rules."""
+    a = as_tensor(a)
+    # A contiguous copy, not numpy's zero-stride view, so that a matmul
+    # on it takes the same BLAS path as on any other node value.
+    return Tensor(
+        np.broadcast_to(a.value, shape).copy(),
+        parents=((a, lambda g: _unbroadcast(g, a.value.shape)),),
+        op="broadcast",
+    )
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -275,7 +299,8 @@ def power(a, expo):
 def sigmoid(a):
     a = as_tensor(a)
     v = a.value
-    sv = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    sv = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(sv, parents=((a, lambda g: mul(g, mul(out, sub(1.0, out)))),), op="sigmoid")
     return out
 
@@ -290,10 +315,13 @@ def softplus(a):
 
 def leaky_relu(a):
     a = as_tensor(a)
-    mask = constant(np.where(a.value > 0, 1.0, LEAKY_SLOPE))
+
+    def vjp(g):
+        return mul(g, constant(np.where(a.value > 0, 1.0, LEAKY_SLOPE)))
+
     return Tensor(
         np.where(a.value > 0, a.value, LEAKY_SLOPE * a.value),
-        parents=((a, lambda g: mul(g, mask)),),
+        parents=((a, vjp),),
         op="leaky_relu",
     )
 
@@ -317,14 +345,22 @@ def logsumexp(a, axis, keepdims=False):
 
 
 def select_rows(a, indices):
-    """Select rows of a 2-D tensor. Differentiable via a 0/1 matrix."""
+    """Select rows of a 2-D tensor.
+
+    The value is a gather; the vjp multiplies by the transposed 0/1
+    selection matrix, so repeated rows accumulate their gradients.
+    """
     a = as_tensor(a)
     if a.value.ndim != 2:
         raise DimensionError("select_rows expects a 2-D tensor")
     indices = np.asarray(indices, dtype=int)
-    sel = np.zeros((indices.size, a.value.shape[0]))
-    sel[np.arange(indices.size), indices] = 1.0
-    return matmul(constant(sel), a)
+
+    def vjp(g):
+        sel = np.zeros((indices.size, a.value.shape[0]))
+        sel[np.arange(indices.size), indices] = 1.0
+        return matmul(constant(sel.T), g)
+
+    return Tensor(a.value[indices], parents=((a, vjp),), op="gather")
 
 
 # ---------------------------------------------------------------------

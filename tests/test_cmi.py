@@ -243,6 +243,26 @@ def test_contrastive_batch_invariants():
         )
 
 
+def test_contrastive_batch_candidates_are_the_indexed_anchors():
+    rng = SplitMix64(21)
+    zs = rng.normal((4, 3))
+    zt = rng.normal((4, 3))
+    batch = contrastive_from_features(zs, zt)
+    idx = batch.candidate_indices
+    moved = batch.candidates.copy()
+    moved[2, 1, 0] += 1e-9
+    with pytest.raises(ContractError, match="differ"):
+        ContrastiveBatch(sources=batch.sources, anchors=zt, candidates=moved,
+                         candidate_indices=idx)
+    wrapped = idx.copy()
+    wrapped[0, 1] = -3  # anchors[-3] is anchor 1, the row it replaced
+    with pytest.raises(ContractError, match="outside"):
+        ContrastiveBatch(sources=batch.sources, anchors=zt,
+                         candidates=batch.candidates, candidate_indices=wrapped)
+    ContrastiveBatch(sources=batch.sources, anchors=zt,
+                     candidates=zt[idx], candidate_indices=idx)
+
+
 # ---------------------------------------------------------------------
 # pairing rules
 # ---------------------------------------------------------------------
@@ -303,6 +323,11 @@ def test_contrastive_from_features_k_equals_n():
     assert batch.k == 5
     assert batch.candidates.shape == (5, 5, 3)
     assert np.allclose(batch.candidates[:, 0, :], zt)
+    expected = np.stack([np.concatenate([[i], build_negatives(i, 5)])
+                         for i in range(5)])
+    assert np.array_equal(batch.candidate_indices, expected)
+    with pytest.raises(ContractError):
+        contrastive_from_features(zs[:1], zt[:1])
 
 
 # ---------------------------------------------------------------------
@@ -329,6 +354,44 @@ def test_bilinear_terms_respect_bound():
     zt = rng.normal((8, 3))
     batch = contrastive_from_features(zs, zt)
     assert np.all(cnce_terms(sc, batch) <= math.log(8))
+
+
+def nk_row_scores(scorer, batch):
+    """Reference scores: the network run on all N*K candidate rows."""
+    n, k, m = batch.candidates.shape
+    gs = scorer.net.forward(as_tensor(batch.sources)).value
+    gc = scorer.net.forward(as_tensor(batch.candidates.reshape(n * k, m))).value
+    own = (gs * batch.anchors).sum(axis=1)
+    cross = (gc.reshape(n, k, -1) * batch.anchors[:, None, :]).sum(axis=2)
+    return 0.5 * (own[:, None] + cross)
+
+
+@given(st.integers(2, 40), st.integers(1, 8),
+       st.lists(st.integers(1, 16), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_score_matrix_matches_nk_row_reference(n, m, hidden, seed):
+    rng = SplitMix64(seed)
+    sc = BilinearScorer(m, rng.spawn(1), hidden=tuple(hidden))
+    batch = contrastive_from_features(rng.normal((n, m)), rng.normal((n, m)))
+    ref = nk_row_scores(sc, batch)
+    # A GEMM over N*K rows may round an embedding differently in the last
+    # ulp than one over N rows; where own and cross terms cancel, that ulp
+    # is large next to the score, so the 1e-12 is relative to the largest.
+    np.testing.assert_allclose(sc.score_matrix(batch), ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def test_score_matrix_needs_candidate_indices():
+    rng = SplitMix64(22)
+    sc = BilinearScorer(3, rng.spawn(1), hidden=(4,))
+    zs = rng.normal((4, 3))
+    zt = rng.normal((4, 3))
+    batch = contrastive_from_features(zs, zt)
+    bare = ContrastiveBatch(sources=batch.sources, anchors=zt,
+                            candidates=batch.candidates)
+    with pytest.raises(ContractError, match="candidate_indices"):
+        sc.score_matrix(bare)
 
 
 def scorer_batch(seed):

@@ -208,6 +208,37 @@ def test_tensor_rejects_non_finite():
         tc.Tensor(np.array([1.0, np.inf]))
 
 
+EXTREMES = np.array([[1.79e308, -1.79e308, 5e-324, -5e-324, 0.0, -0.0]])
+
+# Every op that skips the finite check, applied to the extreme finite inputs.
+UNCHECKED = {
+    "transpose": tc.transpose,
+    "reshape": lambda x: tc.reshape(x, (3, 2)),
+    "gather": lambda x: tc.select_rows(tc.reshape(x, (6, 1)), [5, 0, 0, 3]),
+    "broadcast": lambda x: tc.broadcast(x, (4, 6)),
+    "leaky_relu": tc.leaky_relu,
+    "sigmoid": tc.sigmoid,
+    "softplus": tc.softplus,
+}
+
+
+def test_unchecked_ops_keep_extreme_finite_inputs_finite():
+    assert set(UNCHECKED) == tc._FINITE_PRESERVING
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for op, apply in UNCHECKED.items():
+            out = apply(tc.constant(EXTREMES))
+            assert out.op == op
+            assert np.isfinite(out.value).all(), op
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_ops_name_themselves():
+    with pytest.raises(NumericError, match="'exp'"):
+        tc.exp(tc.constant(1000.0))
+    with pytest.raises(NumericError, match="'matmul'"):
+        tc.matmul(tc.constant([[1e200, 1e200]]), tc.constant([[1e200], [1e200]]))
+
+
 @given(st.integers(0, 2 ** 63), st.integers(1, 64))
 @settings(max_examples=50, deadline=None)
 def test_rng_uniform_in_unit_interval(seed, n):
