@@ -8,14 +8,13 @@ nested distance over sample batches, and the relaxed primal problem
 whose value vanishes whenever the target measure is contained in the
 source measure scaled by 1/(1-beta).
 
-All solvers are deterministic: adjacency lists are built in index
-order and shortest-path ties resolve by lowest node index, so returned
-plans are reproducible bit for bit.
+All solvers are deterministic: each shortest-path search settles the
+open node of least label, the lowest node index on ties, and a settled
+label is final, so returned plans are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,71 +108,95 @@ class FlowResult:
     col_potentials: np.ndarray = field(repr=False, default=None)
 
 
-class _Graph:
-    def __init__(self, n):
-        self.adj = [[] for _ in range(n)]
+def _ssp(supplies, demands, costs, want):
+    """Deliver ``want`` units s -> t at min cost. Returns (cost, flows, pot).
 
-    def add_edge(self, u, v, cap, cost):
-        # forward edge and residual reverse edge
-        self.adj[u].append([v, cap, cost, 0.0, len(self.adj[v])])
-        self.adj[v].append([u, 0.0, -cost, 0.0, len(self.adj[u]) - 1])
-
-
-def _ssp(graph, s, t, want, n):
-    """Deliver ``want`` units s -> t at min cost. Returns total cost.
-
-    Successive shortest paths with Johnson potentials; unit costs must
-    be nonnegative so plain Dijkstra applies from the first iteration.
+    Successive shortest paths with Johnson potentials on the complete
+    bipartite graph s -> rows -> columns -> t, held densely: ``flows``
+    (n, m) on row -> column edges, ``out`` on s -> rows, ``into`` on
+    columns -> t. Nodes are rows 0..n-1, columns n..n+m-1, then s, t.
+    Unit costs must be nonnegative so plain Dijkstra applies from the
+    first iteration. Every label is ((d + cost) + pot[u]) - pot[v] in
+    that order; a reverse edge costs -cost, an s or t edge costs ±0.0.
     """
-    pot = [0.0] * n
-    delivered, total = 0.0, 0.0
-    eps = 1e-13
+    n, m = costs.shape
+    s, t = n + m, n + m + 1
+    rows, cols = slice(0, n), slice(n, s)
+    flows, out, into = np.zeros((n, m)), np.zeros(n), np.zeros(m)
+    senders = [set() for _ in range(m)]  # rows i with flows[i, j] > eps
+    c = costs.tolist()
+    pot = np.zeros(n + m + 2)
+    delivered, total, eps = 0.0, 0.0, 1e-13
+
+    def lower(nodes, nd):  # open nodes reached from u at labels nd
+        better = nd < lim[nodes]
+        np.putmask(key[nodes], better, nd)
+        np.putmask(lim[nodes], better, nd - eps)
+        np.putmask(prev[nodes], better, u)
+
     while want - delivered > 1e-12:
-        dist = [np.inf] * n
-        prev = [None] * n  # (node, edge index)
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + eps:
-                continue
-            for ei, e in enumerate(graph.adj[u]):
-                v, cap, cost, flow, _ = e
-                residual = cap - flow
-                if residual <= eps:
-                    continue
-                nd = d + cost + pot[u] - pot[v]
-                if nd < dist[v] - eps:
-                    dist[v] = nd
-                    prev[v] = (u, ei)
-                    heapq.heappush(heap, (nd, v))
-        if not np.isfinite(dist[t]):
-            reachable = [i for i in range(n) if np.isfinite(dist[i])]
+        # labels of settled nodes; of open nodes; key - eps, -inf once settled
+        dist, key, lim = (np.full(n + m + 2, np.inf) for _ in range(3))
+        prev = np.zeros(n + m + 2, dtype=np.intp)
+        key[s] = 0.0
+        p = pot.tolist()
+        while True:
+            u = int(key.argmin())
+            d = float(key[u])
+            if d == np.inf:
+                break
+            dist[u], key[u], lim[u] = d, np.inf, -np.inf
+            if u < n:
+                nd = costs[u] + d
+                nd += p[u]
+                nd -= pot[cols]
+                lower(cols, nd)
+            elif u < s:
+                j = u - n
+                for i in senders[j]:
+                    nd = ((d - c[i][j]) + p[u]) - p[i]
+                    if nd < lim[i]:
+                        key[i], lim[i], prev[i] = nd, nd - eps, u
+                nd = ((d + 0.0) + p[u]) - p[t]
+                if demands[j] - into[j] > eps and nd < lim[t]:
+                    key[t], lim[t], prev[t] = nd, nd - eps, u
+            elif u == s:
+                nd = ((d + 0.0) + p[s]) - pot[rows]
+                lower(rows, np.where(supplies - out > eps, nd, np.inf))
+            else:
+                nd = ((d + -0.0) + p[t]) - pot[cols]
+                lower(cols, np.where(into > eps, nd, np.inf))
+        reached = dist < np.inf
+        if not reached[t]:
             raise InfeasibleError(
                 f"cannot route remaining {want - delivered:.6g} mass; "
-                f"saturated cut around nodes {reachable}"
+                f"saturated cut around nodes {np.flatnonzero(reached).tolist()}"
             )
-        for i in range(n):
-            if np.isfinite(dist[i]):
-                pot[i] += dist[i]
-        # bottleneck along the path
-        push = want - delivered
-        v = t
+        pot[reached] += dist[reached]
+        path, v = [], t  # edges (u, v) from t back to s
         while v != s:
-            u, ei = prev[v]
-            e = graph.adj[u][ei]
-            push = min(push, e[1] - e[3])
-            v = u
-        v = t
-        while v != s:
-            u, ei = prev[v]
-            e = graph.adj[u][ei]
-            e[3] += push
-            graph.adj[v][e[4]][3] -= push
-            total += push * e[2]
-            v = u
+            path.append((int(prev[v]), v))
+            v = path[-1][0]
+        push = min([want - delivered] + [  # row -> column edges are uncapacitated
+            demands[u - n] - into[u - n] if v == t else
+            supplies[v] - out[v] if u == s else flows[v, u - n]
+            for u, v in path if not n <= v < s])
+        for u, v in path:
+            if v == t:
+                into[u - n] += push
+            elif u == s:
+                out[v] += push
+            elif u < n:
+                flows[u, v - n] += push
+                total += push * c[u][v - n]
+                senders[v - n].add(u)
+            else:
+                flows[v, u - n] -= push
+                total += push * -c[v][u - n]
+                if flows[v, u - n] <= eps:
+                    senders[u - n].discard(v)
         delivered += push
-    return total, pot
+    return float(total), flows, pot
 
 
 def min_cost_flow(supplies, demands, unit_costs):
@@ -200,31 +223,8 @@ def min_cost_flow(supplies, demands, unit_costs):
             f"violated cut: all supply rows saturate at {supplies.sum():.6g}, "
             f"below total demand {total_demand:.6g}"
         )
-
-    s, t = n + m, n + m + 1
-    g = _Graph(n + m + 2)
-    for i in range(n):
-        g.add_edge(s, i, float(supplies[i]), 0.0)
-    for i in range(n):
-        for j in range(m):
-            g.add_edge(i, n + j, np.inf, float(unit_costs[i, j]))
-    for j in range(m):
-        g.add_edge(n + j, t, float(demands[j]), 0.0)
-
-    cost, pot = _ssp(g, s, t, total_demand, n + m + 2)
-
-    flows = np.zeros((n, m))
-    for i in range(n):
-        for e in g.adj[i]:
-            v, cap, c, flow, _ = e
-            if n <= v < n + m and flow > 0:
-                flows[i, v - n] += flow
-    return FlowResult(
-        cost=cost,
-        flows=flows,
-        row_potentials=np.array(pot[:n]),
-        col_potentials=np.array(pot[n:n + m]),
-    )
+    cost, flows, pot = _ssp(supplies, demands, unit_costs, total_demand)
+    return FlowResult(cost, flows, pot[:n], pot[n:n + m])
 
 
 # ---------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import driftlab
 from driftlab.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -195,6 +200,39 @@ class TestOt:
         data = json.loads(out)
         assert set(data) == {"distance", "beta", "nested"}
         assert data["distance"] == 0.0
+
+    LARGE_SOURCE = ("0.386841799432938,879.1606182879854,-1071.7874168774442\n"
+                    "0.06042446430653269,914.4672031287812,-20.06345461548042\n"
+                    "0.19357221766927382,-1248.7488903344156,-313.8994719668477\n"
+                    "0.35916151859125545,54.10227877154389,272.79133916445375\n")
+    LARGE_TARGET = ("0.4077485999703397,-982.1881249409778,-1107.373047165193\n"
+                    "0.5686279317080278,199.58453284708082,-466.74961687980203\n"
+                    "0.02362346832163236,235.5056117302252,759.5195224783791\n")
+
+    @pytest.mark.parametrize("beta", ["0", "0.4"])
+    def test_costs_near_1e3_terminate(self, tmp_path, beta):
+        # At this cost scale rounding gives reduced costs below -1e-13. A
+        # solver that re-opens settled nodes then loops forever, so the
+        # CLI runs in a subprocess whose timeout fails the test.
+        src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        src.write_text(self.LARGE_SOURCE)
+        tgt.write_text(self.LARGE_TARGET)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(driftlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from driftlab.cli import main; "
+             "sys.exit(main())", "ot", str(src), str(tgt), "--beta", beta],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        a, b = (np.loadtxt(path, delimiter=",") for path in (src, tgt))
+        costs = np.linalg.norm(a[:, None, 1:] - b[None, :, 1:], axis=2)
+        n, m = costs.shape
+        lp = linprog(costs.ravel(), A_ub=np.kron(np.eye(n), np.ones(m)),
+                     b_ub=a[:, 0] / (1.0 - float(beta)),
+                     A_eq=np.kron(np.ones(n), np.eye(m)), b_eq=b[:, 0],
+                     bounds=(0, None), method="highs")
+        assert lp.status == 0, lp.message
+        assert float(proc.stdout) == pytest.approx(lp.fun, rel=1e-9)
 
 
 # ---------------------------------------------------------------------

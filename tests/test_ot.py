@@ -1,7 +1,10 @@
 """Exact-transport tests: pinned worked examples, independent LP and
 brute-force oracles, and property-based invariants."""
 
+import heapq
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from driftlab.errors import ContractError, InfeasibleError, ParseError
 from driftlab.ot import (
     CostMatrix,
     DiscreteMeasure,
+    FlowResult,
     TransportPlan,
     ar_wwd_primal,
     containment_check,
@@ -183,6 +187,163 @@ def test_infeasible_names_cut():
 def test_negative_cost_rejected():
     with pytest.raises(ContractError):
         min_cost_flow(np.array([1.0]), np.array([1.0]), np.array([[-1.0]]))
+
+
+def test_unroutable_remainder_names_mass():
+    # within the up-front 1e-9 slack, but the last 5e-10 has no route
+    with pytest.raises(InfeasibleError, match="remaining 5e-10 mass"):
+        min_cost_flow(np.array([0.5 - 5e-10]), np.array([0.5]), np.array([[1.0]]))
+
+
+# Reference solver: successive shortest paths over adjacency lists with
+# a binary heap. Above cost scales of about 1e3 a reduced cost below
+# -1e-13 re-opens a settled node, ``prev`` can then hold a cycle and the
+# path walk never ends, so it is only run on costs in [0, 4].
+
+class _Graph:
+    def __init__(self, n):
+        self.adj = [[] for _ in range(n)]
+
+    def add_edge(self, u, v, cap, cost):
+        # forward edge and residual reverse edge
+        self.adj[u].append([v, cap, cost, 0.0, len(self.adj[v])])
+        self.adj[v].append([u, 0.0, -cost, 0.0, len(self.adj[u]) - 1])
+
+
+def _heap_ssp(graph, s, t, want, n):
+    """Deliver ``want`` units s -> t at min cost. Returns total cost.
+
+    Successive shortest paths with Johnson potentials; unit costs must
+    be nonnegative so plain Dijkstra applies from the first iteration.
+    """
+    pot = [0.0] * n
+    delivered, total = 0.0, 0.0
+    eps = 1e-13
+    while want - delivered > 1e-12:
+        dist = [np.inf] * n
+        prev = [None] * n  # (node, edge index)
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u] + eps:
+                continue
+            for ei, e in enumerate(graph.adj[u]):
+                v, cap, cost, flow, _ = e
+                residual = cap - flow
+                if residual <= eps:
+                    continue
+                nd = d + cost + pot[u] - pot[v]
+                if nd < dist[v] - eps:
+                    dist[v] = nd
+                    prev[v] = (u, ei)
+                    heapq.heappush(heap, (nd, v))
+        if not np.isfinite(dist[t]):
+            reachable = [i for i in range(n) if np.isfinite(dist[i])]
+            raise InfeasibleError(
+                f"cannot route remaining {want - delivered:.6g} mass; "
+                f"saturated cut around nodes {reachable}"
+            )
+        for i in range(n):
+            if np.isfinite(dist[i]):
+                pot[i] += dist[i]
+        # bottleneck along the path
+        push = want - delivered
+        v = t
+        while v != s:
+            u, ei = prev[v]
+            e = graph.adj[u][ei]
+            push = min(push, e[1] - e[3])
+            v = u
+        v = t
+        while v != s:
+            u, ei = prev[v]
+            e = graph.adj[u][ei]
+            e[3] += push
+            graph.adj[v][e[4]][3] -= push
+            total += push * e[2]
+            v = u
+        delivered += push
+    return total, pot
+
+
+def heap_min_cost_flow(supplies, demands, unit_costs):
+    n, m = unit_costs.shape
+    s, t = n + m, n + m + 1
+    g = _Graph(n + m + 2)
+    for i in range(n):
+        g.add_edge(s, i, float(supplies[i]), 0.0)
+    for i in range(n):
+        for j in range(m):
+            g.add_edge(i, n + j, np.inf, float(unit_costs[i, j]))
+    for j in range(m):
+        g.add_edge(n + j, t, float(demands[j]), 0.0)
+
+    cost, pot = _heap_ssp(g, s, t, float(demands.sum()), n + m + 2)
+
+    flows = np.zeros((n, m))
+    for i in range(n):
+        for e in g.adj[i]:
+            v, cap, c, flow, _ = e
+            if n <= v < n + m and flow > 0:
+                flows[i, v - n] += flow
+    return FlowResult(
+        cost=cost,
+        flows=flows,
+        row_potentials=np.array(pot[:n]),
+        col_potentials=np.array(pot[n:n + m]),
+    )
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.one_of(st.just(1.0), st.floats(0.1, 1.0, exclude_min=True)),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_dense_solver_bit_equal_to_heap_reference(n, m, integer_costs, factor, seed):
+    rng = np.random.default_rng(seed)
+    if integer_costs:  # many ties between path lengths
+        costs = rng.integers(0, 5, size=(n, m)).astype(np.float64)
+    else:
+        costs = rng.uniform(0.0, 4.0, size=(n, m))
+    supplies = random_simplex(rng, n) / factor
+    demands = random_simplex(rng, m)
+    got = min_cost_flow(supplies, demands, costs)
+    want = heap_min_cost_flow(supplies, demands, costs)
+    assert got.cost == want.cost
+    np.testing.assert_array_equal(got.flows, want.flows)
+    np.testing.assert_array_equal(got.row_potentials, want.row_potentials)
+    np.testing.assert_array_equal(got.col_potentials, want.col_potentials)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a solver that never returns into a failing test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_scale_safe_against_lp_oracle(k):
+    # HiGHS tolerances are absolute, so the oracle solves the unit-scale
+    # costs and its optimum is scaled: the LP value is linear in the costs.
+    rng = np.random.default_rng([k + 6, 0])
+    for _ in range(8):
+        n, m = (int(x) for x in rng.integers(2, 11, size=2))
+        costs = rng.random((n, m))
+        demands = random_simplex(rng, m)
+        supplies = random_simplex(rng, n)
+        for caps in (supplies, supplies / 0.6):
+            with time_limit(20):
+                res = min_cost_flow(caps, demands, costs * 10.0 ** k)
+            oracle = lp_transport(caps, demands, costs) * 10.0 ** k
+            assert res.cost == pytest.approx(oracle, rel=1e-9)
 
 
 # ---------------------------------------------------------------------
