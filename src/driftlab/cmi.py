@@ -19,10 +19,11 @@ from .tensorcore import (
     SplitMix64,
     add,
     as_tensor,
-    backward,
     constant,
     logsumexp,
     matmul,
+    mlp_backward,
+    mlp_forward,
     mul,
     step,
     sub,
@@ -250,6 +251,39 @@ class BilinearScorer:
         terms = add(sub(pos, logsumexp(scores, axis=1)), constant(np.log(n)))
         return tmean(terms)
 
+    def objective_and_grads(self, paired_sources, anchors):
+        """``objective_graph`` on two (N, M) arrays and its gradients in
+        ``parameters()`` order, without the graph.
+
+        Each line mirrors one vjp of the graph on operands of the same
+        memory layout, so value and gradients equal ``backward`` on the
+        graph bit for bit. That includes the own-score path: its
+        gradient is zero in exact arithmetic, but not its rounding.
+        Raises ``NumericError`` where the graph's values go non-finite.
+        """
+        n = anchors.shape[0]
+        u, u_inputs, u_masks = mlp_forward(self.net, paired_sources)
+        g, g_inputs, g_masks = mlp_forward(self.net, anchors)
+        own = (u * anchors).sum(axis=1, keepdims=True)
+        scores = (own + anchors @ g.T) * 0.5
+        eye = np.eye(n)
+        top = scores.max(axis=1, keepdims=True)
+        e = np.exp(scores - top)
+        total = e.sum(axis=1, keepdims=True)
+        terms = ((scores * eye).sum(axis=1) - (np.log(total) + top).reshape(n)) + np.log(n)
+        value = terms.sum() / n
+        if not np.isfinite(value):
+            raise NumericError("objective not finite")
+        mean = 1.0 / n
+        grad = (((mean * -1.0) / total) * e + mean * eye) * 0.5
+        own_grad = grad.sum(axis=1, keepdims=True)
+        grads = [a + b for a, b in zip(
+            mlp_backward(self.net, u_inputs, u_masks, own_grad * anchors),
+            mlp_backward(self.net, g_inputs, g_masks, (anchors.T @ grad).T))]
+        if not all(np.isfinite(x).all() for x in grads):
+            raise NumericError("non-finite gradient")
+        return float(value), grads
+
 
 def train_scorer(scorer, paired, anchors, steps, optim):
     """Ascend the in-batch contrastive bound for `steps` full-batch steps.
@@ -261,12 +295,10 @@ def train_scorer(scorer, paired, anchors, steps, optim):
     """
     if steps < 0:
         raise ContractError("steps must be nonnegative")
-    paired, anchors = as_tensor(paired), as_tensor(anchors)
-    params = scorer.parameters()
+    paired, anchors = as_tensor(paired).value, as_tensor(anchors).value
     for k in range(steps):
         try:
-            obj = scorer.objective_graph(paired, anchors)
-            grads = backward(obj, wrt=params)
+            _, grads = scorer.objective_and_grads(paired, anchors)
             step(optim, [-g for g in grads])
         except NumericError as exc:
             raise NumericError(f"scorer training diverged at step {k}: {exc}")

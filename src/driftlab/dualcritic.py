@@ -4,7 +4,9 @@ A bounded critic f: R^M -> [0, 1] is trained to separate source from
 target feature batches under asymmetric weighting: constants do not
 cancel, so a critic stuck at 1 contributes exactly beta. The slope
 penalty anchors the critic's input gradients to the scale the nested
-ground metric implies, using second-order gradients from tensorcore.
+ground metric implies, so training it needs second-order gradients:
+the tensorcore graph states them, and training runs a closed form that
+reproduces that graph bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from .tensorcore import (
     backward,
     constant,
     div,
+    mlp_backward,
+    mlp_forward,
     mul,
+    sigmoid_value,
     softplus,
     square,
     step,
@@ -115,6 +120,78 @@ def training_objective_graph(critic, zs, zt):
     return sub(dual, pen)
 
 
+def _penalty_and_grads(critic, z, inputs, masks, s, slope):
+    """One batch's slope penalty, its gradient at the sigmoid head's
+    pre-activation, and the weight gradients of the input-gradient pass.
+
+    The graph builds the input gradient as a Tensor (the pass ``d``,
+    ``e`` below), squares it into the penalty, then backpropagates
+    through that pass. Each line mirrors one vjp of that graph.
+    """
+    weights = [layer.w.value for layer in critic.net.layers]
+    depth = len(weights)
+    d = [None] * depth
+    g = slope  # ones * slope: the seed of the inner backward
+    for i in range(depth - 1, -1, -1):
+        d[i] = g
+        e = g @ weights[i].T
+        if i:
+            g = e * masks[i - 1]
+    sq = e * e
+    r = sq * z - 1.0
+    half = critic.lam / 2.0
+    value = ((r * r).sum() / z.size) * half
+    g = ((-1.0 * half) / z.size) * (r * 2.0) * z * (e * 2.0)
+    through = []
+    for i in range(depth):
+        through.append((d[i].T @ g).T)
+        g = g @ weights[i].T.T
+        if i < depth - 1:
+            g = g * masks[i]
+    # the pass's seed is s * (1 - s), so both factors send gradient
+    # back into s, and from there through the sigmoid's own vjp
+    g = g * (1.0 - s) + (g * s) * -1.0
+    return value, g * slope, through
+
+
+def training_objective_and_grads(critic, zs, zt):
+    """``training_objective_graph`` and its parameter gradients, without
+    the graph.
+
+    Returns the value and the gradients in ``critic.parameters()``
+    order, equal bit for bit to ``backward`` on the graph: every vjp is
+    mirrored on operands of the same layout, and per weight the six
+    contributions are summed in the graph's order, the two dual
+    forwards, then per batch its penalty forward and its input-gradient
+    pass. Raises ``NumericError`` where the graph's values go non-finite.
+    """
+    net = critic.net
+    seeds = (1.0 / zs.shape[0], (-1.0 * (1.0 - critic.beta)) / zt.shape[0])
+    passes, duals, grads = [], [], []
+    for z, seed in zip((zs, zt), seeds):
+        a, inputs, masks = mlp_forward(net, z)
+        s = sigmoid_value(a)
+        slope = s * (1.0 - s)
+        passes.append((z, inputs, masks, s, slope))
+        duals.append(s.sum() / z.shape[0])
+        grads.append(mlp_backward(net, inputs, masks, seed * slope))
+    total = [x + y for x, y in zip(*grads)]
+    pens = []
+    for z, inputs, masks, s, slope in passes:
+        pen, g, through = _penalty_and_grads(critic, z, inputs, masks, s, slope)
+        pens.append(pen)
+        grads = mlp_backward(net, inputs, masks, g)
+        for i, w in enumerate(through):
+            total[2 * i] = (total[2 * i] + grads[2 * i]) + w
+            total[2 * i + 1] = total[2 * i + 1] + grads[2 * i + 1]
+    value = (duals[0] - duals[1] * (1.0 - critic.beta)) - (pens[0] + pens[1])
+    if not np.isfinite(value):
+        raise NumericError("objective not finite")
+    if not all(np.isfinite(g).all() for g in total):
+        raise NumericError("non-finite gradient")
+    return float(value), total
+
+
 # ---------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------
@@ -135,13 +212,9 @@ def train_critic(critic, Zs, Zt, steps, optim=None):
         raise ContractError("critic training expects measure-normalized features")
     if optim is None:
         optim = OptimState(critic.parameters(), lr=1e-3)
-    params = critic.parameters()
     for k in range(steps):
         try:
-            obj = training_objective_graph(critic, as_tensor(fs), as_tensor(ft))
-            if not np.isfinite(obj.value):
-                raise NumericError("objective not finite")
-            grads = backward(obj, wrt=params)
+            _, grads = training_objective_and_grads(critic, fs, ft)
             step(optim, [-g for g in grads])
         except NumericError as exc:
             raise NumericError(f"critic training diverged at step {k}: {exc}")

@@ -118,15 +118,20 @@ def _ssp(supplies, demands, costs, want):
     Unit costs must be nonnegative so plain Dijkstra applies from the
     first iteration. Every label is ((d + cost) + pot[u]) - pot[v] in
     that order; a reverse edge costs -cost, an s or t edge costs ±0.0.
+    Labels compare with a fixed slack; masses (the stop test and the
+    residual capacities) with tolerances scaled by max(1, want), so a
+    large total mass does not strand an ulp-sized remainder.
     """
     n, m = costs.shape
     s, t = n + m, n + m + 1
     rows, cols = slice(0, n), slice(n, s)
     flows, out, into = np.zeros((n, m)), np.zeros(n), np.zeros(m)
-    senders = [set() for _ in range(m)]  # rows i with flows[i, j] > eps
+    senders = [set() for _ in range(m)]  # rows i with flows[i, j] > tiny
     c = costs.tolist()
     pot = np.zeros(n + m + 2)
     delivered, total, eps = 0.0, 0.0, 1e-13
+    scale = max(1.0, want)
+    tiny, done = eps * scale, 1e-12 * scale
 
     def lower(nodes, nd):  # open nodes reached from u at labels nd
         better = nd < lim[nodes]
@@ -134,7 +139,7 @@ def _ssp(supplies, demands, costs, want):
         np.putmask(lim[nodes], better, nd - eps)
         np.putmask(prev[nodes], better, u)
 
-    while want - delivered > 1e-12:
+    while want - delivered > done:
         # labels of settled nodes; of open nodes; key - eps, -inf once settled
         dist, key, lim = (np.full(n + m + 2, np.inf) for _ in range(3))
         prev = np.zeros(n + m + 2, dtype=np.intp)
@@ -158,14 +163,14 @@ def _ssp(supplies, demands, costs, want):
                     if nd < lim[i]:
                         key[i], lim[i], prev[i] = nd, nd - eps, u
                 nd = ((d + 0.0) + p[u]) - p[t]
-                if demands[j] - into[j] > eps and nd < lim[t]:
+                if demands[j] - into[j] > tiny and nd < lim[t]:
                     key[t], lim[t], prev[t] = nd, nd - eps, u
             elif u == s:
                 nd = ((d + 0.0) + p[s]) - pot[rows]
-                lower(rows, np.where(supplies - out > eps, nd, np.inf))
+                lower(rows, np.where(supplies - out > tiny, nd, np.inf))
             else:
                 nd = ((d + -0.0) + p[t]) - pot[cols]
-                lower(cols, np.where(into > eps, nd, np.inf))
+                lower(cols, np.where(into > tiny, nd, np.inf))
         reached = dist < np.inf
         if not reached[t]:
             raise InfeasibleError(
@@ -193,7 +198,7 @@ def _ssp(supplies, demands, costs, want):
             else:
                 flows[v, u - n] -= push
                 total += push * -c[v][u - n]
-                if flows[v, u - n] <= eps:
+                if flows[v, u - n] <= tiny:
                     senders[u - n].discard(v)
         delivered += push
     return float(total), flows, pot

@@ -16,6 +16,20 @@ Design notes
   is itself a differentiable graph. Passing ``build_graph=True`` to
   :func:`backward` therefore supports second derivatives, which the
   critic's slope penalty needs for its own training.
+* Graphs are acyclic. A vjp closes over its op's inputs, never over the
+  node it belongs to: ``exp``, ``sqrt``, ``sigmoid`` and ``div``
+  recompute their output from the inputs instead. Reference counting
+  therefore frees a graph as soon as it is dropped, with no work left
+  for the cycle collector.
+* The critic and the scorer train through closed forms built on
+  :func:`mlp_forward` and :func:`mlp_backward`
+  (``dualcritic.training_objective_and_grads``,
+  ``cmi.BilinearScorer.objective_and_grads``). They mirror the graph's
+  vjps op for op, on operands of the same memory layout, and sum each
+  gradient's contributions in the order ``backward`` does, so they are
+  equal to it bit for bit. Rounding differences are not harmless here:
+  the training outcome depends on the helpers' last bits. The graphs
+  stay as their oracles and serve the descent step.
 * Finiteness is checked where values are made: ``Tensor.__init__``
   raises ``NumericError`` naming the op of any node holding a NaN or an
   infinity. The ops in ``_FINITE_PRESERVING`` skip the check, which is
@@ -184,15 +198,14 @@ def mul(a, b):
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(
+    return Tensor(
         a.value / b.value,
         parents=(
             (a, lambda g: _unbroadcast(div(g, b), a.value.shape)),
-            (b, lambda g: _unbroadcast(mul(mul(g, -1.0), div(out, b)), b.value.shape)),
+            (b, lambda g: _unbroadcast(mul(mul(g, -1.0), div(div(a, b), b)), b.value.shape)),
         ),
         op="div",
     )
-    return out
 
 
 def matmul(a, b):
@@ -262,8 +275,7 @@ def tmean(a, axis=None, keepdims=False):
 
 def exp(a):
     a = as_tensor(a)
-    out = Tensor(np.exp(a.value), parents=((a, lambda g: mul(g, out)),), op="exp")
-    return out
+    return Tensor(np.exp(a.value), parents=((a, lambda g: mul(g, exp(a))),), op="exp")
 
 
 def log(a):
@@ -273,8 +285,7 @@ def log(a):
 
 def sqrt(a):
     a = as_tensor(a)
-    out = Tensor(np.sqrt(a.value), parents=((a, lambda g: div(g, mul(out, 2.0))),), op="sqrt")
-    return out
+    return Tensor(np.sqrt(a.value), parents=((a, lambda g: div(g, mul(sqrt(a), 2.0))),), op="sqrt")
 
 
 def square(a):
@@ -296,13 +307,20 @@ def power(a, expo):
     )
 
 
+def sigmoid_value(v):
+    """Logistic function of an array, split at 0 so neither side overflows."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    v = a.value
-    e = np.exp(-np.abs(v))
-    sv = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(sv, parents=((a, lambda g: mul(g, mul(out, sub(1.0, out)))),), op="sigmoid")
-    return out
+
+    def vjp(g):
+        s = sigmoid(a)
+        return mul(g, mul(s, sub(1.0, s)))
+
+    return Tensor(sigmoid_value(a.value), parents=((a, vjp),), op="sigmoid")
 
 
 def softplus(a):
@@ -530,12 +548,15 @@ class MLP:
             for i in range(len(sizes) - 1)
         ]
 
+    def _check_input(self, x):
+        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
+            raise DimensionError(
+                f"{self.name}: expected input width {self.sizes[0]}, got shape {x.shape}"
+            )
+
     def forward(self, x):
         h = as_tensor(x)
-        if h.value.ndim != 2 or h.value.shape[1] != self.sizes[0]:
-            raise DimensionError(
-                f"{self.name}: expected input width {self.sizes[0]}, got shape {h.value.shape}"
-            )
+        self._check_input(h.value)
         for i, layer in enumerate(self.layers):
             h = layer.apply(h)
             if i < len(self.layers) - 1:
@@ -562,6 +583,47 @@ class MLP:
             if v.shape != p.value.shape:
                 raise DimensionError(f"shape mismatch for {p.name}")
             p.value = v.copy()
+
+
+def mlp_forward(net, x):
+    """``net.forward`` on an array, keeping what :func:`mlp_backward` needs.
+
+    Returns ``(out, inputs, masks)``: the last layer's pre-activation
+    (the head is left to the caller), the input of every layer and the
+    leaky-ReLU slope (1 or ``LEAKY_SLOPE``) of every hidden unit. The
+    arithmetic is the graph's, bit for bit, and a non-finite layer
+    output raises ``NumericError`` naming the op the graph would name.
+    """
+    net._check_input(x)
+    inputs, masks = [], []
+    h = x
+    for i, layer in enumerate(net.layers):
+        if i:
+            masks.append(np.where(a > 0, 1.0, LEAKY_SLOPE))
+            h = np.where(a > 0, a, LEAKY_SLOPE * a)
+        inputs.append(h)
+        z = h @ layer.w.value
+        a = z + layer.b.value
+        if not np.isfinite(a).all():
+            op = "add" if np.isfinite(z).all() else "matmul"
+            raise NumericError(f"non-finite values produced by op '{op}'")
+    return a, inputs, masks
+
+
+def mlp_backward(net, inputs, masks, g):
+    """First-order gradients in ``net.parameters()`` order, given the
+    gradient ``g`` at the last pre-activation.
+
+    Each line is the vjp the graph runs at that node, on operands of the
+    same memory layout, so the result equals ``backward`` bit for bit.
+    """
+    grads = [None] * (2 * len(net.layers))
+    for i in range(len(net.layers) - 1, -1, -1):
+        grads[2 * i] = inputs[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        if i:
+            g = (g @ net.layers[i].w.value.T) * masks[i - 1]
+    return grads
 
 
 # ---------------------------------------------------------------------

@@ -32,6 +32,7 @@ from driftlab.dualcritic import (
     gradient_penalty_graph,
     measure_normalize,
     train_critic,
+    training_objective_graph,
 )
 from driftlab.evalstats import (
     BoundInputs,
@@ -50,8 +51,17 @@ from driftlab.ot import (
     w2_dimension,
     wasserstein_exact,
 )
-from driftlab.pipeline import TrainConfig, TrainState, rlglc_objective, run_experiment
-from driftlab.tensorcore import MLP, OptimState, SplitMix64, as_tensor, finite_diff_check
+from driftlab import pipeline
+from driftlab.pipeline import TrainConfig, TrainState, rlglc_objective, run_experiment, train
+from driftlab.tensorcore import (
+    MLP,
+    OptimState,
+    SplitMix64,
+    as_tensor,
+    backward,
+    finite_diff_check,
+    step,
+)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -324,6 +334,41 @@ def adaptation_runs():
         "seed0_full": seed0_full,
         "elapsed": time.perf_counter() - t0,
     }
+
+
+def graph_train_critic(critic, Zs, Zt, steps, optim):
+    """Reference critic loop: backward on the Tensor graph each step."""
+    params = critic.parameters()
+    for _ in range(steps):
+        obj = training_objective_graph(critic, as_tensor(Zs), as_tensor(Zt))
+        step(optim, [-g for g in backward(obj, wrt=params)])
+    return critic
+
+
+def graph_train_scorer(scorer, paired, anchors, steps, optim):
+    """Reference scorer loop: backward on the Tensor graph each step."""
+    params = scorer.parameters()
+    for _ in range(steps):
+        obj = scorer.objective_graph(as_tensor(paired), as_tensor(anchors))
+        step(optim, [-g for g in backward(obj, wrt=params)])
+    return scorer
+
+
+def test_criterion_7_closed_forms_train_like_the_graph(monkeypatch):
+    # Criterion 7's margins depend on the helpers' last bits, so the
+    # closed-form steps must reproduce the graph loops exactly; a drift
+    # fails here in seconds instead of moving the 600 s fixture.
+    cfg = TrainConfig(seed=0, **{**ADAPT_SETTINGS, "epochs": 2})
+    fast, report = train(cfg)
+    monkeypatch.setattr(pipeline, "train_critic", graph_train_critic)
+    monkeypatch.setattr(pipeline, "train_scorer", graph_train_scorer)
+    slow, ref_report = train(cfg)
+    for name in ("phi", "psi", "critic", "scorer"):
+        got = getattr(fast, name).parameters()
+        want = getattr(slow, name).parameters()
+        for p, q in zip(got, want):
+            assert np.array_equal(p.value, q.value), p.name
+    assert emit_report(report) == emit_report(ref_report)
 
 
 def test_criterion_7_desk_scale_adaptation(adaptation_runs):

@@ -475,3 +475,80 @@ def test_joint_parse_errors(tmp_path):
     unnorm.write_text("0,0,0,0.4\n")
     with pytest.raises(ContractError):
         load_joint(unnorm)
+
+
+# ---------------------------------------------------------------------
+# closed-form scorer step against the graph
+# ---------------------------------------------------------------------
+
+def graph_objective_and_grads(scorer, paired, anchors):
+    obj = scorer.objective_graph(as_tensor(paired), as_tensor(anchors))
+    return float(obj.value), backward(obj, wrt=scorer.parameters())
+
+
+def random_scorer_batch(n, m, hidden, seed, zero_units=False):
+    """A scorer with nonzero biases and a paired batch; ``zero_units``
+    zeroes the first unit of every layer, so its pre-activation is
+    exactly 0."""
+    rng = SplitMix64(seed)
+    sc = BilinearScorer(m, rng.spawn(1), hidden=hidden)
+    for p in sc.parameters():
+        p.value = p.value + 0.5 * rng.normal(p.value.shape)
+        if zero_units:
+            p.value[..., 0] = 0.0
+    zs = rng.normal((n, m))
+    zt = rng.normal((n, m))
+    return sc, zs[pair_positive(zt, zs)], zt
+
+
+@given(st.integers(2, 40), st.integers(1, 16),
+       st.lists(st.integers(1, 16), max_size=2), st.booleans(),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_scorer_closed_form_equals_graph_bit_for_bit(n, m, hidden, zero_units, seed):
+    sc, paired, zt = random_scorer_batch(n, m, tuple(hidden), seed, zero_units)
+    value, grads = sc.objective_and_grads(paired, zt)
+    ref_value, ref_grads = graph_objective_and_grads(sc, paired, zt)
+    assert value == ref_value
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scorer_closed_form_raises_exactly_when_the_graph_does():
+    outcomes = []
+    for seed in range(6):
+        sc, paired, zt = random_scorer_batch(6, 3, (5, 4), seed)
+        base = [p.value.copy() for p in sc.parameters()]
+        for k in range(0, 308, 7):
+            for p, b in zip(sc.parameters(), base):
+                p.value = b * 10.0 ** k
+            raised = []
+            for fn in (graph_objective_and_grads, BilinearScorer.objective_and_grads):
+                try:
+                    fn(sc, paired, zt)
+                    raised.append(False)
+                except NumericError:
+                    raised.append(True)
+            assert raised[0] == raised[1], (seed, k)
+            outcomes.append(raised[0])
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_scorer_closed_form_gradient_matches_finite_differences():
+    sc, paired, zt = random_scorer_batch(5, 3, (4,), 12)
+    _, grads = sc.objective_and_grads(paired, zt)
+    eps, worst = 1e-5, 0.0
+    for p, g in zip(sc.parameters(), grads):
+        flat = p.value.reshape(-1)
+        for j in range(flat.size):
+            keep = flat[j]
+            flat[j] = keep + eps
+            hi, _ = sc.objective_and_grads(paired, zt)
+            flat[j] = keep - eps
+            lo, _ = sc.objective_and_grads(paired, zt)
+            flat[j] = keep
+            central = (hi - lo) / (2 * eps)
+            worst = max(worst, abs(g.reshape(-1)[j] - central) / max(1.0, abs(central)))
+    assert worst < 1e-4

@@ -1,10 +1,12 @@
 """Critic tests: closed-form objective values, the slope-penalty
 finite-difference oracle, and training behavior."""
 
+import gc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftlab.dualcritic import (
     Critic,
@@ -16,6 +18,7 @@ from driftlab.dualcritic import (
     measure_normalize,
     measure_normalize_graph,
     train_critic,
+    training_objective_and_grads,
     training_objective_graph,
 )
 from driftlab.errors import ContractError, NumericError
@@ -24,6 +27,7 @@ from driftlab.tensorcore import (
     OptimState,
     SplitMix64,
     as_tensor,
+    backward,
     finite_diff_check,
 )
 
@@ -239,3 +243,99 @@ def test_dual_graph_matches_numeric(batches):
     Zs, Zt = batches
     g = dual_objective_graph(c, as_tensor(Zs), as_tensor(Zt))
     assert float(g.value) == pytest.approx(dual_objective(c, Zs, Zt), abs=1e-14)
+
+
+# ---------------------------------------------------------------------
+# closed form against the graph
+# ---------------------------------------------------------------------
+
+def graph_objective_and_grads(critic, zs, zt):
+    obj = training_objective_graph(critic, as_tensor(zs), as_tensor(zt))
+    return float(obj.value), backward(obj, wrt=critic.parameters())
+
+
+def random_critic(m, hidden, lam, seed, zero_units=False):
+    """A critic with nonzero biases; ``zero_units`` zeroes the first unit
+    of every layer, so its pre-activation is exactly 0."""
+    rng = SplitMix64(seed)
+    c = Critic(m, rng.spawn(1), hidden=hidden, lam=lam, beta=0.05 + 0.9 * rng.uniform())
+    for p in c.parameters():
+        p.value = p.value + 0.5 * rng.normal(p.value.shape)
+        if zero_units:
+            p.value[..., 0] = 0.0
+    return c
+
+
+@given(st.integers(1, 16), st.lists(st.integers(1, 16), max_size=2),
+       st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([0.0, 10.0]) | st.floats(0.0, 20.0),
+       st.booleans(), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_equals_graph_bit_for_bit(m, hidden, ns, nt, lam, zero_units, seed):
+    c = random_critic(m, tuple(hidden), lam, seed, zero_units)
+    rng = SplitMix64(seed).spawn(2)
+    zs = measure_normalize(rng.normal((ns, m)))
+    zt = measure_normalize(rng.normal((nt, m)))
+    value, grads = training_objective_and_grads(c, zs, zt)
+    ref_value, ref_grads = graph_objective_and_grads(c, zs, zt)
+    assert value == ref_value
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_closed_form_raises_exactly_when_the_graph_does():
+    outcomes = []
+    for seed in range(6):
+        c = random_critic(3, (5, 4), 10.0, seed)
+        rng = SplitMix64(seed).spawn(2)
+        zs = measure_normalize(rng.normal((7, 3)))
+        zt = measure_normalize(rng.normal((6, 3)))
+        base = [p.value.copy() for p in c.parameters()]
+        for k in range(0, 308, 7):
+            for p, b in zip(c.parameters(), base):
+                p.value = b * 10.0 ** k
+            raised = []
+            for fn in (graph_objective_and_grads, training_objective_and_grads):
+                try:
+                    fn(c, zs, zt)
+                    raised.append(False)
+                except NumericError:
+                    raised.append(True)
+            assert raised[0] == raised[1], (seed, k)
+            outcomes.append(raised[0])
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_closed_form_gradient_matches_finite_differences():
+    c = random_critic(3, (5, 4), 3.0, 11)
+    rng = SplitMix64(11).spawn(2)
+    b1 = measure_normalize(rng.normal((4, 3)))
+    b2 = measure_normalize(rng.normal((3, 3)))
+    _, grads = training_objective_and_grads(c, b1, b2)
+    eps, worst = 1e-5, 0.0
+    for p, g in zip(c.parameters(), grads):
+        flat = p.value.reshape(-1)
+        for j in range(flat.size):
+            keep = flat[j]
+            flat[j] = keep + eps
+            hi, _ = training_objective_and_grads(c, b1, b2)
+            flat[j] = keep - eps
+            lo, _ = training_objective_and_grads(c, b1, b2)
+            flat[j] = keep
+            central = (hi - lo) / (2 * eps)
+            worst = max(worst, abs(g.reshape(-1)[j] - central) / max(1.0, abs(central)))
+    assert worst < 1e-4
+
+
+def test_penalty_graph_is_freed_without_the_cycle_collector():
+    c = random_critic(3, (5, 4), 10.0, 3)
+    z = as_tensor(measure_normalize(SplitMix64(4).normal((6, 3))))
+    gc.collect()
+    gc.disable()
+    try:
+        backward(gradient_penalty_graph(c, z), wrt=c.parameters())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -332,7 +332,8 @@ def time_limit(seconds):
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_scale_safe_against_lp_oracle(k):
     # HiGHS tolerances are absolute, so the oracle solves the unit-scale
-    # costs and its optimum is scaled: the LP value is linear in the costs.
+    # problem and its optimum is scaled: the LP value is linear in the
+    # costs and, with supplies and demands scaled together, in the mass.
     rng = np.random.default_rng([k + 6, 0])
     for _ in range(8):
         n, m = (int(x) for x in rng.integers(2, 11, size=2))
@@ -340,10 +341,12 @@ def test_scale_safe_against_lp_oracle(k):
         demands = random_simplex(rng, m)
         supplies = random_simplex(rng, n)
         for caps in (supplies, supplies / 0.6):
-            with time_limit(20):
-                res = min_cost_flow(caps, demands, costs * 10.0 ** k)
             oracle = lp_transport(caps, demands, costs) * 10.0 ** k
-            assert res.cost == pytest.approx(oracle, rel=1e-9)
+            with time_limit(20):
+                by_cost = min_cost_flow(caps, demands, costs * 10.0 ** k)
+                by_mass = min_cost_flow(caps * 10.0 ** k, demands * 10.0 ** k, costs)
+            assert by_cost.cost == pytest.approx(oracle, rel=1e-9)
+            assert by_mass.cost == pytest.approx(oracle, rel=1e-9)
 
 
 # ---------------------------------------------------------------------

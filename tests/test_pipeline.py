@@ -1,6 +1,7 @@
 """Training-loop tests: objective composition, the two-step schedule,
 stratified batching, config files, and report determinism."""
 
+import gc
 import math
 import os
 
@@ -398,6 +399,17 @@ class TestAdversarialStep:
         state.phi.parameters()[0].value[:] = 1e200
         with pytest.raises(NumericError, match="term|objective"):
             adversarial_step(state, bs, bt, cfg)
+
+    def test_training_leaves_no_cyclic_garbage(self):
+        # Autodiff graphs are acyclic, so reference counting frees them
+        # and the cycle collector finds nothing to do.
+        gc.collect()
+        gc.disable()
+        try:
+            train(tiny_config())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_same_seed_bit_identical_histories(self):
         cfg = tiny_config(epochs=2)
