@@ -367,8 +367,11 @@ def adversarial_step(state, batch_s, batch_t, config):
     """
     xs = np.asarray(batch_s.X, dtype=np.float64)
     xt = np.asarray(batch_t.X, dtype=np.float64)
-    zs = extract(state.phi, xs)
-    zt = extract(state.phi, xt)
+    try:
+        zs = extract(state.phi, xs)
+        zt = extract(state.phi, xt)
+    except NumericError as exc:
+        raise NumericError(f"encoder features: {exc}")
 
     if config.use_global and config.critic_steps > 0:
         try:
@@ -436,6 +439,10 @@ def train(config):
     target features, and the weight penalty as the slack. The other
     three information terms carry 0.0, the conservative choice that
     keeps their individual bounds at chance level.
+
+    A ``NumericError`` from a step is raised again prefixed with the
+    epoch (counted from 1, as in the report) and the batch index within
+    that epoch (counted from 0).
     """
     source, target = make_dataset(config)
     num_classes = int(max(source.labels.max(), target.labels.max())) + 1
@@ -443,9 +450,12 @@ def train(config):
                        num_classes=num_classes)
     state.history.append(evaluate_metrics(state, source, target, 0))
     for epoch in range(1, config.epochs + 1):
-        for batch_s, batch_t in epoch_batches((source, target), state.rng,
-                                              config):
-            adversarial_step(state, batch_s, batch_t, config)
+        batches = epoch_batches((source, target), state.rng, config)
+        for b, (batch_s, batch_t) in enumerate(batches):
+            try:
+                adversarial_step(state, batch_s, batch_t, config)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, batch {b}: {exc}")
         state.epoch = epoch
         state.history.append(evaluate_metrics(state, source, target, epoch))
 

@@ -12,6 +12,13 @@ Design notes
   with one vector-Jacobian-product (vjp) closure per parent. The node
   graph in topological order is the tape: :func:`backward` walks it once
   in reverse, accumulating gradients per node.
+* ``backward`` first marks the nodes with a path to a ``wrt`` tensor and
+  runs a vjp only into a marked parent. This cannot change a bit: every
+  child of a marked node is itself marked, so each marked node gets the
+  same contributions, summed in the same order, as an unpruned pass
+  would give it. The nodes skipped are those whose gradients nobody
+  asked for (the helper networks' weights and the constants in the
+  descent step), so a vjp off those paths can no longer raise either.
 * vjp closures are written in terms of Tensor operations, so a gradient
   is itself a differentiable graph. Passing ``build_graph=True`` to
   :func:`backward` therefore supports second derivatives, which the
@@ -38,6 +45,13 @@ Design notes
   ``sigmoid``, ``softplus``), so a finite input cannot give them a
   non-finite output, and every input was itself checked where it was
   made.
+* Adam keeps its moments as one flat vector each (:class:`OptimState`)
+  and updates them with one run of numpy calls per step, not one per
+  parameter. The update is elementwise, with the same expressions in
+  the same order, so each element gets the bits a per-tensor update
+  would give. Parameters stay separate arrays: each gets a fresh
+  ``p.value - delta[a:b].reshape(shape)``, never a view into a shared
+  buffer, whose alignment could change the BLAS path of a matmul.
 * Randomness comes from :class:`SplitMix64`, a counter-based 64-bit
   generator (algorithm documented on the class) so that golden fixtures
   do not depend on any library's RNG internals.
@@ -409,16 +423,27 @@ def backward(root, wrt, build_graph=False):
 
     Returns numpy arrays by default; with ``build_graph=True`` returns
     Tensor nodes so the gradients can be differentiated again. Tensors
-    not reachable from ``root`` get exact zeros.
+    not reachable from ``root`` get exact zeros. Only nodes with a path
+    to some ``wrt`` tensor receive a gradient; no vjp runs off those
+    paths.
     """
     if root.value.size != 1:
         raise ContractError("backward seed must be scalar")
+    order = topo_order(root)
+    live = {id(p) for p in wrt}
+    for node in order:
+        for parent, _ in node.parents:
+            if id(parent) in live:
+                live.add(id(node))
+                break
     grads = {id(root): constant(np.ones_like(root.value))}
-    for node in reversed(topo_order(root)):
+    for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
             continue
         for parent, vjp in node.parents:
+            if id(parent) not in live:
+                continue
             contrib = vjp(g)
             prev = grads.get(id(parent))
             grads[id(parent)] = contrib if prev is None else add(prev, contrib)
@@ -599,8 +624,10 @@ def mlp_forward(net, x):
     h = x
     for i, layer in enumerate(net.layers):
         if i:
+            # a * slope equals the graph's where(a > 0, a, LEAKY_SLOPE * a)
+            # bit for bit: a * 1.0 is a, and the product commutes.
             masks.append(np.where(a > 0, 1.0, LEAKY_SLOPE))
-            h = np.where(a > 0, a, LEAKY_SLOPE * a)
+            h = a * masks[-1]
         inputs.append(h)
         z = h @ layer.w.value
         a = z + layer.b.value
@@ -631,32 +658,62 @@ def mlp_backward(net, inputs, masks, g):
 # ---------------------------------------------------------------------
 
 class OptimState:
-    """Adam state for a fixed parameter list."""
+    """Adam state for a fixed parameter list.
+
+    The moments ``m`` and ``v`` are flat vectors over all parameters in
+    list order; parameter ``i`` owns ``offsets[i]:offsets[i + 1]`` and
+    has shape ``shapes[i]``.
+    """
 
     def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.shapes = [p.value.shape for p in self.params]
+        self.offsets = [0]
+        for p in self.params:
+            self.offsets.append(self.offsets[-1] + p.value.size)
+        self.m = np.zeros(self.offsets[-1])
+        self.v = np.zeros(self.offsets[-1])
+
+
+def _raise_non_finite(state, grads):
+    """NumericError naming the first of ``grads`` that is not finite."""
+    for i, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            name = state.params[i].name or i
+            raise NumericError(f"non-finite gradient for parameter {name}")
 
 
 def step(state, grads):
-    """Apply one Adam update in place. Returns the state."""
+    """Apply one Adam update in place. Returns the state.
+
+    Every gradient is checked before anything changes, so a step that
+    raises leaves the parameters, the moments and ``t`` as they were.
+    The update then runs once on the concatenated gradient with the
+    per-element expressions of a per-tensor Adam, so each parameter
+    gets the same bits.
+    """
     if len(grads) != len(state.params):
         raise ContractError("gradient count mismatch")
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    for i, (g, shape) in enumerate(zip(grads, state.shapes)):
+        if g.shape != shape:
+            _raise_non_finite(state, grads[:i])
+            name = state.params[i].name or i
+            raise DimensionError(f"gradient shape mismatch for {name}")
+    g = np.concatenate([g.ravel() for g in grads] or [np.zeros(0)])
+    if not np.isfinite(g).all():
+        _raise_non_finite(state, grads)
     state.t += 1
-    for i, (p, g) in enumerate(zip(state.params, grads)):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.value.shape:
-            raise DimensionError(f"gradient shape mismatch for {p.name or i}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {p.name or i}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
-        mhat = state.m[i] / (1 - ADAM_BETA1 ** state.t)
-        vhat = state.v[i] / (1 - ADAM_BETA2 ** state.t)
-        p.value = p.value - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    mhat = state.m / (1 - ADAM_BETA1 ** state.t)
+    vhat = state.v / (1 - ADAM_BETA2 ** state.t)
+    delta = state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    bounds = zip(state.params, state.shapes, state.offsets, state.offsets[1:])
+    for p, shape, a, b in bounds:
+        p.value = p.value - delta[a:b].reshape(shape)  # a fresh array, not a view
     return state
 
 

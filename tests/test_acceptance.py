@@ -15,6 +15,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import spearmanr
 
+import tensorcore_reference as ref
 from driftlab.cmi import (
     DiscreteJoint,
     TabularScorer,
@@ -51,16 +52,14 @@ from driftlab.ot import (
     w2_dimension,
     wasserstein_exact,
 )
-from driftlab import pipeline
+from driftlab import dualcritic, pipeline
 from driftlab.pipeline import TrainConfig, TrainState, rlglc_objective, run_experiment, train
 from driftlab.tensorcore import (
     MLP,
     OptimState,
     SplitMix64,
     as_tensor,
-    backward,
     finite_diff_check,
-    step,
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -337,32 +336,41 @@ def adaptation_runs():
 
 
 def graph_train_critic(critic, Zs, Zt, steps, optim):
-    """Reference critic loop: backward on the Tensor graph each step."""
+    """Reference critic loop: the per-tensor Adam and the unpruned
+    backward on the Tensor graph each step."""
     params = critic.parameters()
     for _ in range(steps):
         obj = training_objective_graph(critic, as_tensor(Zs), as_tensor(Zt))
-        step(optim, [-g for g in backward(obj, wrt=params)])
+        ref.step(optim, [-g for g in ref.backward(obj, wrt=params)])
     return critic
 
 
 def graph_train_scorer(scorer, paired, anchors, steps, optim):
-    """Reference scorer loop: backward on the Tensor graph each step."""
+    """Reference scorer loop: the per-tensor Adam and the unpruned
+    backward on the Tensor graph each step."""
     params = scorer.parameters()
     for _ in range(steps):
         obj = scorer.objective_graph(as_tensor(paired), as_tensor(anchors))
-        step(optim, [-g for g in backward(obj, wrt=params)])
+        ref.step(optim, [-g for g in ref.backward(obj, wrt=params)])
     return scorer
 
 
 def test_criterion_7_closed_forms_train_like_the_graph(monkeypatch):
-    # Criterion 7's margins depend on the helpers' last bits, so the
-    # closed-form steps must reproduce the graph loops exactly; a drift
-    # fails here in seconds instead of moving the 600 s fixture.
+    # Criterion 7's margins depend on the last bits of every update, so
+    # the closed-form helper steps, the flat-buffer Adam and the pruned
+    # backward must reproduce the graph loops on the reference optimizer
+    # and backward exactly; a drift fails here in seconds instead of
+    # moving the 600 s fixture.
     cfg = TrainConfig(seed=0, **{**ADAPT_SETTINGS, "epochs": 2})
     fast, report = train(cfg)
     monkeypatch.setattr(pipeline, "train_critic", graph_train_critic)
     monkeypatch.setattr(pipeline, "train_scorer", graph_train_scorer)
+    monkeypatch.setattr(pipeline, "OptimState", ref.OptimState)
+    monkeypatch.setattr(pipeline, "step", ref.step)
+    monkeypatch.setattr(pipeline, "backward", ref.backward)
+    monkeypatch.setattr(dualcritic, "backward", ref.backward)
     slow, ref_report = train(cfg)
+    assert isinstance(slow.optim_model, ref.OptimState)
     for name in ("phi", "psi", "critic", "scorer"):
         got = getattr(fast, name).parameters()
         want = getattr(slow, name).parameters()

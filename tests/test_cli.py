@@ -1,5 +1,6 @@
 """CLI tests: exit codes, pinned output bytes, and format plumbing."""
 
+import hashlib
 import json
 import math
 import os
@@ -76,6 +77,18 @@ class TestTrain:
                            "--set", "lr_model=1e300", "--set", "epochs=2")
         assert code == 3
         assert "error:" in err
+        assert "epoch 1, batch 1: encoder features: " in err
+
+    def test_toy_output_bytes_are_pinned(self, capsys, tmp_path):
+        report, ckpt = tmp_path / "toy.json", tmp_path / "toy.ckpt"
+        code, _, _ = run(capsys, "train",
+                         "--config", str(FIXTURES / "train" / "toy.cfg"),
+                         "--report", str(report), "--checkpoint", str(ckpt))
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "bfc89c3186056c699cfcc0af6e86324eda02ac6d242e375b7fe41a24213ac7b8")
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == (
+            "ab4b00810b788ae74f00f082a4003d26f249434465b30ee34bcf8a22cfb05003")
 
     def test_structured_output_is_the_report(self, capsys, tmp_path):
         report = tmp_path / "toy.json"

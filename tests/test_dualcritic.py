@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tensorcore_reference as ref
+from driftlab import dualcritic
 from driftlab.dualcritic import (
     Critic,
     dual_objective,
@@ -29,6 +31,7 @@ from driftlab.tensorcore import (
     as_tensor,
     backward,
     finite_diff_check,
+    tsum,
 )
 
 
@@ -282,6 +285,40 @@ def test_closed_form_equals_graph_bit_for_bit(m, hidden, ns, nt, lam, zero_units
     assert len(grads) == len(ref_grads)
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g, ref)
+
+
+@given(st.integers(1, 8), st.lists(st.integers(1, 8), max_size=2),
+       st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 20.0),
+       st.booleans(), st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_backward_equals_reference_on_critic_graphs(m, hidden, ns, nt, lam,
+                                                    zero_units, seed):
+    # The pruned backward against the unpruned one, first and second
+    # order: the input gradient the penalty builds with build_graph=True,
+    # then the critic gradients of the penalty and the full objective.
+    c = random_critic(m, tuple(hidden), lam, seed, zero_units)
+    params = c.parameters()
+    rng = SplitMix64(seed).spawn(2)
+    zs = measure_normalize(rng.normal((ns, m)))
+    zt = measure_normalize(rng.normal((nt, m)))
+    z = as_tensor(zs)
+    out = tsum(c.net.forward(z))
+    (gz,) = backward(out, wrt=[z], build_graph=True)
+    (ref_gz,) = ref.backward(out, wrt=[z], build_graph=True)
+    assert ref.same_bits(gz.value, ref_gz.value)
+
+    def build(backward_fn):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dualcritic, "backward", backward_fn)
+            return (gradient_penalty_graph(c, as_tensor(zt)),
+                    training_objective_graph(c, as_tensor(zs), as_tensor(zt)))
+
+    for graph, ref_graph in zip(build(backward), build(ref.backward)):
+        assert ref.same_bits(graph.value, ref_graph.value)
+        got = backward(graph, wrt=params, build_graph=True)
+        want = ref.backward(ref_graph, wrt=params, build_graph=True)
+        for g, r in zip(got, want):
+            assert ref.same_bits(g.value, r.value)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorcore_reference as ref
 from driftlab.cmi import BilinearScorer, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
 from driftlab.dualcritic import Critic, dual_objective, measure_normalize
@@ -291,6 +292,23 @@ class TestObjective:
         with pytest.raises(ContractError):
             rlglc_objective(state, bs, bt, cfg)
 
+    @given(st.tuples(*[st.booleans()] * 4).filter(any), st.integers(0, 2 ** 31))
+    @settings(max_examples=30, deadline=None)
+    def test_backward_equals_reference_with_each_term_toggled(self, on, seed):
+        # The pruned backward against the unpruned one on the descent
+        # objective, for the descent's parameters and for all of them.
+        names = ("use_global", "use_local", "use_classifier", "use_regularizer")
+        cfg = tiny_config(seed=seed, **dict(zip(names, on)))
+        state = init_state(cfg)
+        bs, bt = tiny_batches(cfg, seed=seed)
+        total, _ = rlglc_objective(state, bs, bt, cfg)
+        model = state.phi.parameters() + state.psi.parameters()
+        helpers = state.critic.parameters() + state.scorer.parameters()
+        for wrt in (model, model + helpers):
+            got = backward(total, wrt=wrt)
+            want = ref.backward(total, wrt=wrt)
+            assert all(ref.same_bits(g, r) for g, r in zip(got, want))
+
     def test_differentiable_wrt_model(self):
         cfg = tiny_config()
         state = init_state(cfg)
@@ -399,6 +417,17 @@ class TestAdversarialStep:
         state.phi.parameters()[0].value[:] = 1e200
         with pytest.raises(NumericError, match="term|objective"):
             adversarial_step(state, bs, bt, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr, where", [
+        ("lr_critic", "epoch 1, batch 0: global consistency term: "),
+        ("lr_scorer", "epoch 1, batch 0: local consistency term: "),
+        ("lr_model", "epoch 1, batch 1: encoder features: "),
+    ])
+    def test_train_failure_names_epoch_and_batch(self, lr, where):
+        with pytest.raises(NumericError) as info:
+            train(tiny_config(epochs=2, **{lr: 1e300}))
+        assert str(info.value).startswith(where)
 
     def test_training_leaves_no_cyclic_garbage(self):
         # Autodiff graphs are acyclic, so reference counting frees them

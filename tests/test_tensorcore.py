@@ -1,9 +1,13 @@
 """Engine tests: autodiff correctness, optimizers, RNG, finite differences."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import tensorcore_reference as ref
 from driftlab import tensorcore as tc
 from driftlab.errors import ContractError, DimensionError, NumericError
 
@@ -137,6 +141,111 @@ def test_second_derivative_cubic():
     (g1,) = tc.backward(tc.power(x, 3), [x], build_graph=True)
     (g2,) = tc.backward(g1, [x])
     assert g2 == pytest.approx(18.0, abs=1e-12)
+
+
+def test_second_derivative_matches_reference_bit_for_bit():
+    for x0 in (3.0, -0.5, 1e-3, -7.25, 123.0):
+        x = tc.parameter(x0, "x")
+        cube = tc.power(x, 3)
+        (g1,) = tc.backward(cube, [x], build_graph=True)
+        (r1,) = ref.backward(cube, [x], build_graph=True)
+        assert ref.same_bits(g1.value, r1.value)
+        assert ref.same_bits(tc.backward(g1, [x])[0], ref.backward(r1, [x])[0])
+
+
+def test_backward_skips_vjps_off_the_path_to_wrt():
+    calls = []
+
+    def spy(name, vjp):
+        def wrapped(g):
+            calls.append(name)
+            return vjp(g)
+        return wrapped
+
+    x = tc.parameter(np.array([1.0, 2.0]), "x")
+    c = tc.constant(np.array([3.0, 4.0]))
+    d = tc.Tensor(c.value * 2.0, parents=((c, spy("c", lambda g: tc.mul(g, 2.0))),),
+                  op="mul")
+    xd = tc.Tensor(x.value * d.value,
+                   parents=((x, spy("x", lambda g: tc.mul(g, d))),
+                            (d, spy("d", lambda g: tc.mul(g, x)))),
+                   op="mul")
+    (gx,) = tc.backward(tc.tsum(xd), [x])
+    assert calls == ["x"]
+    np.testing.assert_array_equal(gx, d.value)
+    calls.clear()
+    tc.backward(tc.tsum(xd), [c])
+    assert calls == ["d", "c"]
+
+
+# Signed zeros, subnormals and magnitudes whose squares underflow or
+# overflow, mixed with ordinary values.
+GRAD_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e150, -1e150, 1e300, -1e300]
+) | st.floats(-1e3, 1e3)
+SHAPES = st.lists(st.integers(1, 4), max_size=2).map(tuple)
+
+
+@given(st.lists(SHAPES, min_size=1, max_size=6), st.integers(1, 20),
+       st.floats(1e-4, 1.0), st.data())
+@settings(max_examples=80, deadline=None)
+def test_step_equals_per_tensor_reference_bit_for_bit(shapes, steps, lr, data):
+    init = [data.draw(arrays(np.float64, s, elements=st.floats(-10, 10)))
+            for s in shapes]
+    ours = [tc.parameter(v, f"p{i}") for i, v in enumerate(init)]
+    theirs = [tc.parameter(v, f"p{i}") for i, v in enumerate(init)]
+    state, ref_state = tc.OptimState(ours, lr=lr), ref.OptimState(theirs, lr=lr)
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            grads = [data.draw(arrays(np.float64, s, elements=GRAD_VALUES))
+                     for s in shapes]
+            tc.step(state, grads)
+            ref.step(ref_state, grads)
+    assert state.t == ref_state.t == steps
+    for p, q in zip(ours, theirs):
+        assert ref.same_bits(p.value, q.value)
+    for flat, parts in ((state.m, ref_state.m), (state.v, ref_state.v)):
+        assert ref.same_bits(flat, np.concatenate([np.ravel(x) for x in parts]))
+
+
+@given(st.lists(SHAPES, min_size=1, max_size=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_step_rejects_what_the_reference_rejects(shapes, data):
+    # Same exception and message as the per-tensor step, which checks
+    # each parameter's shape, then its finiteness, in list order.
+    grads = [np.ones(s) for s in shapes]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(shapes) - 1))
+        if data.draw(st.booleans()):
+            grads[i] = np.ones(shapes[i] + (1,))
+        else:
+            grads[i] = np.full(shapes[i], data.draw(st.sampled_from(
+                [np.nan, np.inf, -np.inf])))
+    errors = []
+    for module in (tc, ref):
+        params = [tc.parameter(np.zeros(s), f"p{i}") for i, s in enumerate(shapes)]
+        with pytest.raises((DimensionError, NumericError)) as info:
+            module.step(module.OptimState(params), grads)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_failed_step_changes_nothing():
+    params = [tc.parameter(np.array([1.0, -2.0]), "a"),
+              tc.parameter(np.ones((2, 2)), "b")]
+    state = tc.OptimState(params, lr=0.1)
+    tc.step(state, [np.full(2, 0.5), np.full((2, 2), -0.25)])
+    values = [p.value.copy() for p in params]
+    moments = copy.deepcopy((state.m, state.v))
+    bad = np.full((2, 2), 0.5)
+    bad[1, 1] = np.nan
+    with pytest.raises(NumericError, match="parameter b"):
+        tc.step(state, [np.full(2, 0.5), bad])
+    assert state.t == 1
+    for p, before in zip(params, values):
+        assert np.array_equal(p.value, before)
+    for now, before in zip((state.m, state.v), moments):
+        assert all(np.array_equal(a, b) for a, b in zip(now, before))
 
 
 def test_step_zero_gradient_keeps_params():
