@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, sweep, ot, cmi, friedman, bound. Exit codes are
-shared across subcommands: 0 success, 2 invalid input or configuration,
-3 numeric failure, 4 infeasible transport problem. All output is
-deterministic: identical inputs produce byte-identical stdout.
+shared across subcommands: 0 success, 2 invalid input or configuration
+(including sizes too large to allocate), 3 numeric failure, 4
+infeasible transport problem. All output is deterministic: identical
+inputs produce byte-identical stdout.
 """
 
 import argparse
@@ -208,7 +209,7 @@ def cmd_cmi(args):
             raise ContractError("--joint excludes --source/--target")
         joint = load_joint(args.joint)
         out["exact"] = exact_cmi(joint)
-        if args.samples:
+        if args.samples is not None:
             batches = sample_contrastive(joint, args.samples, args.k,
                                          seed=args.seed, chunk=4096)
             scorer = optimal_scorer(joint)
@@ -408,6 +409,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: input too large to allocate: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

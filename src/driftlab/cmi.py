@@ -53,10 +53,6 @@ class DiscreteJoint:
         if abs(self.table.sum() - 1.0) > 1e-12:
             raise ContractError(f"probabilities sum to {self.table.sum()}, not 1")
 
-    @property
-    def shape(self):
-        return self.table.shape
-
 
 @dataclass
 class ContrastiveBatch:
@@ -97,19 +93,10 @@ class ContrastiveBatch:
             if not np.array_equal(self.candidates, self.anchors[idx]):
                 raise ContractError("candidates differ from the anchors they index")
 
-    @property
-    def k(self):
-        return self.candidates.shape[1]
-
 
 # ---------------------------------------------------------------------
 # exact information quantities
 # ---------------------------------------------------------------------
-
-def _entropy(p):
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
-
 
 def mutual_information(table2d):
     """I(A;B) in nats for a 2-D probability table, 0 log 0 = 0."""
@@ -131,28 +118,6 @@ def exact_cmi(joint):
             continue
         total += pz[k] * mutual_information(t[:, :, k] / pz[k])
     return max(total, 0.0)
-
-
-@dataclass
-class Assumption1Report:
-    i_source: float
-    i_target: float
-    entropy: float
-    passed: bool
-
-
-def verify_assumption1(joint, tol=1e-9):
-    """Check that each of the first two axes determines the third.
-
-    The joint is read as (X_s, X_t, Y); both I(X_s;Y) and I(X_t;Y) must
-    equal H(Y) for the label to be fully recoverable from either side.
-    """
-    t = joint.table
-    i_s = mutual_information(t.sum(axis=1))
-    i_t = mutual_information(t.sum(axis=0))
-    h = _entropy(t.sum(axis=(0, 1)))
-    passed = abs(i_s - h) <= tol and abs(i_t - h) <= tol
-    return Assumption1Report(i_s, i_t, h, passed)
 
 
 # ---------------------------------------------------------------------
@@ -352,15 +317,6 @@ def pair_positive(Zt, Zs):
     return d.argmin(axis=1)
 
 
-def build_negatives(i, n):
-    """The other n-1 batch indices; the in-batch rule sets K = n."""
-    if n < 2:
-        raise ContractError("batch of size 1 has no negatives")
-    if not (0 <= i < n):
-        raise ContractError(f"index {i} outside batch of size {n}")
-    return np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
-
-
 def contrastive_from_features(Zs, Zt):
     """Build the in-batch contrastive structure from two feature batches."""
     Zs = np.asarray(Zs, dtype=np.float64)
@@ -369,8 +325,9 @@ def contrastive_from_features(Zs, Zt):
     pairing = pair_positive(Zt, Zs)
     if n < 2:
         raise ContractError("batch of size 1 has no negatives")
-    # Row i is [i, then build_negatives(i, n)]: negative slot j holds
-    # index j below the diagonal and j + 1 from it on.
+    # Row i is [i, then every other batch index in increasing order]:
+    # negative slot j holds index j below the diagonal and j + 1 from it
+    # on, so K equals the batch size.
     rows = np.arange(n)[:, None]
     slots = np.arange(n - 1)[None, :]
     idx = np.concatenate([rows, slots + (slots >= rows)], axis=1)
@@ -464,13 +421,3 @@ def load_joint(path):
         table[i, j, v] += p
     return DiscreteJoint(table)
 
-
-def save_joint(joint, path):
-    a, b, c = joint.shape
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(a):
-            for j in range(b):
-                for v in range(c):
-                    p = joint.table[i, j, v]
-                    if p > 0:
-                        fh.write(f"{i},{j},{v},{float(p)!r}\n")

@@ -104,14 +104,6 @@ def gradient_penalty_graph(critic, z):
     return mul(tmean(term), constant(critic.lam / 2.0))
 
 
-def gradient_penalty(critic, batch):
-    """Numeric slope penalty on one nonnegative feature batch."""
-    f = _features(batch)
-    if np.any(f < 0):
-        raise ContractError("penalty expects measure-normalized features")
-    return float(gradient_penalty_graph(critic, as_tensor(f)).value)
-
-
 def training_objective_graph(critic, zs, zt):
     """Dual value minus the slope penalty on both batches."""
     dual = dual_objective_graph(critic, zs, zt)

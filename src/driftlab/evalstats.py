@@ -55,14 +55,6 @@ class AccuracyTable:
         if self.values.min() < 0.0 or self.values.max() > 100.0:
             raise ContractError("accuracies are percentages in [0, 100]")
 
-    @property
-    def num_methods(self):
-        return self.values.shape[0]
-
-    @property
-    def num_tasks(self):
-        return self.values.shape[1]
-
 
 @dataclass
 class RankTable:
@@ -213,8 +205,11 @@ def bayes_bound(inputs):
         "cross_given_source": inputs.cross_info_given_source,
         "cross_given_target": inputs.cross_info_given_target + inputs.delta,
     }
+    # Where R >= H the bound is clamped to 0 anyway; capping the
+    # exponent there gives the same 0 and keeps exp from overflowing.
     out = {
-        name: threshold_th(1.0 - math.exp(-h + r), inputs.num_classes)
+        name: threshold_th(1.0 - math.exp(min(-h + r, 0.0)),
+                           inputs.num_classes)
         for name, r in terms.items()
     }
     out["unified"] = min(out.values())
@@ -360,14 +355,6 @@ def load_accuracy_table(path):
         raise ParseError(str(exc))
 
 
-def save_accuracy_table(table, path):
-    lines = ["method," + ",".join(table.tasks)]
-    for name, row in zip(table.methods, table.values):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_rank_table(path):
     """Read a delimited rank table.
 
@@ -407,16 +394,6 @@ def load_rank_table(path):
         )
     except (ContractError, DimensionError) as exc:
         raise ParseError(str(exc))
-
-
-def save_rank_table(ranks, path):
-    avg = ranks.printed_avg if ranks.printed_avg is not None else ranks.avg_ranks
-    lines = ["method," + ",".join(ranks.tasks) + ",avg_rank"]
-    for name, row, a in zip(ranks.methods, ranks.ranks, avg):
-        cells = [format_rank(v) for v in [*row, a]]
-        lines.append(name + "," + ",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def format_rank(r):

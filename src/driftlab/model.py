@@ -1,6 +1,7 @@
-"""Losses, prediction and flat-text checkpoints for the adaptation
-model's two networks, the feature extractor phi and the classifier head
-psi, both plain :class:`~driftlab.tensorcore.MLP` perceptrons.
+"""Losses, prediction and the flat-text checkpoint writer for the
+adaptation model's two networks, the feature extractor phi and the
+classifier head psi, both plain :class:`~driftlab.tensorcore.MLP`
+perceptrons.
 
 The classification loss is a numerically safe mean negative
 log-softmax; the weight penalty is a plain L2 sum over weight matrices
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError
+from .errors import ContractError
 from .tensorcore import (
     constant,
     logsumexp,
@@ -21,7 +22,6 @@ from .tensorcore import (
     tmean,
     tsum,
 )
-from .textio import records
 
 CHECKPOINT_MAGIC = "driftlab-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -109,57 +109,3 @@ def save_checkpoint(path, params):
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"param {name} {arr.ndim} {dims}\n".rstrip() + "\n")
             fh.write(" ".join(repr(float(v)) for v in arr.reshape(-1)) + "\n")
-
-
-def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint back into a dict."""
-    lines = records(path)
-    lineno, header = next(lines, (1, ""))
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != CHECKPOINT_MAGIC:
-        raise ParseError(f"not a checkpoint file: {header!r}", line=lineno)
-    if parts[1] != f"v{CHECKPOINT_VERSION}":
-        raise ParseError(f"unsupported checkpoint version {parts[1]}",
-                         line=lineno)
-    params = {}
-    for lineno, head in lines:
-        fields = head.split()
-        if fields[0] != "param" or len(fields) < 3:
-            raise ParseError(f"expected a param header, got {head!r}",
-                             line=lineno)
-        name = fields[1]
-        try:
-            ndim = int(fields[2])
-            shape = tuple(int(d) for d in fields[3:3 + ndim])
-        except ValueError:
-            raise ParseError("malformed shape header", line=lineno)
-        if len(shape) != ndim:
-            raise ParseError("shape header shorter than declared rank",
-                             line=lineno)
-        lineno, data = next(lines, (lineno + 1, ""))
-        try:
-            values = np.array([float(v) for v in data.split()])
-        except ValueError:
-            raise ParseError("non-numeric parameter data", line=lineno)
-        expected = int(np.prod(shape)) if shape else 1
-        if values.size != expected:
-            raise ParseError(
-                f"expected {expected} values for {name}, got {values.size}",
-                line=lineno)
-        params[name] = values.reshape(shape)
-    return params
-
-
-def restore_params(nets, params):
-    """Load checkpoint arrays back into the networks, strict on names."""
-    for prefix, net in nets.items():
-        for p in net.parameters():
-            key = f"{prefix}/{p.name}"
-            if key not in params:
-                raise ContractError(f"checkpoint missing parameter {key}")
-            arr = np.asarray(params[key], dtype=np.float64)
-            if arr.shape != p.value.shape:
-                raise DimensionError(
-                    f"checkpoint shape {arr.shape} for {key}, "
-                    f"expected {p.value.shape}")
-            p.value[...] = arr

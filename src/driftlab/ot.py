@@ -270,6 +270,8 @@ def feature_to_measure(z):
         raise ContractError("empty feature vector")
     w = np.logaddexp(0.0, z)
     s = w.sum()
+    if not np.isfinite(s):
+        raise ContractError("feature weights overflow: their sum is not finite")
     if s <= 0:
         raise ContractError("degenerate measure: all weights vanish after transform")
     positions = np.arange(1, M + 1, dtype=np.float64) / M
@@ -326,20 +328,6 @@ def nested_cost(batchA, batchB):
         for j, mb in enumerate(measuresB):
             G[i, j] = w2_dimension(ma, mb)
     return CostMatrix(G, p=1.0)
-
-
-def wwd(batchA, batchB, weightsA=None, weightsB=None):
-    """Nested distance: outer 1-Wasserstein over samples, inner 1-D
-    2-Wasserstein between feature vectors viewed as dimension measures."""
-    A = _batch_features(batchA)
-    B = _batch_features(batchB)
-    if weightsA is None:
-        weightsA = np.full(A.shape[0], 1.0 / A.shape[0])
-    if weightsB is None:
-        weightsB = np.full(B.shape[0], 1.0 / B.shape[0])
-    mu = DiscreteMeasure(np.arange(A.shape[0], dtype=np.float64), weightsA)
-    nu = DiscreteMeasure(np.arange(B.shape[0], dtype=np.float64), weightsB)
-    return wasserstein_exact(mu, nu, nested_cost(A, B), p=1.0)
 
 
 def ar_wwd_primal(source, target, cost, beta):
@@ -400,10 +388,3 @@ def load_measure(path):
     atoms = arr[:, 1] if arr.shape[1] == 2 else arr[:, 1:]
     return DiscreteMeasure(atoms, weights)
 
-
-def save_measure(measure, path):
-    atoms = measure.atoms if measure.atoms.ndim == 2 else measure.atoms[:, None]
-    with open(path, "w", encoding="ascii") as fh:
-        for w, coords in zip(measure.weights, atoms):
-            fields = [repr(float(w))] + [repr(float(c)) for c in coords]
-            fh.write(",".join(fields) + "\n")

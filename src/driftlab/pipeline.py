@@ -155,11 +155,6 @@ def config_hash(config):
     return hashlib.sha256(canonical_config_text(config).encode()).hexdigest()
 
 
-def save_config(config, path):
-    with open(path, "w") as fh:
-        fh.write(canonical_config_text(config))
-
-
 def load_config(path):
     """Parse a key=value config file; unknown keys and bad values are
     parse errors naming the offending line."""
@@ -255,24 +250,6 @@ def _stratified_indices(domain, rng, counts, batch_size):
 
 def _take(domain, idx):
     return LabeledDomain(domain.X[idx], domain.labels[idx], domain.domain)
-
-
-def sample_minibatch(dataset, rng, imbalance_spec):
-    """Draw one (source, target) batch pair per the imbalance spec.
-
-    ``dataset`` is a (source, target) LabeledDomain pair. The spec is a
-    dict with ``batch_size`` plus per-domain ratio entries ``source``
-    and ``target``, each either 'a:b' (exact stratified counts) or
-    'uniform' (plain without-replacement draw).
-    """
-    source, target = dataset
-    batch_size = int(imbalance_spec["batch_size"])
-    out = []
-    for domain, key in ((source, "source"), (target, "target")):
-        counts = _ratio_counts(batch_size, imbalance_spec.get(key, "uniform"))
-        idx = _stratified_indices(domain, rng, counts, batch_size)[0]
-        out.append(_take(domain, idx))
-    return tuple(out)
 
 
 def epoch_batches(dataset, rng, config):

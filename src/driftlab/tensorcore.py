@@ -24,10 +24,10 @@ Design notes
   :func:`backward` therefore supports second derivatives, which the
   critic's slope penalty needs for its own training.
 * Graphs are acyclic. A vjp closes over its op's inputs, never over the
-  node it belongs to: ``exp``, ``sqrt``, ``sigmoid`` and ``div``
-  recompute their output from the inputs instead. Reference counting
-  therefore frees a graph as soon as it is dropped, with no work left
-  for the cycle collector.
+  node it belongs to: ``exp``, ``sigmoid`` and ``div`` recompute their
+  output from the inputs instead. Reference counting therefore frees a
+  graph as soon as it is dropped, with no work left for the cycle
+  collector.
 * The critic and the scorer train through closed forms built on
   :func:`mlp_forward` and :func:`mlp_backward`
   (``dualcritic.training_objective_and_grads``,
@@ -135,9 +135,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __pow__(self, expo):
-        return power(self, expo)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -297,27 +294,12 @@ def log(a):
     return Tensor(np.log(a.value), parents=((a, lambda g: div(g, a)),), op="log")
 
 
-def sqrt(a):
-    a = as_tensor(a)
-    return Tensor(np.sqrt(a.value), parents=((a, lambda g: div(g, mul(sqrt(a), 2.0))),), op="sqrt")
-
-
 def square(a):
     a = as_tensor(a)
     return Tensor(
         a.value * a.value,
         parents=((a, lambda g: mul(g, mul(a, 2.0))),),
         op="square",
-    )
-
-
-def power(a, expo):
-    a = as_tensor(a)
-    expo = float(expo)
-    return Tensor(
-        a.value ** expo,
-        parents=((a, lambda g: mul(g, mul(power(a, expo - 1.0), expo))),),
-        op="pow",
     )
 
 
@@ -512,15 +494,6 @@ class SplitMix64:
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
         return z.reshape(shape) if shape else float(z[0])
 
-    def integers(self, lo, hi, shape=()):
-        """Uniform integers in [lo, hi) by rejection-free modulo (desk-scale use)."""
-        if hi <= lo:
-            raise ContractError("integers needs hi > lo")
-        n = int(np.prod(shape)) if shape else 1
-        span = np.uint64(hi - lo)
-        v = (self._raw(n) % span).astype(np.int64) + lo
-        return v.reshape(shape) if shape else int(v[0])
-
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n)."""
         perm = np.arange(n)
@@ -598,16 +571,6 @@ class MLP:
 
     def weights(self):
         return [layer.w for layer in self.layers]
-
-    def set_values(self, values):
-        params = self.parameters()
-        if len(values) != len(params):
-            raise ContractError("parameter count mismatch")
-        for p, v in zip(params, values):
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != p.value.shape:
-                raise DimensionError(f"shape mismatch for {p.name}")
-            p.value = v.copy()
 
 
 def mlp_forward(net, x):

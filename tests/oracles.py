@@ -1,0 +1,35 @@
+"""Test-side oracles: independent statements of rules and formats that
+the package implements in a faster or write-only form."""
+
+from pathlib import Path
+
+import numpy as np
+
+from driftlab.errors import ContractError
+from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+
+def build_negatives(i, n):
+    """The in-batch negatives of anchor i: the other n-1 batch indices,
+    in increasing order."""
+    if n < 2:
+        raise ContractError("batch of size 1 has no negatives")
+    if not (0 <= i < n):
+        raise ContractError(f"index {i} outside batch of size {n}")
+    return np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
+
+
+def load_checkpoint(path):
+    """Read a file written by ``model.save_checkpoint`` back into a dict
+    of arrays. The reader is strict: a header, then per parameter a
+    ``param <name> <ndim> <dims...>`` line and one line of values."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    assert lines[0] == f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}"
+    assert len(lines) % 2 == 1, "a parameter header has no value line"
+    params = {}
+    for head, data in zip(lines[1::2], lines[2::2]):
+        tag, name, ndim, *dims = head.split()
+        assert tag == "param" and len(dims) == int(ndim), head
+        values = np.array([float(v) for v in data.split()])
+        params[name] = values.reshape(tuple(int(d) for d in dims))
+    return params

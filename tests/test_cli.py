@@ -1,19 +1,26 @@
 """CLI tests: exit codes, pinned output bytes, and format plumbing."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import driftlab
 from driftlab.cli import main
+from driftlab.pipeline import TrainConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -181,6 +188,21 @@ class TestOt:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("target", ["0.5,1e308,9e307\n0.5,1e308,1e308\n",
+                                        "0.5,1.0,2.0\n0.5,2.0,1.0\n"],
+                             ids=["both-overflow", "one-overflows"])
+    def test_nested_weight_overflow_exits_2(self, capsys, tmp_path, target):
+        # softplus weights of 1e308 are finite, but a row's sum is not;
+        # normalizing by it once printed 0 (both sides overflow) or
+        # raised a mass mismatch (one side)
+        src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        src.write_text("0.5,1e308,1e308\n0.5,1.5e308,1e308\n")
+        tgt.write_text(target)
+        code, out, err = run(capsys, "ot", str(src), str(tgt), "--nested")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_mass_mismatch_is_infeasible(self, capsys, tmp_path):
         heavy = tmp_path / "heavy.csv"
         heavy.write_text("1.0,0.0\n1.0,1.0\n")
@@ -281,6 +303,24 @@ class TestCmi:
         code, _, _ = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
                          "--k", "0")
         assert code == 2
+
+    def test_zero_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
+                             "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "at least one sample" in err
+
+    # About 10**15 elements: far beyond any address space, so numpy
+    # refuses the request before touching memory.
+    @pytest.mark.parametrize("sizes", [("--samples", str(10 ** 15)),
+                                       ("--samples", "10", "--k", str(10 ** 15))])
+    def test_size_too_large_to_allocate_exits_2(self, capsys, sizes):
+        code, out, err = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
+                             *sizes)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "allocate" in err
 
     def test_feature_mode(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
@@ -403,6 +443,19 @@ class TestBound:
         lines = dict(line.split() for line in out.strip().splitlines())
         assert lines["unified"] == "0.5928657473"
 
+    def test_huge_information_term_bounds_to_zero(self, capsys, tmp_path):
+        # exp(R - H) overflowed here once: a traceback, exit 1
+        inputs = tmp_path / "b.cfg"
+        inputs.write_text(
+            "label_entropy=0.5\nsource_specific_info=1e15\n"
+            "target_specific_info=0.0\ncross_info_given_source=0.0\n"
+            "cross_info_given_target=0.0\n")
+        code, out, _ = run(capsys, "bound", str(inputs))
+        assert code == 0
+        lines = dict(line.split() for line in out.strip().splitlines())
+        assert lines["source_specific"] == "0.000000000"
+        assert lines["unified"] == "0.000000000"
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         inputs = tmp_path / "b.cfg"
         inputs.write_text("entropy=1.0\n")
@@ -476,3 +529,122 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# ---------------------------------------------------------------------
+# fuzzing: the exit-code contract holds for any file and flag value
+# ---------------------------------------------------------------------
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", str(10 ** 15))
+# Fields a fuzzed train or sweep may set. A later --set of the same key
+# wins, so epochs and n_per_domain, which every fuzzed run pins last,
+# are left out, and each field is set at most once.
+FREE_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig)
+                    if f.name not in ("epochs", "n_per_domain"))
+# Valid inputs of each kind; the fuzzer corrupts some of their fields.
+TEMPLATES = {
+    "config": FIXTURES / "train" / "toy.cfg",
+    "measure": OT / "nested_a.csv",
+    "joint": CMI / "ln2.csv",
+    "features": OT / "nested_b.csv",
+    "table": FIXTURES / "toy_two_methods.csv",
+    "bound": FIXTURES / "bound" / "equal_ln2.cfg",
+}
+
+
+def has_non_finite(text):
+    """Whether any field of ``text`` (bytes) parses as NaN or infinity."""
+    for token in re.split(rb"[,=\s]+", text):
+        try:
+            if not math.isfinite(float(token)):
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+def fuzz_file(draw, kind):
+    """Random bytes, or else a valid file of ``kind`` with up to three
+    of its numbers replaced by fuzz values (labels stay, so that a
+    label spelled "nan" is not mistaken for a value)."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    parts = re.split(r"([,=\n])", TEMPLATES[kind].read_text())
+    numbers = [i for i, part in enumerate(parts)
+               if re.fullmatch(r"-?[0-9][0-9.e+-]*", part)]
+    for _ in range(draw(st.integers(0, 3))):
+        parts[draw(st.sampled_from(numbers))] = draw(st.sampled_from(FUZZ_VALUES))
+    return "".join(parts).encode()
+
+
+def fuzz_argv(draw, command, a, b, report):
+    """One command line for ``command`` over the paths ``a`` and ``b``.
+
+    Returns the argv, the flag values drawn and the kinds of file the
+    command reads from ``a`` and ``b``.
+    """
+    drawn = []
+
+    def value(valid, choices=FUZZ_VALUES):
+        drawn.append(draw(st.one_of(st.just(valid), st.sampled_from(choices))))
+        return drawn[-1]
+
+    def overrides(swept=None):
+        keys = draw(st.lists(st.sampled_from(FREE_FIELDS), max_size=2,
+                             unique=True).filter(lambda ks: swept not in ks))
+        return [x for key in keys for x in ("--set", f"{key}={value('1')}")]
+
+    # Any config that parses trains for zero epochs on 8 points.
+    tiny = ["--set", "epochs=0", "--set", "n_per_domain=8"]
+    if command == "train":
+        kinds = ("config",)
+        argv = ["train", "--config", a, "--report", report, *overrides(), *tiny]
+    elif command == "sweep":
+        kinds = ("config",)
+        swept = draw(st.sampled_from(FREE_FIELDS))
+        values = ",".join(value("0.5") for _ in range(draw(st.integers(1, 3))))
+        argv = ["sweep", "--config", a, "--field", swept, "--values", values,
+                *overrides(swept), *tiny]
+    elif command == "ot":
+        kinds = ("measure", "measure")
+        argv = ["ot", a, b, "--beta", value("0.4")]
+        if draw(st.booleans()):
+            argv.append("--nested")
+    elif command == "cmi" and draw(st.booleans()):
+        kinds = ("joint",)
+        argv = ["cmi", "--joint", a, "--k", value("4"), "--seed", value("1")]
+        if draw(st.booleans()):
+            argv += ["--samples", value("20")]
+    elif command == "cmi":
+        kinds = ("features", "features")
+        # 10**15 ascent steps would run, not fail, on a valid file
+        steps = value("2", [v for v in FUZZ_VALUES if v != str(10 ** 15)])
+        argv = ["cmi", "--source", a, "--target", b, "--k", value("4"),
+                "--train-steps", steps]
+    else:
+        kinds = ("table",) if command == "friedman" else ("bound",)
+        argv = [command, a]
+    if draw(st.booleans()):
+        argv += ["--format", "structured"]
+    return argv, drawn, kinds
+
+
+@given(st.sampled_from(["train", "sweep", "ot", "cmi", "friedman", "bound"]),
+       st.data())
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_inputs_keep_the_exit_code_contract(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+        argv, drawn, kinds = fuzz_argv(data.draw, command, *paths,
+                                       os.path.join(tmp, "report.json"))
+        files = [fuzz_file(data.draw, kind) for kind in kinds]
+        for path, content in zip(paths, files):
+            Path(path).write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    non_finite = any(has_non_finite(x) for x in [*files, *map(str.encode, drawn)])
+    assert not (code == 0 and non_finite), (argv, files, out.getvalue())

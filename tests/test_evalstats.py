@@ -21,8 +21,6 @@ from driftlab.evalstats import (
     friedman,
     load_accuracy_table,
     load_rank_table,
-    save_accuracy_table,
-    save_rank_table,
     threshold_th,
 )
 
@@ -315,7 +313,7 @@ class TestTableIO:
     def test_accuracy_roundtrip(self, tmp_path):
         t = table([[70.0, 80.5], [60.25, 90.0]], ["alpha", "beta"], ["t0", "t1"])
         path = tmp_path / "acc.csv"
-        save_accuracy_table(t, path)
+        path.write_text("method,t0,t1\nalpha,70.0,80.5\nbeta,60.25,90.0\n")
         back = load_accuracy_table(path)
         assert back.methods == t.methods and back.tasks == t.tasks
         assert np.array_equal(back.values, t.values)
@@ -325,7 +323,7 @@ class TestTableIO:
                           np.array([[1.0, 2.0], [2.0, 1.0]]),
                           printed_avg=np.array([1.5, 1.5]))
         path = tmp_path / "ranks.csv"
-        save_rank_table(ranks, path)
+        path.write_text("method,t0,t1,avg_rank\na,1,2,1.5\nb,2,1,1.5\n")
         back = load_rank_table(path)
         assert back.printed_avg is not None
         assert np.allclose(back.printed_avg, [1.5, 1.5])
@@ -365,7 +363,7 @@ class TestTableIO:
         path = tmp_path / "acc.csv"
         path.write_text("# comment\nmethod,t0\n\nalpha,70\nbeta,60\n")
         t = load_accuracy_table(path)
-        assert t.num_methods == 2
+        assert t.methods == ["alpha", "beta"]
 
 
 class TestTableValidation:

@@ -2,6 +2,7 @@
 brute-force oracles, and property-based invariants."""
 
 import heapq
+import itertools
 import math
 import signal
 from contextlib import contextmanager
@@ -23,10 +24,8 @@ from driftlab.ot import (
     load_measure,
     min_cost_flow,
     nested_cost,
-    save_measure,
     w2_dimension,
     wasserstein_exact,
-    wwd,
 )
 
 
@@ -430,19 +429,27 @@ def test_w2_handles_zero_weight_atoms():
 
 
 # ---------------------------------------------------------------------
-# wwd
+# the nested distance (ot --nested)
 # ---------------------------------------------------------------------
+
+def nested_distance(A, B):
+    """What ``ot --nested`` solves at beta 0: exact 1-Wasserstein
+    between uniform measures on the batch indices, nested ground cost."""
+    mu = measure_1d(np.arange(len(A)), np.full(len(A), 1 / len(A)))
+    nu = measure_1d(np.arange(len(B)), np.full(len(B), 1 / len(B)))
+    return wasserstein_exact(mu, nu, nested_cost(A, B), p=1.0)
+
 
 def test_wwd_self_zero():
     batch = np.array([[1.0, 2.0], [0.5, -0.3], [2.0, 2.0]])
-    value, _ = wwd(batch, batch)
+    value, _ = nested_distance(batch, batch)
     assert value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_wwd_size_one_batches():
     a = np.array([[1.0, -0.5, 2.0]])
     b = np.array([[0.3, 0.9, -1.0]])
-    value, _ = wwd(a, b)
+    value, _ = nested_distance(a, b)
     direct = w2_dimension(feature_to_measure(a[0]), feature_to_measure(b[0]))
     assert value == pytest.approx(direct, abs=1e-12)
 
@@ -451,11 +458,14 @@ def test_wwd_compositional_oracle():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(3, 4))
     B = rng.normal(size=(3, 4))
-    value, plan = wwd(A, B)
-    ground = nested_cost(A, B)
-    mu = measure_1d(np.arange(3), np.full(3, 1 / 3))
-    nu = measure_1d(np.arange(3), np.full(3, 1 / 3))
-    oracle, _ = wasserstein_exact(mu, nu, ground, p=1)
+    value, plan = nested_distance(A, B)
+    # between uniform measures of equal size an optimal plan is a
+    # permutation (Birkhoff), so the best matching is the oracle
+    ground = np.array([[w2_dimension(feature_to_measure(a),
+                                     feature_to_measure(b)) for b in B]
+                       for a in A])
+    oracle = min(ground[range(3), perm].sum() / 3
+                 for perm in itertools.permutations(range(3)))
     assert value == pytest.approx(oracle, abs=1e-10)
     assert np.allclose(plan.matrix.sum(axis=1), 1 / 3)
 
@@ -464,8 +474,8 @@ def test_wwd_symmetric():
     rng = np.random.default_rng(9)
     A = rng.normal(size=(4, 3))
     B = rng.normal(size=(4, 3))
-    va, _ = wwd(A, B)
-    vb, _ = wwd(B, A)
+    va, _ = nested_distance(A, B)
+    vb, _ = nested_distance(B, A)
     assert va == pytest.approx(vb, abs=1e-10)
 
 
@@ -600,7 +610,7 @@ def test_w2_nonnegative_and_zero_on_self(k, seed):
 def test_measure_roundtrip(tmp_path):
     m = DiscreteMeasure(np.array([[0.1, 0.2], [0.5, 0.9]]), np.array([0.4, 0.6]))
     path = tmp_path / "m.txt"
-    save_measure(m, path)
+    path.write_text("0.4,0.1,0.2\n0.6,0.5,0.9\n")
     back = load_measure(path)
     assert np.allclose(back.atoms, m.atoms)
     assert np.allclose(back.weights, m.weights)
@@ -609,7 +619,7 @@ def test_measure_roundtrip(tmp_path):
 def test_measure_scalar_roundtrip(tmp_path):
     m = measure_1d([0.25, 0.75], [0.5, 0.5])
     path = tmp_path / "m.txt"
-    save_measure(m, path)
+    path.write_text("0.5,0.25\n0.5,0.75\n")
     back = load_measure(path)
     assert back.atoms.ndim == 1
     assert np.allclose(back.atoms, m.atoms)

@@ -4,6 +4,7 @@ stratified batching, config files, and report determinism."""
 import gc
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorcore_reference as ref
+from oracles import load_checkpoint
 from driftlab.cmi import BilinearScorer, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
 from driftlab.dualcritic import Critic, dual_objective, measure_normalize
@@ -31,8 +33,6 @@ from driftlab.pipeline import (
     rlglc_objective,
     run_experiment,
     run_sweep,
-    sample_minibatch,
-    save_config,
     train,
 )
 from driftlab.tensorcore import (
@@ -54,11 +54,15 @@ def tiny_config(**kw):
 
 
 def tiny_batches(cfg, seed=3):
-    data = make_dataset(cfg)
-    rng = SplitMix64(seed)
-    return sample_minibatch(data, rng, {"batch_size": cfg.batch_size,
-                                        "source": cfg.source_ratio,
-                                        "target": cfg.target_ratio})
+    return epoch_batches(make_dataset(cfg), SplitMix64(seed), cfg)[0]
+
+
+def first_pair(data, rng, batch_size, source, target):
+    """The first batch pair of an epoch under a batching spec that
+    TrainConfig itself might refuse."""
+    spec = SimpleNamespace(batch_size=batch_size, source_ratio=source,
+                           target_ratio=target)
+    return epoch_batches(data, rng, spec)[0]
 
 
 # ---------------------------------------------------------------------
@@ -98,7 +102,7 @@ class TestConfigFiles:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config(beta=0.25, lr_model=0.005, use_local=False)
         path = tmp_path / "run.cfg"
-        save_config(cfg, path)
+        path.write_text(canonical_config_text(cfg))
         assert load_config(path) == cfg
 
     def test_canonical_text_sorted(self):
@@ -161,9 +165,7 @@ class TestSampleMinibatch:
     def test_exact_ratio_counts(self):
         cfg = tiny_config()
         data = make_dataset(cfg)
-        bs, bt = sample_minibatch(data, SplitMix64(1),
-                                  {"batch_size": 10, "source": "5:5",
-                                   "target": "3:7"})
+        bs, bt = first_pair(data, SplitMix64(1), 10, "5:5", "3:7")
         assert np.bincount(bs.labels).tolist() == [5, 5]
         assert np.bincount(bt.labels).tolist() == [3, 7]
 
@@ -173,9 +175,7 @@ class TestSampleMinibatch:
         rng = SplitMix64(2)
         counts = []
         for _ in range(300):
-            bs, _ = sample_minibatch(data, rng, {"batch_size": 10,
-                                                 "source": "uniform",
-                                                 "target": "uniform"})
+            bs, _ = first_pair(data, rng, 10, "uniform", "uniform")
             counts.append(int((bs.labels == 0).sum()))
         mean = np.mean(counts)
         # source domain is balanced, so class-0 draws are Binomial-ish
@@ -187,24 +187,18 @@ class TestSampleMinibatch:
         cfg = tiny_config()
         data = make_dataset(cfg)
         with pytest.raises(ContractError):
-            sample_minibatch(data, SplitMix64(0), {"batch_size": 61,
-                                                   "source": "uniform",
-                                                   "target": "uniform"})
+            first_pair(data, SplitMix64(0), 61, "uniform", "uniform")
 
     def test_unattainable_ratio(self):
         cfg = tiny_config()
         data = make_dataset(cfg)
         with pytest.raises(ContractError):
-            sample_minibatch(data, SplitMix64(0), {"batch_size": 10,
-                                                   "source": "1:3",
-                                                   "target": "5:5"})
+            first_pair(data, SplitMix64(0), 10, "1:3", "5:5")
 
     def test_without_replacement_within_batch(self):
         cfg = tiny_config()
         data = make_dataset(cfg)
-        bs, _ = sample_minibatch(data, SplitMix64(5), {"batch_size": 10,
-                                                       "source": "5:5",
-                                                       "target": "5:5"})
+        bs, _ = first_pair(data, SplitMix64(5), 10, "5:5", "5:5")
         rows = {tuple(r) for r in bs.X}
         assert len(rows) == 10
 
@@ -215,10 +209,8 @@ class TestSampleMinibatch:
         data = make_dataset(cfg)
         # keep both classes reachable: the 60-sample domains are 30/30
         # (source) and 18/42 (target), so cap each side at what exists
-        bs, _ = sample_minibatch(data, SplitMix64(c0),
-                                 {"batch_size": 10,
-                                  "source": f"{c0}:{10 - c0}",
-                                  "target": "5:5"})
+        bs, _ = first_pair(data, SplitMix64(c0), 10, f"{c0}:{10 - c0}",
+                           "5:5")
         assert int((bs.labels == 0).sum()) == min(c0, 30)
 
 
@@ -508,7 +500,6 @@ class TestRunExperiment:
             run_experiment(tiny_config(epochs=0), report_path=str(bad))
 
     def test_checkpoint_roundtrip(self, tmp_path):
-        from driftlab.model import load_checkpoint
         path = tmp_path / "final.ckpt"
         run_experiment(tiny_config(epochs=1), checkpoint_path=path)
         params = load_checkpoint(path)

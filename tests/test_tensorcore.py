@@ -25,7 +25,8 @@ GOLDEN_SEED7_OUTPUT = np.array(
 def test_forward_identity_net():
     rng = tc.SplitMix64(0)
     net = tc.MLP([3, 3], rng, name="id")
-    net.set_values([np.eye(3), np.zeros(3)])
+    net.layers[0].w.value = np.eye(3)
+    net.layers[0].b.value = np.zeros(3)
     x = np.array([[1.0, 2.0, 3.0]])
     out = net.forward(x)
     np.testing.assert_array_equal(out.value, x)
@@ -34,7 +35,8 @@ def test_forward_identity_net():
 def test_forward_single_affine_layer():
     rng = tc.SplitMix64(0)
     net = tc.MLP([1, 1], rng, name="aff")
-    net.set_values([np.array([[2.0]]), np.array([1.0])])
+    net.layers[0].w.value = np.array([[2.0]])
+    net.layers[0].b.value = np.array([1.0])
     out = net.forward(np.array([[3.0]]))
     assert out.value[0, 0] == 7.0
 
@@ -112,7 +114,7 @@ def _build_expr(x, y, choice):
     if choice == 3:
         return tc.tsum(tc.logsumexp(tc.mul(x, y), axis=1))
     if choice == 4:
-        return tc.tsum(tc.sqrt(y) * tc.leaky_relu(x))
+        return tc.tsum(tc.exp(-y) * tc.leaky_relu(x))
     if choice == 5:
         return tc.tmean(tc.div(x, y))
     return tc.tsum(tc.matmul(x, tc.transpose(y)))
@@ -138,7 +140,7 @@ def test_unused_parameter_gets_exact_zero():
 
 def test_second_derivative_cubic():
     x = tc.parameter(3.0, "x")
-    (g1,) = tc.backward(tc.power(x, 3), [x], build_graph=True)
+    (g1,) = tc.backward(tc.mul(x, tc.square(x)), [x], build_graph=True)
     (g2,) = tc.backward(g1, [x])
     assert g2 == pytest.approx(18.0, abs=1e-12)
 
@@ -146,7 +148,7 @@ def test_second_derivative_cubic():
 def test_second_derivative_matches_reference_bit_for_bit():
     for x0 in (3.0, -0.5, 1e-3, -7.25, 123.0):
         x = tc.parameter(x0, "x")
-        cube = tc.power(x, 3)
+        cube = tc.mul(x, tc.square(x))
         (g1,) = tc.backward(cube, [x], build_graph=True)
         (r1,) = ref.backward(cube, [x], build_graph=True)
         assert ref.same_bits(g1.value, r1.value)
