@@ -35,6 +35,11 @@ from .textio import records
 
 _SCORE_FLOOR = -30.0
 
+# Rows per block in pair_positive and BilinearScorer.score_matrix. A
+# block's (rows, N, M) temporary is 2 MB at N=500, M=8, where the whole
+# (N, N, M) array would be 16 MB.
+_ROW_BLOCK = 64
+
 
 @dataclass
 class DiscreteJoint:
@@ -58,22 +63,23 @@ class DiscreteJoint:
 class ContrastiveBatch:
     """One anchor per row with its conditioning input and K candidates.
 
-    Candidate column 0 is always the positive. ``candidates`` holds
-    values: an (N, K) integer array for tabulated alphabets or an
-    (N, K, M) float array of feature rows. When the batch was built by
-    the in-batch rule, ``candidate_indices`` records which anchors the
-    candidates came from, and ``candidates`` must equal
-    ``anchors[candidate_indices]``; the no-self-negative invariant is
-    checked too (and K equals the batch size under that rule). Because
-    every candidate is an anchor, a feature scorer runs its network
-    once per anchor and gathers candidate rows by these indices.
+    ``candidates`` is (N, K) and its column 0 is always the positive.
+    What it holds depends on the batch kind:
+
+    - tabulated alphabets (1-D ``anchors``, conditioning symbols in
+      ``z``): the candidate symbol values;
+    - feature batches ((N, M) ``anchors``): integer anchor row indices,
+      so candidate j of row i is ``anchors[candidates[i, j]]``. Every
+      candidate is an anchor, so a feature scorer runs its network once
+      per anchor and gathers by these indices. Column 0 must be the
+      row's own index, no other column may repeat it, and every index
+      must lie in the batch.
     """
 
     sources: np.ndarray
     anchors: np.ndarray
     candidates: np.ndarray
     z: np.ndarray = None
-    candidate_indices: np.ndarray = None
 
     def __post_init__(self):
         n = self.anchors.shape[0]
@@ -81,17 +87,17 @@ class ContrastiveBatch:
             raise ContractError("batch fields disagree on row count")
         if self.candidates.shape[1] < 1:
             raise ContractError("need at least the positive candidate")
-        if self.candidate_indices is not None:
-            idx = np.asarray(self.candidate_indices)
+        if self.anchors.ndim == 2:
+            idx = self.candidates
+            if idx.ndim != 2 or not np.issubdtype(idx.dtype, np.integer):
+                raise ContractError(
+                    "feature candidates must be an (N, K) array of anchor indices")
             if not np.array_equal(idx[:, 0], np.arange(n)):
                 raise ContractError("candidate column 0 must be the positive")
-            rows = np.arange(n)[:, None]
-            if np.any(idx[:, 1:] == rows):
+            if np.any(idx[:, 1:] == np.arange(n)[:, None]):
                 raise ContractError("positive index found among negatives")
             if np.any((idx < 0) | (idx >= n)):
                 raise ContractError("candidate index outside the batch")
-            if not np.array_equal(self.candidates, self.anchors[idx]):
-                raise ContractError("candidates differ from the anchors they index")
 
 
 # ---------------------------------------------------------------------
@@ -186,17 +192,24 @@ class BilinearScorer:
         """(N, K) scores of an in-batch feature batch.
 
         Every candidate is one of the N anchors, so the network runs
-        once on the anchor rows and each candidate's embedding is
-        gathered by ``batch.candidate_indices``.
+        once on the anchor rows. For a block of anchor rows, the cross
+        terms are computed against every anchor embedding and the
+        candidates are then gathered from them by index. Each kept
+        entry is the same M products reduced in the same order as the
+        gathered (N, K, M) form, so the blocks change no bit; no array
+        larger than (block, N, M) is built.
         """
-        if batch.candidate_indices is None:
-            raise ContractError("feature scoring needs candidate_indices")
         anchors = np.asarray(batch.anchors, dtype=np.float64)
         sources = np.asarray(batch.sources, dtype=np.float64)
         gs = self.net.forward(as_tensor(sources)).value
         ga = self.net.forward(as_tensor(anchors)).value
         own = (gs * anchors).sum(axis=1)
-        cross = (ga[batch.candidate_indices] * anchors[:, None, :]).sum(axis=2)
+        idx = batch.candidates
+        cross = np.empty(idx.shape)
+        for a in range(0, idx.shape[0], _ROW_BLOCK):
+            b = a + _ROW_BLOCK
+            pairs = (ga[None] * anchors[a:b, None]).sum(axis=2)
+            cross[a:b] = np.take_along_axis(pairs, idx[a:b], axis=1)
         return 0.5 * (own[:, None] + cross)
 
     def objective_graph(self, paired_sources, anchors):
@@ -308,13 +321,22 @@ def cnce_estimate(scorer, batches):
 
 def pair_positive(Zt, Zs):
     """Index of the nearest source row for every target row
-    (squared Euclidean; ties go to the lowest index)."""
+    (squared Euclidean; ties go to the lowest index).
+
+    Target rows are taken in blocks. A row's distances, and so its
+    argmin, do not depend on the other rows, so the blocks give the same
+    bits as one (N_t, N_s, M) difference array without building it.
+    """
     Zt = np.asarray(Zt, dtype=np.float64)
     Zs = np.asarray(Zs, dtype=np.float64)
     if Zt.shape[0] == 0 or Zs.shape[0] == 0:
         raise ContractError("empty batch")
-    d = ((Zt[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2)
-    return d.argmin(axis=1)
+    pairing = np.empty(Zt.shape[0], dtype=np.intp)
+    for a in range(0, Zt.shape[0], _ROW_BLOCK):
+        b = a + _ROW_BLOCK
+        d = ((Zt[a:b, None, :] - Zs[None]) ** 2).sum(axis=2)
+        pairing[a:b] = d.argmin(axis=1)
+    return pairing
 
 
 def contrastive_from_features(Zs, Zt):
@@ -334,8 +356,7 @@ def contrastive_from_features(Zs, Zt):
     return ContrastiveBatch(
         sources=Zs[pairing],
         anchors=Zt,
-        candidates=Zt[idx],
-        candidate_indices=idx,
+        candidates=idx,
     )
 
 

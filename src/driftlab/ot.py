@@ -46,7 +46,10 @@ class DiscreteMeasure:
             raise ContractError("atoms and weights must be finite")
         if np.any(self.weights < 0):
             raise ContractError("negative weight")
-        s = float(self.weights.sum())
+        with np.errstate(over="ignore"):
+            s = float(self.weights.sum())
+        if not np.isfinite(s):
+            raise ContractError("weights overflow: their total mass is not finite")
         if self.total_mass is None:
             self.total_mass = s
         elif abs(s - self.total_mass) > _MASS_TOL * max(1.0, abs(self.total_mass)):
@@ -269,7 +272,8 @@ def feature_to_measure(z):
     if M < 1:
         raise ContractError("empty feature vector")
     w = np.logaddexp(0.0, z)
-    s = w.sum()
+    with np.errstate(over="ignore"):
+        s = w.sum()
     if not np.isfinite(s):
         raise ContractError("feature weights overflow: their sum is not finite")
     if s <= 0:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from driftlab.errors import ContractError
+from driftlab.tensorcore import as_tensor
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
@@ -17,6 +18,24 @@ def build_negatives(i, n):
     if not (0 <= i < n):
         raise ContractError(f"index {i} outside batch of size {n}")
     return np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
+
+
+def dense_pair_positive(Zt, Zs):
+    """``cmi.pair_positive`` on one (N_t, N_s, M) difference array."""
+    Zt = np.asarray(Zt, dtype=np.float64)
+    Zs = np.asarray(Zs, dtype=np.float64)
+    return ((Zt[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def gathered_score_matrix(scorer, batch):
+    """``BilinearScorer.score_matrix`` on the gathered (N, K, M) array of
+    candidate embeddings."""
+    anchors = np.asarray(batch.anchors, dtype=np.float64)
+    gs = scorer.net.forward(as_tensor(batch.sources)).value
+    ga = scorer.net.forward(as_tensor(anchors)).value
+    own = (gs * anchors).sum(axis=1)
+    cross = (ga[batch.candidates] * anchors[:, None, :]).sum(axis=2)
+    return 0.5 * (own[:, None] + cross)
 
 
 def load_checkpoint(path):

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,14 +195,29 @@ class TestOt:
     def test_nested_weight_overflow_exits_2(self, capsys, tmp_path, target):
         # softplus weights of 1e308 are finite, but a row's sum is not;
         # normalizing by it once printed 0 (both sides overflow) or
-        # raised a mass mismatch (one side)
+        # raised a mass mismatch (one side). The sum must not warn either.
         src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
         src.write_text("0.5,1e308,1e308\n0.5,1.5e308,1e308\n")
         tgt.write_text(target)
-        code, out, err = run(capsys, "ot", str(src), str(tgt), "--nested")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "ot", str(src), str(tgt), "--nested")
         assert code == 2
         assert out == ""
-        assert "finite" in err
+        assert "overflow" in err and "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--beta=0", "--beta=0.4", "--nested"])
+    def test_weight_overflow_exits_2(self, capsys, tmp_path, flag):
+        # each weight is finite but their total is not; it once warned and
+        # then failed as "row sums do not match row marginal"
+        heavy = tmp_path / "heavy.csv"
+        heavy.write_text("1e308,0.0,1.0\n1e308,1.0,0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "ot", str(heavy), str(heavy), flag)
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err and "total mass is not finite" in err
 
     def test_mass_mismatch_is_infeasible(self, capsys, tmp_path):
         heavy = tmp_path / "heavy.csv"

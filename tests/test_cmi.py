@@ -2,6 +2,8 @@
 contrastive estimator, sampling-rule checks."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from driftlab.cmi import (
 )
 from driftlab.errors import ContractError, NumericError, ParseError
 from driftlab.tensorcore import OptimState, SplitMix64, as_tensor, backward
-from oracles import build_negatives
+from oracles import build_negatives, dense_pair_positive, gathered_score_matrix
 
 
 def triple_loop_cmi(table):
@@ -200,19 +202,17 @@ def test_empty_batches_rejected():
 
 
 def test_contrastive_batch_invariants():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="column 0"):
         ContrastiveBatch(
             sources=np.zeros((2, 3)),
             anchors=np.zeros((2, 3)),
-            candidates=np.zeros((2, 2, 3)),
-            candidate_indices=np.array([[1, 0], [1, 0]]),
+            candidates=np.array([[1, 0], [1, 0]]),
         )
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="among negatives"):
         ContrastiveBatch(
             sources=np.zeros((2, 3)),
             anchors=np.zeros((2, 3)),
-            candidates=np.zeros((2, 2, 3)),
-            candidate_indices=np.array([[0, 0], [1, 0]]),
+            candidates=np.array([[0, 0], [1, 0]]),
         )
 
 
@@ -221,19 +221,14 @@ def test_contrastive_batch_candidates_are_the_indexed_anchors():
     zs = rng.normal((4, 3))
     zt = rng.normal((4, 3))
     batch = contrastive_from_features(zs, zt)
-    idx = batch.candidate_indices
-    moved = batch.candidates.copy()
-    moved[2, 1, 0] += 1e-9
-    with pytest.raises(ContractError, match="differ"):
-        ContrastiveBatch(sources=batch.sources, anchors=zt, candidates=moved,
-                         candidate_indices=idx)
-    wrapped = idx.copy()
-    wrapped[0, 1] = -3  # anchors[-3] is anchor 1, the row it replaced
-    with pytest.raises(ContractError, match="outside"):
-        ContrastiveBatch(sources=batch.sources, anchors=zt,
-                         candidates=batch.candidates, candidate_indices=wrapped)
-    ContrastiveBatch(sources=batch.sources, anchors=zt,
-                     candidates=zt[idx], candidate_indices=idx)
+    idx = batch.candidates
+    for bad in (-3, 4):  # anchors[-3] is anchor 1, the row it replaced
+        moved = idx.copy()
+        moved[0, 1] = bad
+        with pytest.raises(ContractError, match="outside"):
+            ContrastiveBatch(sources=batch.sources, anchors=zt,
+                             candidates=moved)
+    ContrastiveBatch(sources=batch.sources, anchors=zt, candidates=idx.copy())
 
 
 # ---------------------------------------------------------------------
@@ -293,12 +288,12 @@ def test_contrastive_from_features_k_equals_n():
     zs = rng.normal((5, 3))
     zt = rng.normal((5, 3))
     batch = contrastive_from_features(zs, zt)
-    assert batch.candidates.shape[1] == 5
-    assert batch.candidates.shape == (5, 5, 3)
-    assert np.allclose(batch.candidates[:, 0, :], zt)
+    assert batch.candidates.shape == (5, 5)
+    assert np.issubdtype(batch.candidates.dtype, np.integer)
+    assert np.array_equal(zt[batch.candidates[:, 0]], zt)
     expected = np.stack([np.concatenate([[i], build_negatives(i, 5)])
                          for i in range(5)])
-    assert np.array_equal(batch.candidate_indices, expected)
+    assert np.array_equal(batch.candidates, expected)
     with pytest.raises(ContractError):
         contrastive_from_features(zs[:1], zt[:1])
 
@@ -331,9 +326,10 @@ def test_bilinear_terms_respect_bound():
 
 def nk_row_scores(scorer, batch):
     """Reference scores: the network run on all N*K candidate rows."""
-    n, k, m = batch.candidates.shape
+    rows = batch.anchors[batch.candidates]
+    n, k, m = rows.shape
     gs = scorer.net.forward(as_tensor(batch.sources)).value
-    gc = scorer.net.forward(as_tensor(batch.candidates.reshape(n * k, m))).value
+    gc = scorer.net.forward(as_tensor(rows.reshape(n * k, m))).value
     own = (gs * batch.anchors).sum(axis=1)
     cross = (gc.reshape(n, k, -1) * batch.anchors[:, None, :]).sum(axis=2)
     return 0.5 * (own[:, None] + cross)
@@ -347,24 +343,80 @@ def test_score_matrix_matches_nk_row_reference(n, m, hidden, seed):
     rng = SplitMix64(seed)
     sc = BilinearScorer(m, rng.spawn(1), hidden=tuple(hidden))
     batch = contrastive_from_features(rng.normal((n, m)), rng.normal((n, m)))
+    scores = sc.score_matrix(batch)
+    assert np.array_equal(scores, gathered_score_matrix(sc, batch))
     ref = nk_row_scores(sc, batch)
     # A GEMM over N*K rows may round an embedding differently in the last
     # ulp than one over N rows; where own and cross terms cancel, that ulp
     # is large next to the score, so the 1e-12 is relative to the largest.
-    np.testing.assert_allclose(sc.score_matrix(batch), ref, rtol=1e-12,
+    np.testing.assert_allclose(scores, ref, rtol=1e-12,
                                atol=1e-12 * np.abs(ref).max())
 
 
 def test_score_matrix_needs_candidate_indices():
+    # A feature batch holds candidates as anchor indices; candidate rows
+    # (the old (N, K, M) layout) or float indices are refused.
     rng = SplitMix64(22)
-    sc = BilinearScorer(3, rng.spawn(1), hidden=(4,))
     zs = rng.normal((4, 3))
     zt = rng.normal((4, 3))
+    idx = contrastive_from_features(zs, zt).candidates
+    for bad in (zt[idx], idx.astype(np.float64)):
+        with pytest.raises(ContractError, match="indices"):
+            ContrastiveBatch(sources=zs, anchors=zt, candidates=bad)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 4),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_pair_positive_equals_dense_oracle(nt, ns, m, seed):
+    # Half-unit grid values make exact distance ties common.
+    rng = np.random.default_rng(seed)
+    zt = rng.integers(-2, 3, size=(nt, m)) / 2
+    zs = rng.integers(-2, 3, size=(ns, m)) / 2
+    assert np.array_equal(pair_positive(zt, zs), dense_pair_positive(zt, zs))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 16])
+@pytest.mark.parametrize("nt,ns", [(257, 190), (700, 333)])
+def test_blocked_forms_equal_dense_oracles_across_blocks(nt, ns, m):
+    rng = np.random.default_rng([nt, m])
+    zt = rng.integers(-4, 5, size=(nt, m)) / 4
+    zs = rng.integers(-4, 5, size=(ns, m)) / 4
+    assert np.array_equal(pair_positive(zt, zs), dense_pair_positive(zt, zs))
+    sc = BilinearScorer(m, SplitMix64(m))
     batch = contrastive_from_features(zs, zt)
-    bare = ContrastiveBatch(sources=batch.sources, anchors=zt,
-                            candidates=batch.candidates)
-    with pytest.raises(ContractError, match="candidate_indices"):
-        sc.score_matrix(bare)
+    assert np.array_equal(sc.score_matrix(batch),
+                          gathered_score_matrix(sc, batch))
+
+
+def test_cnce_estimate_equals_dense_oracle_at_default_size():
+    rng = SplitMix64(24)
+    sc = BilinearScorer(8, rng.spawn(1))
+    zs = rng.normal((500, 8))
+    zt = rng.normal((500, 8))
+    idx = np.stack([np.concatenate([[i], build_negatives(i, 500)])
+                    for i in range(500)])
+    dense = ContrastiveBatch(sources=zs[dense_pair_positive(zt, zs)],
+                             anchors=zt, candidates=idx)
+    gathered = SimpleNamespace(
+        score_matrix=lambda batch: gathered_score_matrix(sc, batch))
+    assert (cnce_estimate(sc, contrastive_from_features(zs, zt))
+            == cnce_estimate(gathered, dense))
+
+
+def test_cnce_estimate_memory_stays_below_one_nnm_array():
+    n, m = 1000, 8
+    rng = SplitMix64(25)
+    sc = BilinearScorer(m, rng.spawn(1))
+    zs = rng.normal((n, m))
+    zt = rng.normal((n, m))
+    tracemalloc.start()
+    try:
+        cnce_estimate(sc, contrastive_from_features(zs, zt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * m * 8
 
 
 def scorer_batch(seed):

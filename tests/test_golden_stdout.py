@@ -30,6 +30,11 @@ FEATURE_ROWS = {
                 for i in range(12)],
     "tgt.csv": [[((5 * i + 2 * j + 1) % 13 - 6) / 4 for j in range(3)]
                 for i in range(12)],
+    # 600 rows span several row blocks of the in-batch contrastive path.
+    "wide_src.csv": [[((37 * i + 11 * j) % 29 - 14) / 8 for j in range(3)]
+                     for i in range(600)],
+    "wide_tgt.csv": [[((23 * i + 5 * j + 2) % 31 - 15) / 8 for j in range(3)]
+                     for i in range(600)],
 }
 
 
@@ -53,6 +58,9 @@ def _cases():
     cases["cmi/features/train5"] = ["cmi", "--source", "{tmp}/src.csv",
                                     "--target", "{tmp}/tgt.csv",
                                     "--train-steps", "5", "--seed", "2"]
+    cases["cmi/features/wide"] = ["cmi", "--source", "{tmp}/wide_src.csv",
+                                  "--target", "{tmp}/wide_tgt.csv",
+                                  "--train-steps", "2", "--seed", "4"]
     cases["bound/equal_ln2"] = ["bound",
                                 str(FIXTURES / "bound" / "equal_ln2.cfg")]
     toy = ["train", "--config", str(FIXTURES / "train" / "toy.cfg"),
