@@ -26,6 +26,7 @@ from .cmi import (
 )
 from .errors import (
     ContractError,
+    DimensionError,
     DomainError,
     InfeasibleError,
     NumericError,
@@ -115,6 +116,11 @@ def cmd_sweep(args):
 def _euclidean_cost(mu, nu):
     a = mu.atoms if mu.atoms.ndim == 2 else mu.atoms[:, None]
     b = nu.atoms if nu.atoms.ndim == 2 else nu.atoms[:, None]
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(
+            f"atom widths differ: {a.shape[1]} in the source, "
+            f"{b.shape[1]} in the target"
+        )
     diff = a[:, None, :] - b[None, :, :]
     return CostMatrix(np.sqrt((diff ** 2).sum(axis=2)), p=1.0)
 

@@ -15,7 +15,9 @@ label is final, so returned plans are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +61,14 @@ class DiscreteMeasure:
 
     def __len__(self):
         return self.weights.shape[0]
+
+    @cached_property
+    def _quantiles(self):
+        """Atoms and weights of a 1-D measure in stable ascending atom
+        order, as lists of Python floats; built once per measure."""
+        atoms, weights = self.atoms.tolist(), self.weights.tolist()
+        order = sorted(range(len(atoms)), key=atoms.__getitem__)
+        return [atoms[k] for k in order], [weights[k] for k in order]
 
 
 @dataclass
@@ -271,6 +281,8 @@ def feature_to_measure(z):
     M = z.size
     if M < 1:
         raise ContractError("empty feature vector")
+    if not np.all(np.isfinite(z)):
+        raise ContractError("feature vector is not finite")
     w = np.logaddexp(0.0, z)
     with np.errstate(over="ignore"):
         s = w.sum()
@@ -283,35 +295,43 @@ def feature_to_measure(z):
 
 
 def w2_dimension(zA, zB):
-    """Exact 1-D 2-Wasserstein distance by inverse-CDF matching."""
+    """Exact 1-D 2-Wasserstein distance by inverse-CDF matching.
+
+    Merges the two measures' sorted quantiles on Python floats; each
+    step moves the least of the two atoms' remaining weights and the
+    mass still to match (the first of them on ties).
+    """
     if zA.atoms.ndim != 1 or zB.atoms.ndim != 1:
         raise DimensionError("w2_dimension expects 1-D measures")
     if abs(zA.total_mass - zB.total_mass) > 1e-9:
         raise InfeasibleError("mass mismatch between dimension measures")
     mass = zA.total_mass
-    oa = np.argsort(zA.atoms, kind="stable")
-    ob = np.argsort(zB.atoms, kind="stable")
-    pa, wa = zA.atoms[oa], zA.weights[oa]
-    pb, wb = zB.atoms[ob], zB.weights[ob]
+    pa, wa = zA._quantiles
+    pb, wb = zB._quantiles
+    last_a, last_b = len(wa) - 1, len(wb) - 1
     ia = ib = 0
     remaining_a, remaining_b = wa[0], wb[0]
     done = 0.0
     total = 0.0
     while done < mass - 1e-15:
-        while remaining_a <= 1e-15 and ia + 1 < len(wa):
+        while remaining_a <= 1e-15 and ia < last_a:
             ia += 1
             remaining_a = wa[ia]
-        while remaining_b <= 1e-15 and ib + 1 < len(wb):
+        while remaining_b <= 1e-15 and ib < last_b:
             ib += 1
             remaining_b = wb[ib]
-        step = min(remaining_a, remaining_b, mass - done)
+        step = remaining_a
+        if remaining_b < step:
+            step = remaining_b
+        if mass - done < step:
+            step = mass - done
         if step <= 1e-15:
             break
         total += step * (pa[ia] - pb[ib]) ** 2
         remaining_a -= step
         remaining_b -= step
         done += step
-    return float(np.sqrt(total))
+    return math.sqrt(total)
 
 
 def _batch_features(batch):
@@ -325,12 +345,16 @@ def nested_cost(batchA, batchB):
     """Pairwise ground-cost matrix of per-sample dimension measures."""
     A = _batch_features(batchA)
     B = _batch_features(batchB)
+    if A.shape[1] != B.shape[1]:
+        raise DimensionError(
+            f"feature widths differ: {A.shape[1]} in the source batch, "
+            f"{B.shape[1]} in the target batch"
+        )
     measuresA = [feature_to_measure(row) for row in A]
     measuresB = [feature_to_measure(row) for row in B]
     G = np.zeros((len(measuresA), len(measuresB)))
     for i, ma in enumerate(measuresA):
-        for j, mb in enumerate(measuresB):
-            G[i, j] = w2_dimension(ma, mb)
+        G[i] = [w2_dimension(ma, mb) for mb in measuresB]
     return CostMatrix(G, p=1.0)
 
 

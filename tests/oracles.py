@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from driftlab.errors import ContractError
+from driftlab.errors import ContractError, DimensionError, InfeasibleError
 from driftlab.tensorcore import as_tensor
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
@@ -52,3 +52,37 @@ def load_checkpoint(path):
         values = np.array([float(v) for v in data.split()])
         params[name] = values.reshape(tuple(int(d) for d in dims))
     return params
+
+
+def w2_dimension(zA, zB):
+    """``ot.w2_dimension`` in numpy float64 scalar arithmetic: both
+    measures are sorted per call and the quantile merge steps through
+    numpy scalars."""
+    if zA.atoms.ndim != 1 or zB.atoms.ndim != 1:
+        raise DimensionError("w2_dimension expects 1-D measures")
+    if abs(zA.total_mass - zB.total_mass) > 1e-9:
+        raise InfeasibleError("mass mismatch between dimension measures")
+    mass = zA.total_mass
+    oa = np.argsort(zA.atoms, kind="stable")
+    ob = np.argsort(zB.atoms, kind="stable")
+    pa, wa = zA.atoms[oa], zA.weights[oa]
+    pb, wb = zB.atoms[ob], zB.weights[ob]
+    ia = ib = 0
+    remaining_a, remaining_b = wa[0], wb[0]
+    done = 0.0
+    total = 0.0
+    while done < mass - 1e-15:
+        while remaining_a <= 1e-15 and ia + 1 < len(wa):
+            ia += 1
+            remaining_a = wa[ia]
+        while remaining_b <= 1e-15 and ib + 1 < len(wb):
+            ib += 1
+            remaining_b = wb[ib]
+        step = min(remaining_a, remaining_b, mass - done)
+        if step <= 1e-15:
+            break
+        total += step * (pa[ia] - pb[ib]) ** 2
+        remaining_a -= step
+        remaining_b -= step
+        done += step
+    return float(np.sqrt(total))

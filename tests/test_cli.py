@@ -171,6 +171,18 @@ class TestOt:
         assert code == 0
         assert float(out) > 0.0
 
+    @pytest.mark.parametrize("flag", ["--beta=0", "--beta=0.4", "--nested"])
+    def test_width_mismatch_exits_2(self, capsys, tmp_path, flag):
+        # a 3-wide source against a 2-wide target once printed a distance
+        # (--nested) or raised a numpy broadcast error (exit 1)
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("0.5,0.1,0.2\n0.5,-0.3,0.4\n")
+        code, out, err = run(capsys, "ot", str(OT / "nested_a.csv"),
+                             str(narrow), flag)
+        assert code == 2
+        assert out == ""
+        assert "widths differ" in err
+
     def test_byte_identical_stdout(self, capsys):
         args = ("ot", str(OT / "nested_a.csv"), str(OT / "nested_b.csv"),
                 "--nested", "--beta", "0.3")

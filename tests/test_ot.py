@@ -5,14 +5,16 @@ import heapq
 import itertools
 import math
 import signal
+import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from driftlab.errors import ContractError, InfeasibleError, ParseError
+from driftlab.errors import ContractError, DimensionError, InfeasibleError, ParseError
 from driftlab.ot import (
     CostMatrix,
     DiscreteMeasure,
@@ -27,6 +29,9 @@ from driftlab.ot import (
     w2_dimension,
     wasserstein_exact,
 )
+from oracles import w2_dimension as scalar_w2_dimension
+
+OT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "ot"
 
 
 def lp_transport(supplies, demands, costs):
@@ -385,6 +390,20 @@ def test_degenerate_measure_rejected():
         feature_to_measure(np.array([-800.0, -900.0]))
 
 
+@pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.5]])
+def test_non_finite_feature_vector_rejected(z):
+    # softplus(nan) once warned and then failed as "weights overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="feature vector is not finite"):
+            feature_to_measure(np.array(z))
+
+
+def test_finite_overflow_keeps_its_message():
+    with pytest.raises(ContractError, match="feature weights overflow"):
+        feature_to_measure(np.array([1e308, 1e308]))
+
+
 # ---------------------------------------------------------------------
 # w2_dimension
 # ---------------------------------------------------------------------
@@ -428,6 +447,51 @@ def test_w2_handles_zero_weight_atoms():
     assert w2_dimension(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_w2_rejects_vector_atoms():
+    a = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+    b = measure_1d([0.0, 1.0], [0.5, 0.5])
+    with pytest.raises(DimensionError, match="1-D"):
+        w2_dimension(a, b)
+    with pytest.raises(DimensionError, match="1-D"):
+        w2_dimension(b, a)
+
+
+def test_w2_rejects_mass_mismatch():
+    a = measure_1d([0.0, 1.0], [0.5, 0.5])
+    b = measure_1d([0.0, 1.0], [0.5, 0.5 + 2e-9])
+    with pytest.raises(InfeasibleError, match="mass mismatch"):
+        w2_dimension(a, b)
+    # within the 1e-9 tolerance the masses match
+    assert w2_dimension(a, measure_1d([0.0, 1.0], [0.5, 0.5 + 5e-10])) >= 0.0
+
+
+@st.composite
+def dimension_measure_pairs(draw):
+    """Two 1-D measures of sizes 1..12 and equal mass: unsorted atoms,
+    often repeated (drawn from a small pool) and signed zeros, and
+    weights that are often exactly zero."""
+    pool = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=4))
+    atom = st.one_of(st.sampled_from(pool + [0.0, -0.0]), st.floats(-4, 4))
+    weight = st.one_of(st.just(0.0), st.integers(1, 5).map(float),
+                       st.floats(1e-6, 1.0))
+    pair = []
+    for _ in range(2):
+        k = draw(st.integers(1, 12))
+        atoms = draw(st.lists(atom, min_size=k, max_size=k))
+        w = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+        w[draw(st.integers(0, k - 1))] += 1.0
+        pair.append(measure_1d(atoms, w / w.sum()))
+    return pair
+
+
+@given(dimension_measure_pairs())
+@settings(max_examples=300, deadline=None)
+def test_w2_bit_equal_to_scalar_oracle(pair):
+    a, b = pair
+    assert w2_dimension(a, b) == scalar_w2_dimension(a, b)
+    assert w2_dimension(b, a) == scalar_w2_dimension(b, a)
+
+
 # ---------------------------------------------------------------------
 # the nested distance (ot --nested)
 # ---------------------------------------------------------------------
@@ -438,6 +502,36 @@ def nested_distance(A, B):
     mu = measure_1d(np.arange(len(A)), np.full(len(A), 1 / len(A)))
     nu = measure_1d(np.arange(len(B)), np.full(len(B), 1 / len(B)))
     return wasserstein_exact(mu, nu, nested_cost(A, B), p=1.0)
+
+
+def scalar_nested_grid(A, B):
+    return np.array([[scalar_w2_dimension(feature_to_measure(a),
+                                          feature_to_measure(b)) for b in B]
+                     for a in A])
+
+
+@pytest.mark.parametrize("seed,n,m,width", [(0, 1, 1, 1), (1, 7, 5, 3),
+                                            (2, 20, 30, 8), (3, 12, 12, 2)])
+def test_nested_cost_bit_equal_to_scalar_oracle(seed, n, m, width):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, width)) * rng.choice([0.1, 1.0, 5.0], size=(n, 1))
+    B = rng.normal(size=(m, width))
+    B[:, 0] = 0.0  # every target row has the same first weight
+    assert np.array_equal(nested_cost(A, B).values, scalar_nested_grid(A, B))
+
+
+def test_nested_cost_fixture_bit_equal_to_scalar_oracle():
+    A = load_measure(OT_FIXTURES / "nested_a.csv").atoms
+    B = load_measure(OT_FIXTURES / "nested_b.csv").atoms
+    G = nested_cost(A, B).values
+    assert G.shape == (len(A), len(B))
+    assert np.array_equal(G, scalar_nested_grid(A, B))
+
+
+def test_nested_cost_rejects_width_mismatch():
+    # dimension k of one batch is not dimension k of the other
+    with pytest.raises(DimensionError, match="feature widths differ"):
+        nested_cost(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_wwd_self_zero():
