@@ -2,8 +2,8 @@
 
 Subcommands: train, sweep, ot, cmi, friedman, bound. Exit codes are
 shared across subcommands: 0 success, 2 invalid input or configuration
-(including sizes too large to allocate), 3 numeric failure, 4
-infeasible transport problem. All output is deterministic: identical
+(including sizes too large to allocate) or an output that cannot be
+written, 3 numeric failure, 4 infeasible transport problem. All output is deterministic: identical
 inputs produce byte-identical stdout.
 """
 
@@ -27,7 +27,6 @@ from .cmi import (
 from .errors import (
     ContractError,
     DimensionError,
-    DomainError,
     InfeasibleError,
     NumericError,
     ParseError,
@@ -35,16 +34,13 @@ from .errors import (
 from .evalstats import (
     BoundInputs,
     bayes_bound,
-    competition_ranks,
     emit_report,
     format_rank,
     friedman,
-    load_accuracy_table,
-    load_rank_table,
+    load_ranks,
 )
 from .ot import (
     CostMatrix,
-    DiscreteMeasure,
     ar_wwd_primal,
     load_measure,
     nested_cost,
@@ -57,7 +53,7 @@ from .pipeline import (
     run_sweep,
 )
 from .tensorcore import OptimState, SplitMix64
-from .textio import read_fields, records
+from .textio import read_fields, read_rows
 
 
 def _fmt(value):
@@ -113,9 +109,7 @@ def cmd_sweep(args):
 # ot
 # ---------------------------------------------------------------------
 
-def _euclidean_cost(mu, nu):
-    a = mu.atoms if mu.atoms.ndim == 2 else mu.atoms[:, None]
-    b = nu.atoms if nu.atoms.ndim == 2 else nu.atoms[:, None]
+def _euclidean_cost(a, b):
     if a.shape[1] != b.shape[1]:
         raise DimensionError(
             f"atom widths differ: {a.shape[1]} in the source, "
@@ -142,52 +136,27 @@ def cmd_ot(args):
     """
     mu = load_measure(args.source)
     nu = load_measure(args.target)
-    if args.nested:
-        A = mu.atoms if mu.atoms.ndim == 2 else mu.atoms[:, None]
-        B = nu.atoms if nu.atoms.ndim == 2 else nu.atoms[:, None]
-        cost = nested_cost(A, B)
-        mu = DiscreteMeasure(np.arange(A.shape[0], dtype=np.float64),
-                             mu.weights)
-        nu = DiscreteMeasure(np.arange(B.shape[0], dtype=np.float64),
-                             nu.weights)
-    else:
-        cost = _euclidean_cost(mu, nu)
+    # both ground costs take (n, d) atoms; 1-D atoms become one column
+    a, b = (m.atoms.reshape(len(m), -1) for m in (mu, nu))
+    cost = nested_cost(a, b) if args.nested else _euclidean_cost(a, b)
     if args.beta == 0.0:
         value, plan = wasserstein_exact(mu, nu, cost, p=cost.p)
     else:
         value, plan = ar_wwd_primal(mu, nu, cost, args.beta)
+    if args.plan:
+        _save_plan(plan, args.plan)
     if args.format == "structured":
         sys.stdout.write(emit_report({"distance": float(value),
                                       "beta": args.beta,
                                       "nested": bool(args.nested)}))
     else:
         print(_fmt(value))
-    if args.plan:
-        _save_plan(plan, args.plan)
     return 0
 
 
 # ---------------------------------------------------------------------
 # cmi
 # ---------------------------------------------------------------------
-
-def _load_features(path):
-    rows = []
-    for lineno, line in records(path):
-        try:
-            values = [float(p) for p in line.split(",")]
-        except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
-        if not all(np.isfinite(values)):
-            raise ParseError(f"non-finite value in {line!r}", line=lineno)
-        if rows and len(values) != len(rows[0]):
-            raise ParseError(f"expected {len(rows[0])} fields, got {len(values)}",
-                             line=lineno)
-        rows.append(values)
-    if not rows:
-        raise ContractError(f"no rows in feature file {path}")
-    return np.array(rows)
-
 
 def _terms_summary(terms):
     est = float(terms.mean())
@@ -224,8 +193,8 @@ def cmd_cmi(args):
             out["k"] = args.k
             out["samples"] = args.samples
     elif args.source and args.target:
-        Zs = _load_features(args.source)
-        Zt = _load_features(args.target)
+        Zs = read_rows(args.source)
+        Zt = read_rows(args.target)
         if Zs.shape[1] != Zt.shape[1]:
             raise ContractError("feature widths differ between domains")
         scorer = BilinearScorer(Zs.shape[1], SplitMix64(args.seed))
@@ -253,12 +222,6 @@ def cmd_cmi(args):
 # friedman
 # ---------------------------------------------------------------------
 
-def _sniff_rank_table(path):
-    for _, line in records(path):
-        return line.replace("\t", ",").split(",")[-1].strip() == "avg_rank"
-    return False
-
-
 def cmd_friedman(args):
     """Exit codes: 0 success (even when F is undefined), 2 malformed table.
 
@@ -266,20 +229,9 @@ def cmd_friedman(args):
     shipped, preferring their printed rank averages for the statistic
     when present.
     """
-    if _sniff_rank_table(args.table):
-        rnk = load_rank_table(args.table)
-        averages = "reported" if rnk.printed_avg is not None else "exact"
-    else:
-        rnk = competition_ranks(load_accuracy_table(args.table))
-        averages = "exact"
-
-    try:
-        res = friedman(rnk, averages=averages)
-        stats = res.as_report()
-    except DomainError as exc:
-        m, n = rnk.num_methods, rnk.num_tasks
-        stats = {"chi2": float(exc.chi2), "f_stat": None,
-                 "dof_between": m - 1, "dof_residual": (m - 1) * (n - 1)}
+    rnk = load_ranks(args.table)
+    averages = "reported" if rnk.printed_avg is not None else "exact"
+    stats = friedman(rnk, averages=averages).as_report()
 
     if args.format == "structured":
         sys.stdout.write(emit_report(stats))
@@ -403,11 +355,12 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return 2
-    except (ParseError, ContractError, DomainError) as exc:
+    except (ParseError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # every failed read is a ParseError, so this is a failed write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: ContractError/ParseError -> 2,
-NumericError -> 3, InfeasibleError -> 4.
+NumericError -> 3, InfeasibleError -> 4. Every failed read is a
+ParseError; any other OSError is a failed write (a report, checkpoint,
+plan or sweep directory) and also exits 2, as does a MemoryError.
 """
 
 
@@ -30,6 +32,3 @@ class ParseError(ValueError):
         super().__init__(message)
         self.line = line
 
-
-class DomainError(ValueError):
-    """A statistic is undefined for the given inputs."""

@@ -16,12 +16,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError, ParseError
+from .errors import ContractError, DimensionError, ParseError
 from .textio import records
 
 # Printed per-method averages are rounded to one decimal, so they may
 # sit up to 0.05 away from the mean of the printed ranks.
 _PRINTED_AVG_TOL = 0.055
+
+
+def _method_grid(methods, tasks, grid, noun):
+    """The checks both tables share: names as strings and a finite
+    float64 grid of one row per distinct method and one column per task."""
+    methods, tasks = [str(m) for m in methods], [str(t) for t in tasks]
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 2:
+        raise DimensionError(f"{noun} grid must be 2-D")
+    m, n = grid.shape
+    if m != len(methods) or n != len(tasks):
+        raise DimensionError(
+            f"{noun} grid {m}x{n} does not match {len(methods)} methods "
+            f"x {len(tasks)} tasks"
+        )
+    if m < 2:
+        raise ContractError("need at least two methods to compare")
+    if n < 1:
+        raise ContractError("need at least one task")
+    if len(set(methods)) != m:
+        raise ContractError("duplicate method name")
+    if not np.all(np.isfinite(grid)):
+        raise ContractError(f"{noun} values must be finite")
+    return methods, tasks, grid
 
 
 @dataclass
@@ -33,25 +57,8 @@ class AccuracyTable:
     values: np.ndarray
 
     def __post_init__(self):
-        self.methods = [str(m) for m in self.methods]
-        self.tasks = [str(t) for t in self.tasks]
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DimensionError("accuracy values must be 2-D")
-        m, n = self.values.shape
-        if m != len(self.methods) or n != len(self.tasks):
-            raise DimensionError(
-                f"value grid {m}x{n} does not match {len(self.methods)} methods "
-                f"x {len(self.tasks)} tasks"
-            )
-        if m < 2:
-            raise ContractError("need at least two methods to compare")
-        if n < 1:
-            raise ContractError("need at least one task")
-        if len(set(self.methods)) != m:
-            raise ContractError("duplicate method name")
-        if not np.all(np.isfinite(self.values)):
-            raise ContractError("accuracy values must be finite")
+        self.methods, self.tasks, self.values = _method_grid(
+            self.methods, self.tasks, self.values, "accuracy")
         if self.values.min() < 0.0 or self.values.max() > 100.0:
             raise ContractError("accuracies are percentages in [0, 100]")
 
@@ -71,20 +78,9 @@ class RankTable:
     printed_avg: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        self.methods = [str(m) for m in self.methods]
-        self.tasks = [str(t) for t in self.tasks]
-        self.ranks = np.asarray(self.ranks, dtype=np.float64)
-        if self.ranks.ndim != 2:
-            raise DimensionError("rank grid must be 2-D")
-        m, n = self.ranks.shape
-        if m != len(self.methods) or n != len(self.tasks):
-            raise DimensionError("rank grid does not match method/task counts")
-        if m < 2:
-            raise ContractError("need at least two methods to rank")
-        if len(set(self.methods)) != m:
-            raise ContractError("duplicate method name")
-        if not np.all(np.isfinite(self.ranks)):
-            raise ContractError("ranks must be finite")
+        self.methods, self.tasks, self.ranks = _method_grid(
+            self.methods, self.tasks, self.ranks, "rank")
+        m = len(self.methods)
         if self.ranks.min() < 1.0 or self.ranks.max() > m:
             raise ContractError(f"ranks must lie in [1, {m}]")
         if self.printed_avg is not None:
@@ -101,14 +97,6 @@ class RankTable:
     def avg_ranks(self):
         """Mean rank of each method across tasks."""
         return self.ranks.mean(axis=1)
-
-    @property
-    def num_methods(self):
-        return self.ranks.shape[0]
-
-    @property
-    def num_tasks(self):
-        return self.ranks.shape[1]
 
 
 @dataclass
@@ -153,16 +141,17 @@ class BoundInputs:
 
 @dataclass
 class FriedmanResult:
-    """Friedman rank statistics with the derived F form."""
+    """Friedman rank statistics with the derived F form; ``f_stat`` is
+    None where F is undefined."""
 
     chi2: float
-    f_stat: float
+    f_stat: float | None
     dof: tuple
 
     def as_report(self):
         return {
             "chi2": float(self.chi2),
-            "f_stat": float(self.f_stat),
+            "f_stat": None if self.f_stat is None else float(self.f_stat),
             "dof_between": int(self.dof[0]),
             "dof_residual": int(self.dof[1]),
         }
@@ -238,9 +227,8 @@ def friedman(ranks, averages="exact"):
     Returns the chi-square form, the Iman-Davenport F form, and the F
     degrees of freedom (m - 1, (m - 1)(n - 1)). A rank grid where every
     task agrees exactly saturates the statistic and makes the F form's
-    denominator vanish; that degenerate case raises DomainError (with
-    the chi-square value attached as its ``chi2`` attribute) rather
-    than returning an infinity.
+    denominator vanish; there ``f_stat`` is None rather than an
+    infinity, and the chi-square form is still returned.
 
     ``averages`` selects the per-method average ranks fed into the
     statistic: "exact" uses the mean of the rank grid, "reported" uses
@@ -254,8 +242,7 @@ def friedman(ranks, averages="exact"):
         raise ContractError("friedman expects a RankTable")
     if averages not in ("exact", "reported"):
         raise ContractError("averages must be 'exact' or 'reported'")
-    m = ranks.num_methods
-    n = ranks.num_tasks
+    m, n = ranks.ranks.shape
     if averages == "reported":
         if ranks.printed_avg is None:
             raise ContractError("rank table carries no reported average column")
@@ -265,13 +252,7 @@ def friedman(ranks, averages="exact"):
     ssq = float(np.sum(rj * rj))
     chi2 = 12.0 * n / (m * (m + 1.0)) * (ssq - m * (m + 1.0) ** 2 / 4.0)
     denom = n * (m - 1.0) - chi2
-    if denom <= 1e-12:
-        err = DomainError(
-            "rankings agree perfectly across tasks; the F statistic is undefined"
-        )
-        err.chi2 = chi2
-        raise err
-    f_stat = (n - 1.0) * chi2 / denom
+    f_stat = (n - 1.0) * chi2 / denom if denom > 1e-12 else None
     return FriedmanResult(chi2=chi2, f_stat=f_stat, dof=(m - 1, (m - 1) * (n - 1)))
 
 
@@ -323,76 +304,41 @@ def _split_table_line(line):
     return [cell.strip() for cell in line.split(sep)]
 
 
-def _read_table_rows(path):
+def load_ranks(path):
+    """Read a delimited benchmark table as a RankTable.
+
+    The header names the method column, then the tasks. A header that
+    ends in ``avg_rank`` marks a rank table: its cells are ranks, and
+    the last column is kept as the externally reported per-method
+    average. Any other table holds percent accuracies, which are ranked
+    per task with :func:`competition_ranks`.
+    """
     rows = [(lineno, _split_table_line(line)) for lineno, line in records(path)]
     if len(rows) < 2:
         raise ParseError("table needs a header row and at least one data row")
-    return rows
-
-
-def load_accuracy_table(path):
-    """Read a delimited accuracy table: header of task names, then one
-    method per row with its per-task percentages."""
-    rows = _read_table_rows(path)
-    header_no, header = rows[0]
-    if len(header) < 2:
-        raise ParseError("header must name at least one task", line=header_no)
-    tasks = header[1:]
-    methods, values = [], []
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(cells)}", line=lineno
-            )
-        methods.append(cells[0])
-        try:
-            values.append([float(c) for c in cells[1:]])
-        except ValueError:
-            raise ParseError("non-numeric accuracy cell", line=lineno)
-    try:
-        return AccuracyTable(methods, tasks, np.array(values))
-    except (ContractError, DimensionError) as exc:
-        raise ParseError(str(exc))
-
-
-def load_rank_table(path):
-    """Read a delimited rank table.
-
-    A final ``avg_rank`` column, when present, is stored as the
-    externally reported per-method average instead of a task.
-    """
-    rows = _read_table_rows(path)
-    header_no, header = rows[0]
-    if len(header) < 2:
-        raise ParseError("header must name at least one task", line=header_no)
-    has_avg = header[-1] == "avg_rank"
-    tasks = header[1:-1] if has_avg else header[1:]
+    (header_no, header), body = rows[0], rows[1:]
+    ranked = header[-1] == "avg_rank"
+    tasks = header[1:-1] if ranked else header[1:]
     if not tasks:
-        raise ParseError("rank table has no task columns", line=header_no)
-    methods, grid, printed = [], [], []
-    for lineno, cells in rows[1:]:
+        raise ParseError("header must name at least one task", line=header_no)
+    methods, grid = [], []
+    for lineno, cells in body:
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} columns, got {len(cells)}", line=lineno
             )
         methods.append(cells[0])
         try:
-            nums = [float(c) for c in cells[1:]]
+            grid.append([float(c) for c in cells[1:]])
         except ValueError:
-            raise ParseError("non-numeric rank cell", line=lineno)
-        if has_avg:
-            grid.append(nums[:-1])
-            printed.append(nums[-1])
-        else:
-            grid.append(nums)
+            raise ParseError("non-numeric cell", line=lineno)
+    grid = np.array(grid)
     try:
-        return RankTable(
-            methods,
-            tasks,
-            np.array(grid),
-            printed_avg=np.array(printed) if has_avg else None,
-        )
-    except (ContractError, DimensionError) as exc:
+        if ranked:
+            return RankTable(methods, tasks, grid[:, :-1],
+                             printed_avg=grid[:, -1])
+        return competition_ranks(AccuracyTable(methods, tasks, grid))
+    except ContractError as exc:
         raise ParseError(str(exc))
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DimensionError, InfeasibleError, ParseError
-from .textio import records
+from .textio import read_rows
 
 _MASS_TOL = 1e-12
 _MARGINAL_TOL = 1e-9
@@ -394,25 +394,9 @@ def containment_check(source, target, beta):
 
 def load_measure(path):
     """Read a measure from delimited text: one atom per line,
-    ``weight,coord1[,coord2,...]``. Blank lines and # comments skipped."""
-    rows = []
-    for lineno, line in records(path):
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise ParseError("expected weight,coord1[,coord2,...]", line=lineno)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
-        if rows and len(values) != len(rows[0]):
-            raise ParseError(
-                f"expected {len(rows[0])} fields, got {len(values)}", line=lineno
-            )
-        rows.append(values)
-    if not rows:
-        raise ContractError(f"no atoms in measure file {path}")
-    arr = np.array(rows)
-    weights = arr[:, 0]
-    atoms = arr[:, 1] if arr.shape[1] == 2 else arr[:, 1:]
-    return DiscreteMeasure(atoms, weights)
-
+    ``weight,coord1[,coord2,...]``, through :func:`textio.read_rows`."""
+    rows = read_rows(path)
+    if rows.shape[1] < 2:
+        raise ParseError(f"{path}: expected weight,coord1[,coord2,...]")
+    atoms = rows[:, 1] if rows.shape[1] == 2 else rows[:, 1:]
+    return DiscreteMeasure(atoms, rows[:, 0])

@@ -460,21 +460,16 @@ def train(config):
 
 
 def run_experiment(config, report_path=None, checkpoint_path=None):
-    """Train and return the report, optionally persisting artifacts."""
+    """Train and return the report, optionally persisting artifacts.
+
+    A failed write raises its OSError, which names the path."""
     state, report = train(config)
     if checkpoint_path is not None:
         nets = {"phi": state.phi, "psi": state.psi,
                 "critic": state.critic, "scorer": state.scorer}
-        try:
-            save_checkpoint(checkpoint_path, collect_params(nets))
-        except OSError as exc:
-            raise ContractError(
-                f"cannot write checkpoint to {checkpoint_path}: {exc}")
+        save_checkpoint(checkpoint_path, collect_params(nets))
     if report_path is not None:
-        try:
-            emit_report(report, report_path)
-        except OSError as exc:
-            raise ContractError(f"cannot write report to {report_path}: {exc}")
+        emit_report(report, report_path)
     return report
 
 

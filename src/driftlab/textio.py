@@ -2,19 +2,24 @@
 
 Every input format is ASCII text read line by line, in which blank
 lines and lines starting with ``#`` carry nothing. :func:`records`
-yields the other lines with their line numbers and turns undecodable or
-unreadable paths into :class:`ParseError`; a missing file still raises
-``FileNotFoundError``, which the CLI reports by name. :func:`read_fields`
-builds a dataclass from ``key=value`` lines through :func:`coerce_field`,
-which also serves the CLI's ``--set`` overrides.
+yields the other lines with their line numbers and turns missing,
+undecodable or unreadable paths into :class:`ParseError`, so every
+failed read is a ParseError that names its path or line.
+:func:`read_rows` reads comma-separated number rows (measure and
+feature files). :func:`read_fields` builds a dataclass from
+``key=value`` lines through :func:`coerce_field`, which also serves the
+CLI's ``--set`` overrides.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import MISSING, fields
 
-from .errors import ParseError
+import numpy as np
+
+from .errors import ContractError, ParseError
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
@@ -35,10 +40,33 @@ def records(path):
                 line = raw.strip()
                 if line and not line.startswith("#"):
                     yield lineno, line
-    except FileNotFoundError:
-        raise
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def read_rows(path):
+    """Read rows of comma-separated finite numbers, all of one width, as
+    a 2-D float64 array.
+
+    A non-numeric or non-finite field or a row of another width raises
+    ParseError naming its line; a file without rows raises ContractError
+    naming the path.
+    """
+    rows = []
+    for lineno, line in records(path):
+        try:
+            values = [float(p) for p in line.split(",")]
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite value in {line!r}", line=lineno)
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} fields, got {len(values)}",
+                             line=lineno)
+        rows.append(values)
+    if not rows:
+        raise ContractError(f"no rows in {path}")
+    return np.array(rows)
 
 
 def coerce_field(cls, assignment):

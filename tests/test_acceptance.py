@@ -40,7 +40,7 @@ from driftlab.evalstats import (
     bayes_bound,
     emit_report,
     friedman,
-    load_rank_table,
+    load_ranks,
 )
 from driftlab.model import cross_entropy_loss, regularizer
 from driftlab.ot import (
@@ -77,7 +77,7 @@ PUBLISHED_STATS = {
 def test_criterion_1_rank_statistics_reproduction():
     t0 = time.perf_counter()
     for name, (chi2, f_stat, dof) in PUBLISHED_STATS.items():
-        rnk = load_rank_table(FIXTURES / f"{name}_ranks.csv")
+        rnk = load_ranks(FIXTURES / f"{name}_ranks.csv")
         fr = friedman(rnk, averages="reported")
         assert fr.chi2 == pytest.approx(chi2, abs=1.0), name
         assert fr.f_stat == pytest.approx(f_stat, abs=0.5), name

@@ -199,7 +199,7 @@ class TestOt:
                              str(bad), flag)
         assert code == 2
         assert out == ""
-        assert "finite" in err
+        assert err.startswith("error: line 4: ") and "finite" in err
 
     @pytest.mark.parametrize("target", ["0.5,1e308,9e307\n0.5,1e308,1e308\n",
                                         "0.5,1.0,2.0\n0.5,2.0,1.0\n"],
@@ -544,6 +544,56 @@ def test_unreadable_input_exits_2(capsys, tmp_path, command, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["ot", "cmi-features"])
+def test_empty_input_names_path(capsys, tmp_path, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# comments and blank lines only\n\n")
+    code, out, err = run(capsys, *READERS[command](str(empty)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(empty) in err
+
+
+# ---------------------------------------------------------------------
+# unwritable outputs
+# ---------------------------------------------------------------------
+
+# Each output flag with the command line it is appended to. The
+# checkpoint is written before the report, so a failed checkpoint
+# leaves the report path untouched.
+TOY_TRAIN = ["--config", str(FIXTURES / "train" / "toy.cfg"),
+             "--set", "epochs=0", "--set", "n_per_domain=8"]
+WRITERS = {
+    "--report": lambda tmp: ["train", *TOY_TRAIN],
+    "--checkpoint": lambda tmp: ["train", *TOY_TRAIN,
+                                 "--report", str(tmp / "report.json")],
+    "--plan": lambda tmp: ["ot", str(OT / "uniform4.csv"),
+                           str(OT / "violating4.csv")],
+    "--out-dir": lambda tmp: ["sweep", *TOY_TRAIN, "--values", "0.2,0.5"],
+}
+# A file path fails on a directory, under a regular file and under a
+# missing directory; a directory path (--out-dir) fails on a regular
+# file and under one, and its missing parents are made.
+UNWRITABLE = [(flag, where) for flag in sorted(WRITERS)
+              for where in (("file", "under-file") if flag == "--out-dir"
+                            else ("directory", "under-file", "missing-parent"))]
+
+
+@pytest.mark.parametrize("flag,where", UNWRITABLE)
+def test_unwritable_output_exits_2(capsys, tmp_path, flag, where):
+    regular = tmp_path / "regular.txt"
+    regular.write_text("")
+    target = {"directory": tmp_path, "file": regular,
+              "under-file": regular / "out",
+              "missing-parent": tmp_path / "no_such_dir" / "out"}[where]
+    argv = [*WRITERS[flag](tmp_path), flag, str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------
 # parser-level behavior
 # ---------------------------------------------------------------------
@@ -572,7 +622,9 @@ FREE_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig)
 # Valid inputs of each kind; the fuzzer corrupts some of their fields.
 TEMPLATES = {
     "config": FIXTURES / "train" / "toy.cfg",
+    # measures of two widths: 3-D atoms and 1-D atoms
     "measure": OT / "nested_a.csv",
+    "scalar_measure": OT / "uniform4.csv",
     "joint": CMI / "ln2.csv",
     "features": OT / "nested_b.csv",
     "table": FIXTURES / "toy_two_methods.csv",
@@ -634,7 +686,8 @@ def fuzz_argv(draw, command, a, b, report):
         argv = ["sweep", "--config", a, "--field", swept, "--values", values,
                 *overrides(swept), *tiny]
     elif command == "ot":
-        kinds = ("measure", "measure")
+        kinds = tuple(draw(st.sampled_from(["measure", "scalar_measure"]))
+                      for _ in "ab")
         argv = ["ot", a, b, "--beta", value("0.4")]
         if draw(st.booleans()):
             argv.append("--nested")

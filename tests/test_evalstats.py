@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.errors import ContractError, DomainError, ParseError
+from driftlab.errors import ContractError, ParseError
 from driftlab.evalstats import (
     AccuracyTable,
     BoundInputs,
@@ -19,8 +19,7 @@ from driftlab.evalstats import (
     competition_ranks,
     emit_report,
     friedman,
-    load_accuracy_table,
-    load_rank_table,
+    load_ranks,
     threshold_th,
 )
 
@@ -183,23 +182,25 @@ class TestCompetitionRanks:
 class TestFixtures:
     def test_fixture_grids_match_recomputed_ranks(self):
         for name in PUBLISHED:
-            acc = load_accuracy_table(FIXTURES / f"{name}_accuracy.csv")
-            rnk = load_rank_table(FIXTURES / f"{name}_ranks.csv")
-            computed = competition_ranks(acc)
+            # an accuracy table loads already ranked per task
+            computed = load_ranks(FIXTURES / f"{name}_accuracy.csv")
+            rnk = load_ranks(FIXTURES / f"{name}_ranks.csv")
+            assert computed.printed_avg is None
+            assert rnk.printed_avg is not None
             lookup = {m: i for i, m in enumerate(rnk.methods)}
-            for i, method in enumerate(acc.methods):
+            for i, method in enumerate(computed.methods):
                 assert np.array_equal(
                     computed.ranks[i], rnk.ranks[lookup[method]]
                 ), f"{name}: rank row differs for {method}"
 
     def test_best_office31_method_leads(self):
-        rnk = load_rank_table(FIXTURES / "office31_ranks.csv")
+        rnk = load_ranks(FIXTURES / "office31_ranks.csv")
         best = rnk.methods[int(np.argmin(rnk.avg_ranks))]
         assert rnk.avg_ranks.min() == pytest.approx(8.0 / 7.0, abs=1e-12)
         assert rnk.printed_avg[rnk.methods.index(best)] == pytest.approx(1.1)
 
     def test_reported_route_reproduces_published_digits(self):
-        rnk = load_rank_table(FIXTURES / "digits_ranks.csv")
+        rnk = load_ranks(FIXTURES / "digits_ranks.csv")
         fr = friedman(rnk, averages="reported")
         assert fr.chi2 == pytest.approx(69.77, abs=0.01)
         assert fr.f_stat == pytest.approx(11.48, abs=0.01)
@@ -207,7 +208,7 @@ class TestFixtures:
 
     def test_exact_route_sits_near_reported_digits(self):
         # means of the printed ranks, before their one-decimal rounding
-        rnk = load_rank_table(FIXTURES / "digits_ranks.csv")
+        rnk = load_ranks(FIXTURES / "digits_ranks.csv")
         fr = friedman(rnk)
         assert fr.chi2 == pytest.approx(69.707, abs=0.01)
         assert fr.f_stat == pytest.approx(11.431, abs=0.01)
@@ -226,10 +227,11 @@ class TestFriedman:
 
     def test_perfect_agreement_is_degenerate(self):
         ranks = np.tile(np.array([[1.0], [2.0]]), (1, 6))
-        with pytest.raises(DomainError) as exc:
-            friedman(RankTable(["A", "B"], [f"t{i}" for i in range(6)], ranks))
+        fr = friedman(RankTable(["A", "B"], [f"t{i}" for i in range(6)], ranks))
+        assert fr.f_stat is None
         # the chi-square form saturates at n * (m - 1) = 6
-        assert exc.value.chi2 == pytest.approx(6.0, abs=1e-12)
+        assert fr.chi2 == pytest.approx(6.0, abs=1e-12)
+        assert fr.as_report()["f_stat"] is None
 
     def test_method_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -311,12 +313,14 @@ class TestEmitReport:
 
 class TestTableIO:
     def test_accuracy_roundtrip(self, tmp_path):
+        # an accuracy table loads ranked per task
         t = table([[70.0, 80.5], [60.25, 90.0]], ["alpha", "beta"], ["t0", "t1"])
         path = tmp_path / "acc.csv"
         path.write_text("method,t0,t1\nalpha,70.0,80.5\nbeta,60.25,90.0\n")
-        back = load_accuracy_table(path)
+        back = load_ranks(path)
         assert back.methods == t.methods and back.tasks == t.tasks
-        assert np.array_equal(back.values, t.values)
+        assert np.array_equal(back.ranks, competition_ranks(t).ranks)
+        assert back.printed_avg is None
 
     def test_rank_roundtrip_keeps_reported_column(self, tmp_path):
         ranks = RankTable(["a", "b"], ["t0", "t1"],
@@ -324,45 +328,71 @@ class TestTableIO:
                           printed_avg=np.array([1.5, 1.5]))
         path = tmp_path / "ranks.csv"
         path.write_text("method,t0,t1,avg_rank\na,1,2,1.5\nb,2,1,1.5\n")
-        back = load_rank_table(path)
+        back = load_ranks(path)
+        assert back.tasks == ["t0", "t1"]
         assert back.printed_avg is not None
         assert np.allclose(back.printed_avg, [1.5, 1.5])
         assert np.array_equal(back.ranks, ranks.ranks)
 
+    def test_kind_is_set_by_the_avg_rank_header(self, tmp_path):
+        # the same cells read as ranks under an avg_rank header and as
+        # accuracies (higher is better) without one
+        ranked, scored = tmp_path / "ranked.csv", tmp_path / "scored.csv"
+        ranked.write_text("method,t0,avg_rank\na,1,1\nb,2,2\n")
+        scored.write_text("method,t0,t1\na,1,1\nb,2,2\n")
+        assert np.array_equal(load_ranks(ranked).ranks, [[1.0], [2.0]])
+        assert np.array_equal(load_ranks(scored).ranks,
+                              [[2.0, 2.0], [1.0, 1.0]])
+
     def test_tab_delimited_accepted(self, tmp_path):
-        path = tmp_path / "acc.tsv"
-        path.write_text("method\tt0\tt1\nalpha\t70\t80\nbeta\t90\t60\n")
-        t = load_accuracy_table(path)
-        assert t.values[1, 0] == 90.0
+        path = tmp_path / "table.tsv"
+        for text in ("method\tt0\tt1\nalpha\t70\t80\nbeta\t90\t60\n",
+                     "method\tt0\tt1\tavg_rank\n"
+                     "alpha\t2\t1\t1.5\nbeta\t1\t2\t1.5\n"):
+            path.write_text(text)
+            t = load_ranks(path)
+            assert t.tasks == ["t0", "t1"]
+            assert np.array_equal(t.ranks, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("method,t0,t1\nalpha,70,80\nbeta,90\n")
-        with pytest.raises(ParseError, match="line 3"):
-            load_accuracy_table(path)
+        for text in ("method,t0,t1\nalpha,70,80\nbeta,90\n",
+                     "method,t0,t1,avg_rank\nalpha,1,2,1.5\nbeta,2\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="line 3"):
+                load_ranks(path)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("method,t0\nalpha,70\nbeta,oops\n")
-        with pytest.raises(ParseError, match="line 3"):
-            load_accuracy_table(path)
+        for text in ("method,t0\nalpha,70\nbeta,oops\n",
+                     "method,t0,avg_rank\nalpha,1,1\nbeta,2,oops\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="line 3"):
+                load_ranks(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("method,t0\n")
-        with pytest.raises(ParseError):
-            load_accuracy_table(path)
+        for text in ("method,t0\n", "method,avg_rank\n",
+                     # no task column
+                     "method\na\nb\n", "method,avg_rank\na,1\nb,2\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                load_ranks(path)
 
     def test_out_of_range_value_wrapped(self, tmp_path):
         path = tmp_path / "over.csv"
-        path.write_text("method,t0\nalpha,70\nbeta,101\n")
-        with pytest.raises(ParseError):
-            load_accuracy_table(path)
+        for text in ("method,t0\nalpha,70\nbeta,101\n",
+                     "method,t0,avg_rank\na,1,1\nb,3,3\n",
+                     # a reported average that the ranks do not give
+                     "method,t0,avg_rank\na,1,1.5\nb,2,2\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                load_ranks(path)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "acc.csv"
         path.write_text("# comment\nmethod,t0\n\nalpha,70\nbeta,60\n")
-        t = load_accuracy_table(path)
+        t = load_ranks(path)
         assert t.methods == ["alpha", "beta"]
 
 

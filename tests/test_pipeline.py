@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tensorcore_reference as ref
 from oracles import load_checkpoint
+from driftlab.cli import main
 from driftlab.cmi import BilinearScorer, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
 from driftlab.dualcritic import Critic, dual_objective, measure_normalize
@@ -494,10 +495,18 @@ class TestRunExperiment:
         rep = run_experiment(tiny_config(epochs=0), report_path=path)
         assert emit_report(rep) == path.read_text()
 
-    def test_report_io_failure_names_path(self, tmp_path):
+    def test_report_io_failure_names_path(self, tmp_path, capsys):
         bad = tmp_path / "no_such_dir" / "report.json"
-        with pytest.raises(ContractError, match="no_such_dir"):
+        with pytest.raises(OSError, match="no_such_dir"):
             run_experiment(tiny_config(epochs=0), report_path=str(bad))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in
+                               {**TINY, "epochs": 0}.items()))
+        code = main(["train", "--config", str(cfg), "--report", str(bad)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "no_such_dir" in err
 
     def test_checkpoint_roundtrip(self, tmp_path):
         path = tmp_path / "final.ckpt"
