@@ -354,7 +354,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args)
+        # numeric failures raise NumericError; numpy's warnings would repeat them
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ParseError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

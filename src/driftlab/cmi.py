@@ -360,12 +360,12 @@ def contrastive_from_features(Zs, Zt):
     )
 
 
-def sample_contrastive(joint, n_samples, k, seed, chunk=None):
+def sample_contrastive(joint, n_samples, k, seed, chunk):
     """Draw contrastive batches from a discrete joint.
 
     Anchors are (x_s, x_t, z) triples from the joint; the k-1 negatives
     are fresh draws from P(x_t | z) at the anchor's z. Returns a list of
-    ContrastiveBatch chunks so large runs stay within memory.
+    ContrastiveBatch chunks of up to ``chunk`` samples, to bound memory.
     """
     if k < 1:
         raise ContractError("need k >= 1 candidates")
@@ -402,8 +402,6 @@ def sample_contrastive(joint, n_samples, k, seed, chunk=None):
                                         side="right").reshape(m, k - 1)
     candidates = np.concatenate([xt[:, None], neg], axis=1)
 
-    if chunk is None:
-        chunk = n_samples
     batches = []
     for start in range(0, n_samples, chunk):
         sl = slice(start, min(start + chunk, n_samples))
@@ -437,7 +435,10 @@ def load_joint(path):
     a = max(c[0] for c in cells) + 1
     b = max(c[1] for c in cells) + 1
     cc = max(c[2] for c in cells) + 1
-    table = np.zeros((a, b, cc))
+    try:
+        table = np.zeros((a, b, cc))
+    except ValueError as exc:  # more bytes than any address space holds
+        raise ContractError(f"joint too large to allocate: {exc}")
     for i, j, v, p in cells:
         table[i, j, v] += p
     return DiscreteJoint(table)

@@ -97,11 +97,21 @@ def _rotation(deg):
     return np.array([[c, -s], [s, c]])
 
 
+# Rejection rounds in a row that may accept no point. Past about
+# noise_sigma=1e18 the moons round onto each other, distances tie and
+# ties go to class 0. A 16-point round draws class 1 with chance 1e-3
+# at 1e18, where the cap stops a wait that would end with chance e^-9.6.
+_MAX_EMPTY_ROUNDS = 10_000
+
+
 def _sample_moon_class(rng, cls, count, noise_sigma):
     """Rejection-sample noisy points whose rule label equals ``cls``."""
     accepted = []
-    have = 0
+    have = empty = 0
     while have < count:
+        if empty == _MAX_EMPTY_ROUNDS:
+            raise ContractError(f"noise_sigma={noise_sigma!r} is too large: {empty} "
+                                f"rejection rounds in a row drew no class-{cls} point")
         draw = max(count - have, 8) * 2
         t = rng.uniform((draw,)) * np.pi
         base = np.column_stack([np.cos(t), np.sin(t)])
@@ -112,6 +122,7 @@ def _sample_moon_class(rng, cls, count, noise_sigma):
         pts = pts[keep]
         accepted.append(pts)
         have += pts.shape[0]
+        empty = 0 if pts.shape[0] else empty + 1
     return np.concatenate(accepted)[:count]
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .tensorcore import (
     MLP,
-    OptimState,
     add,
     as_tensor,
     backward,
@@ -188,7 +187,7 @@ def training_objective_and_grads(critic, zs, zt):
 # training
 # ---------------------------------------------------------------------
 
-def train_critic(critic, Zs, Zt, steps, optim=None):
+def train_critic(critic, Zs, Zt, steps, optim):
     """Ascend the penalized dual objective for `steps` full-batch steps.
 
     steps=0 leaves the critic untouched. Divergence raises a numeric
@@ -202,8 +201,6 @@ def train_critic(critic, Zs, Zt, steps, optim=None):
     ft = _features(Zt)
     if np.any(fs < 0) or np.any(ft < 0):
         raise ContractError("critic training expects measure-normalized features")
-    if optim is None:
-        optim = OptimState(critic.parameters(), lr=1e-3)
     for k in range(steps):
         try:
             _, grads = training_objective_and_grads(critic, fs, ft)

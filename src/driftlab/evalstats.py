@@ -185,8 +185,6 @@ def bayes_bound(inputs):
     is added to the last term. The unified bound keeps the smallest of
     the four individual values, so it is never looser than any of them.
     """
-    if not isinstance(inputs, BoundInputs):
-        inputs = BoundInputs(**inputs)
     h = inputs.label_entropy
     terms = {
         "source_specific": inputs.source_specific_info,

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ContractError
 from .tensorcore import (
+    add,
     constant,
     logsumexp,
     mul,
@@ -59,31 +60,21 @@ def cross_entropy_loss(psi, features, labels):
 
 
 def regularizer(networks, alpha):
-    """alpha times half the squared L2 norm of all weight matrices
-    (biases excluded); a scalar Tensor."""
+    """alpha times half the squared L2 norm of the weight matrices of
+    every network in the list (biases excluded); a scalar Tensor."""
     if alpha < 0:
         raise ContractError("alpha must be nonnegative")
-    if not isinstance(networks, (list, tuple)):
-        networks = [networks]
     total = constant(0.0)
     for net in networks:
         for w in net.weights():
-            total = total + tsum(square(w))
+            total = add(total, tsum(square(w)))
     return mul(total, constant(0.5 * alpha))
 
 
 def predict(psi, features):
-    """Class labels and softmax probabilities for extracted features.
-
-    Ties in the argmax resolve to the lowest class index. Probability
-    rows sum to 1 within 1e-9.
-    """
-    logits = psi.forward(features).value
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    labels = np.argmax(logits, axis=1)
-    return labels, probs
+    """Class labels for extracted features; ties in the argmax resolve
+    to the lowest class index."""
+    return np.argmax(psi.forward(features).value, axis=1)
 
 
 # ---------------------------------------------------------------------

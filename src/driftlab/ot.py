@@ -24,17 +24,17 @@ import numpy as np
 from .errors import ContractError, DimensionError, InfeasibleError, ParseError
 from .textio import read_rows
 
-_MASS_TOL = 1e-12
 _MARGINAL_TOL = 1e-9
 
 
 @dataclass
 class DiscreteMeasure:
-    """Weighted point set: ``atoms`` (n,) scalars or (n, d) vectors, ``weights`` (n,)."""
+    """Weighted point set: ``atoms`` (n,) scalars or (n, d) vectors,
+    ``weights`` (n,); ``total_mass`` is the weights' sum."""
 
     atoms: np.ndarray
     weights: np.ndarray
-    total_mass: float = None
+    total_mass: float = field(init=False)
 
     def __post_init__(self):
         self.atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -49,15 +49,9 @@ class DiscreteMeasure:
         if np.any(self.weights < 0):
             raise ContractError("negative weight")
         with np.errstate(over="ignore"):
-            s = float(self.weights.sum())
-        if not np.isfinite(s):
+            self.total_mass = float(self.weights.sum())
+        if not np.isfinite(self.total_mass):
             raise ContractError("weights overflow: their total mass is not finite")
-        if self.total_mass is None:
-            self.total_mass = s
-        elif abs(s - self.total_mass) > _MASS_TOL * max(1.0, abs(self.total_mass)):
-            raise ContractError(
-                f"weights sum to {s}, declared total mass {self.total_mass}"
-            )
 
     def __len__(self):
         return self.weights.shape[0]

@@ -19,6 +19,8 @@ Design notes
   would give it. The nodes skipped are those whose gradients nobody
   asked for (the helper networks' weights and the constants in the
   descent step), so a vjp off those paths can no longer raise either.
+* Graphs are built by calling the primitives (``add``, ``mul``, ...);
+  ``Tensor`` overloads no arithmetic operator.
 * vjp closures are written in terms of Tensor operations, so a gradient
   is itself a differentiable graph. Passing ``build_graph=True`` to
   :func:`backward` therefore supports second derivatives, which the
@@ -78,11 +80,6 @@ _FINITE_PRESERVING = frozenset(
 )
 
 
-def _as_array(x):
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation.
 
@@ -94,7 +91,7 @@ class Tensor:
     __slots__ = ("value", "parents", "op", "name")
 
     def __init__(self, value, parents=(), op="leaf", name=None):
-        self.value = _as_array(value)
+        self.value = np.asarray(value, dtype=np.float64)
         if op not in _FINITE_PRESERVING and not np.isfinite(self.value).all():
             raise NumericError(f"non-finite values produced by op '{op}'")
         self.parents = tuple(parents)
@@ -107,37 +104,6 @@ class Tensor:
 
     def item(self):
         return float(self.value)
-
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
@@ -278,10 +244,9 @@ def broadcast(a, shape):
     )
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a):
     a = as_tensor(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return div(tsum(a, axis=axis, keepdims=keepdims), float(n))
+    return div(tsum(a), float(a.value.size))
 
 
 def exp(a):
@@ -340,8 +305,8 @@ def leaky_relu(a):
     )
 
 
-def logsumexp(a, axis, keepdims=False):
-    """Stable log-sum-exp along ``axis``.
+def logsumexp(a, axis):
+    """Stable log-sum-exp along ``axis``, which is reduced away.
 
     The row max is subtracted as a constant; the value and every
     derivative are unaffected by that choice of shift.
@@ -350,12 +315,9 @@ def logsumexp(a, axis, keepdims=False):
     m = np.max(a.value, axis=axis, keepdims=True)
     shifted = sub(a, constant(m))
     s = log(tsum(exp(shifted), axis=axis, keepdims=True))
-    out = add(s, constant(m))
-    if not keepdims:
-        newshape = list(a.value.shape)
-        del newshape[axis]
-        out = reshape(out, tuple(newshape))
-    return out
+    newshape = list(a.value.shape)
+    del newshape[axis]
+    return reshape(add(s, constant(m)), tuple(newshape))
 
 
 def select_rows(a, indices):
@@ -507,8 +469,7 @@ class SplitMix64:
 
     def spawn(self, salt):
         """Independent stream keyed by (seed, salt). Deterministic."""
-        z = SplitMix64(int(self.seed) ^ (0x9E3779B97F4A7C15 * (salt + 1) & 0xFFFFFFFFFFFFFFFF))
-        return z
+        return SplitMix64(int(self.seed) ^ (0x9E3779B97F4A7C15 * (salt + 1) & 0xFFFFFFFFFFFFFFFF))
 
 
 # ---------------------------------------------------------------------

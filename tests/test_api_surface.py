@@ -1,11 +1,15 @@
 """API-surface guard: every public top-level function and class in
-``src/driftlab/`` has a caller that is not a unit test.
+``src/driftlab/``, and every public method and property of those
+classes, has a caller that is not a unit test.
 
 A name counts as reached when code in ``src/driftlab/``, ``scripts/``,
 ``perfbench/`` or ``tests/test_acceptance.py`` names it outside its own
 definition: as a name, an attribute, an imported name, or a string
 constant (``perfbench/tracing.py`` wraps functions by attribute name).
-Code that only the unit tests reach gets a real caller or is deleted.
+A method's own definition is its body, so a call from another method
+of its class counts. Names are matched, not types: any attribute of a
+method's name reaches it. Code that only the unit tests reach gets a
+real caller or is deleted.
 """
 
 import ast
@@ -39,31 +43,69 @@ def _parse(path):
 
 
 def _public_definitions():
+    """``(path, scope)`` for each public top-level function and class,
+    scope ``(name,)``, and each public method or property of a public
+    class, scope ``(class, name)``."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in _parse(path).body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                yield path, stmt.name
+            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            yield path, (stmt.name,)
+            if isinstance(stmt, ast.ClassDef):
+                for node in stmt.body:
+                    if (isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("_")):
+                        yield path, (stmt.name, node.name)
 
 
-def _mentions_by_owner():
-    """``(path, owner) -> names``: owner is the top-level definition a
-    mention sits in, or None for module-level code."""
+def _scoped(stmt):
+    """``(scope, node)`` pairs covering a top-level statement: scope is
+    ``()`` for module-level code, ``(name,)`` for a function or the
+    parts of a class outside its methods, and ``(class, method)`` for a
+    method."""
+    if isinstance(stmt, ast.FunctionDef):
+        yield (stmt.name,), stmt
+    elif isinstance(stmt, ast.ClassDef):
+        for node in [*stmt.decorator_list, *stmt.bases, *stmt.keywords,
+                     *stmt.body]:
+            if isinstance(node, ast.FunctionDef):
+                yield (stmt.name, node.name), node
+            else:
+                yield (stmt.name,), node
+    else:
+        yield (), stmt
+
+
+def _mentions_by_scope():
+    """``(path, scope) -> names`` over every caller file."""
     out = {}
     for path in CALLER_FILES:
         for stmt in _parse(path).body:
-            owner = (stmt.name if isinstance(
-                stmt, (ast.FunctionDef, ast.ClassDef)) else None)
-            out.setdefault((path, owner), set()).update(_mentions(stmt))
+            for scope, node in _scoped(stmt):
+                out.setdefault((path, scope), set()).update(_mentions(node))
     return out
 
 
-def test_every_public_definition_has_a_caller_outside_the_unit_tests():
-    mentions = _mentions_by_owner()
-    unreached = [
-        f"{path.stem}.{name}"
-        for path, name in _public_definitions()
-        if not any(name in names for (where, owner), names in mentions.items()
-                   if (where, owner) != (path, name))
+def _unreached(methods):
+    """Public definitions (methods, or top-level names) that no mention
+    outside their own definition reaches. A top-level name's definition
+    is its whole function or class; a method's is its own body."""
+    mentions = _mentions_by_scope()
+    return [
+        f"{path.stem}.{'.'.join(scope)}"
+        for path, scope in _public_definitions()
+        if (len(scope) == 2) == methods
+        and not any(scope[-1] in names for (where, owner), names in mentions.items()
+                    if not (where == path and owner[:len(scope)] == scope))
     ]
+
+
+def test_every_public_definition_has_a_caller_outside_the_unit_tests():
+    unreached = _unreached(methods=False)
+    assert not unreached, "only unit tests reach: " + ", ".join(unreached)
+
+
+def test_every_public_method_has_a_caller_outside_the_unit_tests():
+    unreached = _unreached(methods=True)
     assert not unreached, "only unit tests reach: " + ", ".join(unreached)

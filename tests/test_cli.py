@@ -32,6 +32,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, timeout):
+    """The CLI in a fresh interpreter: its real stderr, and a timeout
+    that fails the test where a command would never end."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(driftlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from driftlab.cli import main; "
+         "sys.exit(main())", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env)
+
+
 # ---------------------------------------------------------------------
 # train / sweep
 # ---------------------------------------------------------------------
@@ -86,6 +97,20 @@ class TestTrain:
         assert code == 3
         assert "error:" in err
         assert "epoch 1, batch 1: encoder features: " in err
+
+    @pytest.mark.parametrize("sigma", ["1e100", "1e300"])
+    def test_oversized_noise_sigma_exits_2(self, tmp_path, sigma):
+        # Past about 1e18 the two moons round onto each other and no
+        # class-1 point is ever accepted. The draw once looped forever,
+        # so the CLI runs in a subprocess whose timeout fails the test.
+        proc = run_process("train", "--config", str(FIXTURES / "train" / "toy.cfg"),
+                           "--report", str(tmp_path / "r.json"),
+                           "--set", "epochs=0", "--set", "n_per_domain=8",
+                           "--set", f"noise_sigma={sigma}", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: noise_sigma=\S+ is too large: .*\n",
+                            proc.stderr)
 
     def test_toy_output_bytes_are_pinned(self, capsys, tmp_path):
         report, ckpt = tmp_path / "toy.json", tmp_path / "toy.ckpt"
@@ -280,12 +305,7 @@ class TestOt:
         src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
         src.write_text(self.LARGE_SOURCE)
         tgt.write_text(self.LARGE_TARGET)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(driftlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from driftlab.cli import main; "
-             "sys.exit(main())", "ot", str(src), str(tgt), "--beta", beta],
-            capture_output=True, text=True, timeout=60, env=env)
+        proc = run_process("ot", str(src), str(tgt), "--beta", beta, timeout=60)
         assert proc.returncode == 0, proc.stderr
         a, b = (np.loadtxt(path, delimiter=",") for path in (src, tgt))
         costs = np.linalg.norm(a[:, None, 1:] - b[None, :, 1:], axis=2)
@@ -350,6 +370,15 @@ class TestCmi:
         assert out == ""
         assert err.startswith("error: ") and "allocate" in err
 
+    def test_joint_too_large_to_allocate_exits_2(self, capsys, tmp_path):
+        # numpy refuses this shape with a ValueError, not a MemoryError
+        joint = tmp_path / "joint.csv"
+        joint.write_text(f"0,0,0,0.5\n{10 ** 15},{10 ** 15},1,0.5\n")
+        code, out, err = run(capsys, "cmi", "--joint", str(joint))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "allocate" in err
+
     def test_feature_mode(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
         src = tmp_path / "src.csv"
@@ -381,6 +410,29 @@ class TestCmi:
         assert "finite" in err
         if mode == "features":
             assert "line 2" in err
+
+    @pytest.mark.parametrize("huge, code, stdout", [
+        ("target", 3, ""),
+        ("source", 0, "cnce -0.001956345844\nse 0.01707876618\n"),
+    ])
+    def test_overflowing_features_print_no_warning(self, tmp_path, huge, code,
+                                                   stdout):
+        # A first value of 1e300 overflows the squared distances of the
+        # positive pairing and, as the anchor, the scorer's scores; numpy
+        # once warned about each on stderr.
+        files = {"source": OT / "nested_b.csv", "target": OT / "nested_b.csv"}
+        text = files[huge].read_text()
+        files[huge] = tmp_path / "huge.csv"
+        files[huge].write_text("1e300" + text[text.index(","):])
+        proc = run_process("cmi", "--source", str(files["source"]),
+                           "--target", str(files["target"]),
+                           "--train-steps", "2", timeout=60)
+        assert proc.returncode == code
+        assert proc.stdout == stdout
+        if code:
+            assert re.fullmatch(r"error: .*objective not finite\n", proc.stderr)
+        else:
+            assert proc.stderr == ""
 
     def test_joint_and_features_conflict(self, capsys):
         code, _, _ = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
@@ -499,19 +551,13 @@ class TestBound:
         assert "label_entropy" in err
 
     def test_structured_matches_bayes_bound(self, capsys):
-        from driftlab.evalstats import bayes_bound
+        from driftlab.evalstats import BoundInputs, bayes_bound
         code, out, _ = run(capsys, "bound",
                            str(FIXTURES / "bound" / "equal_ln2.cfg"),
                            "--format", "structured")
         assert code == 0
-        want = bayes_bound({
-            "label_entropy": math.log(2),
-            "source_specific_info": math.log(2),
-            "target_specific_info": math.log(2),
-            "cross_info_given_source": math.log(2),
-            "cross_info_given_target": math.log(2),
-            "num_classes": 2,
-        })
+        h = math.log(2)
+        want = bayes_bound(BoundInputs(h, h, h, h, h, num_classes=2))
         assert json.loads(out) == want
 
 
@@ -613,7 +659,7 @@ class TestParser:
 # fuzzing: the exit-code contract holds for any file and flag value
 # ---------------------------------------------------------------------
 
-FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", str(10 ** 15))
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", str(10 ** 15), "1e300")
 # Fields a fuzzed train or sweep may set. A later --set of the same key
 # wins, so epochs and n_per_domain, which every fuzzed run pins last,
 # are left out, and each field is set at most once.
@@ -723,9 +769,21 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(command, data):
         for path, content in zip(paths, files):
             Path(path).write_bytes(content)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])
+    # Nothing on success; otherwise one error: line, which argparse
+    # precedes with its usage text when a flag does not parse.
+    lines = err.getvalue().split("\n")
+    if code == 0:
+        assert lines == [""], (argv, err.getvalue())
+    else:
+        assert lines[-1] == "" and "error: " in lines[-2], (argv, err.getvalue())
+        assert all(line.startswith(("usage: ", " ")) for line in lines[:-2]), (
+            argv, err.getvalue())
     non_finite = any(has_non_finite(x) for x in [*files, *map(str.encode, drawn)])
     assert not (code == 0 and non_finite), (argv, files, out.getvalue())

@@ -143,14 +143,14 @@ def test_optimal_scorer_converges_to_exact():
 
 def test_k1_returns_exact_zero():
     j = ln2_joint()
-    batches = sample_contrastive(j, 500, 1, seed=9)
+    batches = sample_contrastive(j, 500, 1, seed=9, chunk=500)
     assert cnce_estimate(optimal_scorer(j), batches) == 0.0
 
 
 def test_constant_scorer_is_zero():
     j = ln2_joint()
     for k in (2, 7, 64):
-        batches = sample_contrastive(j, 2000, k, seed=11)
+        batches = sample_contrastive(j, 2000, k, seed=11, chunk=2000)
         sc = TabularScorer(np.full((2, 2, 2), 1.3))
         assert cnce_estimate(sc, batches) == pytest.approx(0.0, abs=1e-9)
 
@@ -455,7 +455,7 @@ def test_estimate_below_logk_property(seed):
     rng = np.random.default_rng(seed)
     j = random_joint(rng, (2, 3, 2))
     k = int(rng.integers(2, 12))
-    batches = sample_contrastive(j, 200, k, seed=seed)
+    batches = sample_contrastive(j, 200, k, seed=seed, chunk=200)
     sc = TabularScorer(rng.normal(size=(2, 3, 2)))
     assert cnce_estimate(sc, batches) <= math.log(k)
 
@@ -469,7 +469,7 @@ def test_sampler_hits_only_supported_cells(seed):
     if t.sum() == 0:
         t[0, 0, 0] = 1.0
     j = DiscreteJoint(t / t.sum())
-    (batch,) = sample_contrastive(j, 300, 4, seed=seed)
+    (batch,) = sample_contrastive(j, 300, 4, seed=seed, chunk=300)
     for i in range(300):
         assert j.table[batch.sources[i], batch.anchors[i], batch.z[i]] > 0
 

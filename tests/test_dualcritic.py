@@ -163,7 +163,8 @@ def test_full_objective_gradient_matches_finite_differences():
 def test_zero_steps_leaves_parameters_untouched(batches):
     c = Critic(3, SplitMix64(9), hidden=(6,), lam=1.0, beta=0.3)
     before = [p.value.copy() for p in c.parameters()]
-    train_critic(c, *batches, steps=0)
+    train_critic(c, *batches, steps=0,
+                 optim=OptimState(c.parameters(), lr=1e-3))
     for p, b in zip(c.parameters(), before):
         assert np.array_equal(p.value, b)
 
@@ -196,7 +197,8 @@ def test_training_is_deterministic():
         S = measure_normalize(rng.normal((10, 3)))
         T = measure_normalize(rng.normal((10, 3)) + 1.0)
         c = Critic(3, rng.spawn(1), hidden=(6,), lam=2.0, beta=0.4)
-        train_critic(c, S, T, steps=15)
+        train_critic(c, S, T, steps=15,
+                     optim=OptimState(c.parameters(), lr=1e-3))
         return [p.value.copy() for p in c.parameters()]
 
     a, b = run(), run()
@@ -215,7 +217,8 @@ def test_divergence_reports_step_index(batches):
 def test_negative_steps_rejected(batches):
     c = Critic(3, SplitMix64(1), hidden=(4,), lam=1.0, beta=0.3)
     with pytest.raises(ContractError):
-        train_critic(c, *batches, steps=-1)
+        train_critic(c, *batches, steps=-1,
+                     optim=OptimState(c.parameters(), lr=1e-3))
 
 
 # ---------------------------------------------------------------------

@@ -108,16 +108,6 @@ class TestBayesBound:
         for key in ("source_specific", "target_specific", "cross_given_source"):
             assert shifted[key] == base[key]
 
-    def test_dict_input_accepted(self):
-        out = bayes_bound({
-            "label_entropy": math.log(2.0),
-            "source_specific_info": 0.0,
-            "target_specific_info": 0.0,
-            "cross_info_given_source": 0.0,
-            "cross_info_given_target": 0.0,
-        })
-        assert out["unified"] == pytest.approx(0.5, abs=1e-9)
-
     def test_validation(self):
         with pytest.raises(ContractError):
             BoundInputs(-1.0, 0.0, 0.0, 0.0, 0.0)

@@ -114,7 +114,7 @@ def _build_expr(x, y, choice):
     if choice == 3:
         return tc.tsum(tc.logsumexp(tc.mul(x, y), axis=1))
     if choice == 4:
-        return tc.tsum(tc.exp(-y) * tc.leaky_relu(x))
+        return tc.tsum(tc.mul(tc.exp(tc.mul(y, -1.0)), tc.leaky_relu(x)))
     if choice == 5:
         return tc.tmean(tc.div(x, y))
     return tc.tsum(tc.matmul(x, tc.transpose(y)))
