@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError, ParseError
+from .errors import ContractError, DimensionError, NumericError, ParseError, allocating
 from .tensorcore import (
     MLP,
     SplitMix64,
@@ -83,6 +83,8 @@ class ContrastiveBatch:
 
     def __post_init__(self):
         n = self.anchors.shape[0]
+        if n == 0:
+            raise ContractError("a contrastive batch needs at least one row")
         if self.sources.shape[0] != n or self.candidates.shape[0] != n:
             raise ContractError("batch fields disagree on row count")
         if self.candidates.shape[1] < 1:
@@ -183,7 +185,7 @@ class BilinearScorer:
     """
 
     def __init__(self, dim, rng, hidden=(32, 32, 32), name="scorer"):
-        self.net = MLP([dim, *hidden, dim], rng, head=None, name=name)
+        self.net = MLP([dim, *hidden, dim], rng, name=name)
 
     def parameters(self):
         return self.net.parameters()
@@ -305,14 +307,9 @@ def cnce_terms(scorer, batch):
     return (s[:, 0] - lse) + np.log(k)
 
 
-def cnce_estimate(scorer, batches):
-    """Monte-Carlo contrastive lower-bound estimate, pooled over batches."""
-    if not isinstance(batches, (list, tuple)):
-        batches = [batches]
-    if len(batches) == 0:
-        raise ContractError("no batches given")
-    pooled = np.concatenate([cnce_terms(scorer, b) for b in batches])
-    return float(pooled.mean())
+def cnce_estimate(scorer, batch):
+    """Monte-Carlo contrastive lower-bound estimate on one batch."""
+    return float(cnce_terms(scorer, batch).mean())
 
 
 # ---------------------------------------------------------------------
@@ -388,7 +385,8 @@ def sample_contrastive(joint, n_samples, k, seed, chunk):
             cond[v] = t[:, :, v].sum(axis=0) / pz[v]
     cond_cdf = np.cumsum(cond, axis=1)
 
-    neg = np.zeros((n_samples, k - 1), dtype=np.int64)
+    with allocating():
+        neg = np.zeros((n_samples, k - 1), dtype=np.int64)
     if k > 1:
         for v in range(c):
             mask = z == v
@@ -435,10 +433,8 @@ def load_joint(path):
     a = max(c[0] for c in cells) + 1
     b = max(c[1] for c in cells) + 1
     cc = max(c[2] for c in cells) + 1
-    try:
+    with allocating():
         table = np.zeros((a, b, cc))
-    except ValueError as exc:  # more bytes than any address space holds
-        raise ContractError(f"joint too large to allocate: {exc}")
     for i, j, v, p in cells:
         table[i, j, v] += p
     return DiscreteJoint(table)

@@ -4,9 +4,10 @@ A bounded critic f: R^M -> [0, 1] is trained to separate source from
 target feature batches under asymmetric weighting: constants do not
 cancel, so a critic stuck at 1 contributes exactly beta. The slope
 penalty anchors the critic's input gradients to the scale the nested
-ground metric implies, so training it needs second-order gradients:
-the tensorcore graph states them, and training runs a closed form that
-reproduces that graph bit for bit.
+ground metric implies. Its graph writes that input gradient out as
+ordinary nodes, so a first-order backward through it gives the weight
+gradients; training runs a closed form that reproduces that graph bit
+for bit.
 """
 
 from __future__ import annotations
@@ -18,24 +19,27 @@ from .tensorcore import (
     MLP,
     add,
     as_tensor,
-    backward,
+    backward,  # unused here; benchmark tracing and a test reach it by this name
     constant,
     div,
+    matmul,
     mlp_backward,
     mlp_forward,
     mul,
+    sigmoid,
     sigmoid_value,
     softplus,
     square,
     step,
     sub,
     tmean,
+    transpose,
     tsum,
 )
 
 
 class Critic:
-    """Bounded critic network with its penalty weight and relaxation."""
+    """Critic ``sigmoid(net.forward(z))`` with its penalty weight and relaxation."""
 
     def __init__(self, dim, rng, hidden=(32, 32, 32), lam=10.0, beta=0.4,
                  name="critic"):
@@ -43,7 +47,7 @@ class Critic:
             raise ContractError("penalty weight must be nonnegative")
         if not (0 < beta < 1):
             raise ContractError("beta must lie strictly between 0 and 1")
-        self.net = MLP([dim, *hidden, 1], rng, head="sigmoid", name=name)
+        self.net = MLP([dim, *hidden, 1], rng, name=name)
         self.lam = float(lam)
         self.beta = float(beta)
 
@@ -77,8 +81,8 @@ def measure_normalize_graph(z):
 
 def dual_objective_graph(critic, zs, zt):
     """mean f(source) - (1-beta) mean f(target), as a Tensor."""
-    fs = tmean(critic.net.forward(zs))
-    ft = tmean(critic.net.forward(zt))
+    fs = tmean(sigmoid(critic.net.forward(zs)))
+    ft = tmean(sigmoid(critic.net.forward(zt)))
     return sub(fs, mul(ft, constant(1.0 - critic.beta)))
 
 
@@ -89,16 +93,30 @@ def dual_objective(critic, Zs, Zt):
     return float(dual_objective_graph(critic, zs, zt).value)
 
 
+def _input_gradient_graph(critic, z):
+    """The critic's input gradients on the rows of a batch Tensor ``z``
+    as graph nodes, one per vjp of the forward pass: the sigmoid's
+    slope, then per layer, last first, the transposed weights and the
+    leaky-ReLU slopes that ``mlp_forward`` returns."""
+    _, _, masks = mlp_forward(critic.net, z.value)
+    s = sigmoid(critic.net.forward(z))
+    gz = mul(s, sub(1.0, s))
+    for i in range(len(critic.net.layers) - 1, -1, -1):
+        gz = matmul(gz, transpose(critic.net.layers[i].w))
+        if i:
+            gz = mul(gz, constant(masks[i - 1]))
+    return gz
+
+
 def gradient_penalty_graph(critic, z):
     """Slope penalty on one batch, differentiable in the critic weights.
 
     Per sample i and dimension j the term is
     ((df/dz_ij)^2 * z_ij - 1)^2, averaged over the batch and scaled by
-    lam/2. Rows pass through the network independently, so the gradient
-    of the summed output recovers every per-sample input gradient.
+    lam/2. The input gradient is itself a graph, so a first-order
+    backward through the penalty gives the weight gradients.
     """
-    out = critic.net.forward(z)
-    (gz,) = backward(tsum(out), wrt=[z], build_graph=True)
+    gz = _input_gradient_graph(critic, z)
     term = square(sub(mul(square(gz), z), constant(1.0)))
     return mul(tmean(term), constant(critic.lam / 2.0))
 
@@ -112,17 +130,17 @@ def training_objective_graph(critic, zs, zt):
 
 
 def _penalty_and_grads(critic, z, inputs, masks, s, slope):
-    """One batch's slope penalty, its gradient at the sigmoid head's
+    """One batch's slope penalty, its gradient at the critic's
     pre-activation, and the weight gradients of the input-gradient pass.
 
-    The graph builds the input gradient as a Tensor (the pass ``d``,
+    The graph builds the input gradient as Tensors (the pass ``d``,
     ``e`` below), squares it into the penalty, then backpropagates
     through that pass. Each line mirrors one vjp of that graph.
     """
     weights = [layer.w.value for layer in critic.net.layers]
     depth = len(weights)
     d = [None] * depth
-    g = slope  # ones * slope: the seed of the inner backward
+    g = slope
     for i in range(depth - 1, -1, -1):
         d[i] = g
         e = g @ weights[i].T

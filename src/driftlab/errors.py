@@ -6,6 +6,8 @@ ParseError; any other OSError is a failed write (a report, checkpoint,
 plan or sweep directory) and also exits 2, as does a MemoryError.
 """
 
+from contextlib import contextmanager
+
 
 class ContractError(ValueError):
     """A precondition on an operation or type invariant was violated."""
@@ -21,6 +23,17 @@ class NumericError(ArithmeticError):
 
 class InfeasibleError(ValueError):
     """A transport or flow problem has no feasible solution."""
+
+
+@contextmanager
+def allocating():
+    """Raise numpy's refusal of a size past its index range, a
+    ValueError, as the MemoryError that a size too large for memory
+    raises. Wrap allocations whose size comes from input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
 
 
 class ParseError(ValueError):

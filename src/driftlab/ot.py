@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, InfeasibleError, ParseError
 from .textio import read_rows
 
-_MARGINAL_TOL = 1e-9
+_MARGINAL_TOL = 1e-9  # mass slack; the mass checks scale it by max(1, mass)
 
 
 @dataclass
@@ -230,7 +230,7 @@ def min_cost_flow(supplies, demands, unit_costs):
     if np.any(unit_costs < 0):
         raise ContractError("unit costs must be nonnegative")
     total_demand = float(demands.sum())
-    if supplies.sum() < total_demand - 1e-9:
+    if supplies.sum() < total_demand - _MARGINAL_TOL * max(1.0, total_demand):
         raise InfeasibleError(
             f"violated cut: all supply rows saturate at {supplies.sum():.6g}, "
             f"below total demand {total_demand:.6g}"
@@ -255,7 +255,8 @@ def wasserstein_exact(mu, nu, cost, p=None):
         raise ContractError("p must be positive")
     if len(mu) == 0 or len(nu) == 0:
         raise ContractError("empty measure")
-    if abs(mu.total_mass - nu.total_mass) > 1e-9:
+    mass = max(1.0, mu.total_mass, nu.total_mass)
+    if abs(mu.total_mass - nu.total_mass) > _MARGINAL_TOL * mass:
         raise InfeasibleError(
             f"mass mismatch: {mu.total_mass} vs {nu.total_mass}"
         )

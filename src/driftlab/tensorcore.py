@@ -1,35 +1,33 @@
 """Dense float64 numerics with reverse-mode automatic differentiation.
 
 The engine is deliberately small: enough to train small multilayer
-perceptrons, to differentiate the slope-penalty term used by the dual
-critic (which needs gradients of gradients), and to validate everything
-against central finite differences.
+perceptrons, to state the dual critic's slope penalty as a graph, and to
+validate everything against central finite differences. It is
+first-order: gradients are plain arrays.
 
 Design notes
 ------------
 * Every value is a ``numpy`` float64 array wrapped in a :class:`Tensor`
   node. A node remembers the parent nodes it was computed from together
-  with one vector-Jacobian-product (vjp) closure per parent. The node
-  graph in topological order is the tape: :func:`backward` walks it once
-  in reverse, accumulating gradients per node.
+  with one vector-Jacobian-product (vjp) closure per parent, which maps
+  the gradient array at the node to the parent's contribution array.
+  The node graph in topological order is the tape: :func:`backward`
+  walks it once in reverse, summing the gradients per node, and builds
+  no node itself.
 * ``backward`` first marks the nodes with a path to a ``wrt`` tensor and
   runs a vjp only into a marked parent. This cannot change a bit: every
   child of a marked node is itself marked, so each marked node gets the
   same contributions, summed in the same order, as an unpruned pass
   would give it. The nodes skipped are those whose gradients nobody
   asked for (the helper networks' weights and the constants in the
-  descent step), so a vjp off those paths can no longer raise either.
+  descent step).
 * Graphs are built by calling the primitives (``add``, ``mul``, ...);
   ``Tensor`` overloads no arithmetic operator.
-* vjp closures are written in terms of Tensor operations, so a gradient
-  is itself a differentiable graph. Passing ``build_graph=True`` to
-  :func:`backward` therefore supports second derivatives, which the
-  critic's slope penalty needs for its own training.
-* Graphs are acyclic. A vjp closes over its op's inputs, never over the
-  node it belongs to: ``exp``, ``sigmoid`` and ``div`` recompute their
-  output from the inputs instead. Reference counting therefore frees a
-  graph as soon as it is dropped, with no work left for the cycle
-  collector.
+* Graphs are acyclic. A vjp closes over its op's input nodes and over
+  arrays, never over the node it belongs to: ``exp`` and ``sigmoid``
+  keep their output array, ``div`` recomputes its quotient. Reference
+  counting therefore frees a graph as soon as it is dropped, with no
+  work left for the cycle collector.
 * The critic and the scorer train through closed forms built on
   :func:`mlp_forward` and :func:`mlp_backward`
   (``dualcritic.training_objective_and_grads``,
@@ -42,11 +40,11 @@ Design notes
 * Finiteness is checked where values are made: ``Tensor.__init__``
   raises ``NumericError`` naming the op of any node holding a NaN or an
   infinity. The ops in ``_FINITE_PRESERVING`` skip the check, which is
-  exact: each only moves, copies, scales down or squashes finite inputs
-  (``transpose``, ``reshape``, ``gather``, ``broadcast``, ``leaky_relu``,
-  ``sigmoid``, ``softplus``), so a finite input cannot give them a
-  non-finite output, and every input was itself checked where it was
-  made.
+  exact: each only moves, scales down or squashes finite inputs
+  (``transpose``, ``reshape``, ``gather``, ``leaky_relu``, ``sigmoid``,
+  ``softplus``), so a finite input cannot give them a non-finite
+  output, and every input was itself checked where it was made.
+  Gradients are arrays and go unchecked until :func:`step`.
 * Adam keeps its moments as one flat vector each (:class:`OptimState`)
   and updates them with one run of numpy calls per step, not one per
   parameter. The update is elementwise, with the same expressions in
@@ -63,7 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, allocating
 
 LEAKY_SLOPE = 0.01  # negative-side slope of every leaky ReLU
 
@@ -75,8 +73,7 @@ ADAM_EPS = 1e-8
 # Ops whose output is finite whenever their inputs are; Tensor.__init__
 # skips the finite check for them (see the design notes).
 _FINITE_PRESERVING = frozenset(
-    ("transpose", "reshape", "gather", "broadcast", "leaky_relu", "sigmoid",
-     "softplus")
+    ("transpose", "reshape", "gather", "leaky_relu", "sigmoid", "softplus")
 )
 
 
@@ -127,13 +124,13 @@ def parameter(x, name):
 
 def _unbroadcast(grad, shape):
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    while grad.value.ndim > len(shape):
-        grad = tsum(grad, axis=0)
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
     for ax, extent in enumerate(shape):
-        if extent == 1 and grad.value.shape[ax] != 1:
-            grad = tsum(grad, axis=ax, keepdims=True)
-    if grad.value.shape != shape:
-        grad = reshape(grad, shape)
+        if extent == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    if grad.shape != shape:
+        grad = grad.reshape(shape)
     return grad
 
 
@@ -155,7 +152,7 @@ def sub(a, b):
         a.value - b.value,
         parents=(
             (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(mul(g, -1.0), b.value.shape)),
+            (b, lambda g: _unbroadcast(g * -1.0, b.value.shape)),
         ),
         op="sub",
     )
@@ -166,8 +163,8 @@ def mul(a, b):
     return Tensor(
         a.value * b.value,
         parents=(
-            (a, lambda g: _unbroadcast(mul(g, b), a.value.shape)),
-            (b, lambda g: _unbroadcast(mul(g, a), b.value.shape)),
+            (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
+            (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
         ),
         op="mul",
     )
@@ -178,8 +175,9 @@ def div(a, b):
     return Tensor(
         a.value / b.value,
         parents=(
-            (a, lambda g: _unbroadcast(div(g, b), a.value.shape)),
-            (b, lambda g: _unbroadcast(mul(mul(g, -1.0), div(div(a, b), b)), b.value.shape)),
+            (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
+            (b, lambda g: _unbroadcast(
+                (g * -1.0) * ((a.value / b.value) / b.value), b.value.shape)),
         ),
         op="div",
     )
@@ -196,8 +194,8 @@ def matmul(a, b):
     return Tensor(
         a.value @ b.value,
         parents=(
-            (a, lambda g: matmul(g, transpose(b))),
-            (b, lambda g: matmul(transpose(a), g)),
+            (a, lambda g: g @ b.value.T),
+            (b, lambda g: a.value.T @ g),
         ),
         op="matmul",
     )
@@ -205,7 +203,7 @@ def matmul(a, b):
 
 def transpose(a):
     a = as_tensor(a)
-    return Tensor(a.value.T, parents=((a, lambda g: transpose(g)),), op="transpose")
+    return Tensor(a.value.T, parents=((a, lambda g: g.T),), op="transpose")
 
 
 def reshape(a, shape):
@@ -213,7 +211,7 @@ def reshape(a, shape):
     orig = a.value.shape
     return Tensor(
         a.value.reshape(shape),
-        parents=((a, lambda g: reshape(g, orig)),),
+        parents=((a, lambda g: g.reshape(orig)),),
         op="reshape",
     )
 
@@ -226,22 +224,12 @@ def tsum(a, axis=None, keepdims=False):
         if axis is not None and not keepdims:
             kshape = list(orig)
             kshape[axis] = 1
-            g = reshape(g, tuple(kshape))
-        return broadcast(g, orig)
+            g = g.reshape(tuple(kshape))
+        # A contiguous copy, not numpy's zero-stride view, so that a
+        # matmul on it takes the same BLAS path as on any other array.
+        return np.broadcast_to(g, orig).copy()
 
     return Tensor(a.value.sum(axis=axis, keepdims=keepdims), parents=((a, vjp),), op="sum")
-
-
-def broadcast(a, shape):
-    """Broadcast ``a`` to ``shape`` under numpy's rules."""
-    a = as_tensor(a)
-    # A contiguous copy, not numpy's zero-stride view, so that a matmul
-    # on it takes the same BLAS path as on any other node value.
-    return Tensor(
-        np.broadcast_to(a.value, shape).copy(),
-        parents=((a, lambda g: _unbroadcast(g, a.value.shape)),),
-        op="broadcast",
-    )
 
 
 def tmean(a):
@@ -251,19 +239,20 @@ def tmean(a):
 
 def exp(a):
     a = as_tensor(a)
-    return Tensor(np.exp(a.value), parents=((a, lambda g: mul(g, exp(a))),), op="exp")
+    e = np.exp(a.value)
+    return Tensor(e, parents=((a, lambda g: g * e),), op="exp")
 
 
 def log(a):
     a = as_tensor(a)
-    return Tensor(np.log(a.value), parents=((a, lambda g: div(g, a)),), op="log")
+    return Tensor(np.log(a.value), parents=((a, lambda g: g / a.value),), op="log")
 
 
 def square(a):
     a = as_tensor(a)
     return Tensor(
         a.value * a.value,
-        parents=((a, lambda g: mul(g, mul(a, 2.0))),),
+        parents=((a, lambda g: g * (a.value * 2.0)),),
         op="square",
     )
 
@@ -276,12 +265,8 @@ def sigmoid_value(v):
 
 def sigmoid(a):
     a = as_tensor(a)
-
-    def vjp(g):
-        s = sigmoid(a)
-        return mul(g, mul(s, sub(1.0, s)))
-
-    return Tensor(sigmoid_value(a.value), parents=((a, vjp),), op="sigmoid")
+    s = sigmoid_value(a.value)
+    return Tensor(s, parents=((a, lambda g: g * (s * (1.0 - s))),), op="sigmoid")
 
 
 def softplus(a):
@@ -289,18 +274,14 @@ def softplus(a):
     a = as_tensor(a)
     v = a.value
     sv = np.where(v > 30.0, v, np.log1p(np.exp(np.minimum(v, 30.0))))
-    return Tensor(sv, parents=((a, lambda g: mul(g, sigmoid(a))),), op="softplus")
+    return Tensor(sv, parents=((a, lambda g: g * sigmoid_value(a.value)),), op="softplus")
 
 
 def leaky_relu(a):
     a = as_tensor(a)
-
-    def vjp(g):
-        return mul(g, constant(np.where(a.value > 0, 1.0, LEAKY_SLOPE)))
-
     return Tensor(
         np.where(a.value > 0, a.value, LEAKY_SLOPE * a.value),
-        parents=((a, vjp),),
+        parents=((a, lambda g: g * np.where(a.value > 0, 1.0, LEAKY_SLOPE)),),
         op="leaky_relu",
     )
 
@@ -334,7 +315,7 @@ def select_rows(a, indices):
     def vjp(g):
         sel = np.zeros((indices.size, a.value.shape[0]))
         sel[np.arange(indices.size), indices] = 1.0
-        return matmul(constant(sel.T), g)
+        return sel.T @ g
 
     return Tensor(a.value[indices], parents=((a, vjp),), op="gather")
 
@@ -362,14 +343,14 @@ def topo_order(root):
     return order
 
 
-def backward(root, wrt, build_graph=False):
-    """Gradients of a scalar ``root`` with respect to each tensor in ``wrt``.
+def backward(root, wrt):
+    """Gradients of a scalar ``root`` with respect to each tensor in
+    ``wrt``, as numpy arrays.
 
-    Returns numpy arrays by default; with ``build_graph=True`` returns
-    Tensor nodes so the gradients can be differentiated again. Tensors
-    not reachable from ``root`` get exact zeros. Only nodes with a path
-    to some ``wrt`` tensor receive a gradient; no vjp runs off those
-    paths.
+    Tensors not reachable from ``root`` get exact zeros. Only nodes with
+    a path to some ``wrt`` tensor receive a gradient; no vjp runs off
+    those paths. No Tensor is built, so nothing checks that a gradient
+    is finite: :func:`step` does, before it changes anything.
     """
     if root.value.size != 1:
         raise ContractError("backward seed must be scalar")
@@ -380,7 +361,7 @@ def backward(root, wrt, build_graph=False):
             if id(parent) in live:
                 live.add(id(node))
                 break
-    grads = {id(root): constant(np.ones_like(root.value))}
+    grads = {id(root): np.ones_like(root.value)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
@@ -390,14 +371,8 @@ def backward(root, wrt, build_graph=False):
                 continue
             contrib = vjp(g)
             prev = grads.get(id(parent))
-            grads[id(parent)] = contrib if prev is None else add(prev, contrib)
-    out = []
-    for p in wrt:
-        g = grads.get(id(p))
-        if g is None:
-            g = constant(np.zeros_like(p.value))
-        out.append(g if build_graph else g.value)
-    return out
+            grads[id(parent)] = contrib if prev is None else prev + contrib
+    return [np.asarray(grads.get(id(p), np.zeros_like(p.value))) for p in wrt]
 
 
 # ---------------------------------------------------------------------
@@ -431,7 +406,7 @@ class SplitMix64:
         self.counter = 0
 
     def _raw(self, n):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"), allocating():
             idx = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.counter)
             z = self.seed + idx * _GAMMA
             z ^= z >> np.uint64(30)
@@ -490,17 +465,14 @@ class Linear:
 
 
 class MLP:
-    """Perceptron with leaky-ReLU hidden layers.
+    """Perceptron with leaky-ReLU hidden layers; its output is the last
+    layer's pre-activation (features, logits, or a logit the caller
+    squashes)."""
 
-    ``head`` selects the output transform: None for raw outputs
-    (features, logits) or "sigmoid" for a [0, 1] bounded scalar head.
-    """
-
-    def __init__(self, sizes, rng, head=None, name="mlp"):
+    def __init__(self, sizes, rng, name="mlp"):
         if len(sizes) < 2:
             raise ContractError("MLP needs at least input and output sizes")
         self.sizes = list(sizes)
-        self.head = head
         self.name = name
         self.layers = [
             Linear(sizes[i], sizes[i + 1], rng, name=f"{name}.layer{i}")
@@ -520,8 +492,6 @@ class MLP:
             h = layer.apply(h)
             if i < len(self.layers) - 1:
                 h = leaky_relu(h)
-        if self.head == "sigmoid":
-            h = sigmoid(h)
         return h
 
     def parameters(self):
@@ -537,8 +507,8 @@ class MLP:
 def mlp_forward(net, x):
     """``net.forward`` on an array, keeping what :func:`mlp_backward` needs.
 
-    Returns ``(out, inputs, masks)``: the last layer's pre-activation
-    (the head is left to the caller), the input of every layer and the
+    Returns ``(out, inputs, masks)``: the last layer's pre-activation,
+    the input of every layer and the
     leaky-ReLU slope (1 or ``LEAKY_SLOPE``) of every hidden unit. The
     arithmetic is the graph's, bit for bit, and a non-finite layer
     output raises ``NumericError`` naming the op the graph would name.

@@ -2,10 +2,12 @@
 
 ``OptimState``, ``step`` and ``backward`` below are the per-tensor Adam
 and the unpruned backward pass that ``driftlab.tensorcore`` shipped
-before its flat-buffer Adam and its path-pruned backward, copied
-verbatim. The shipped versions must give the same bits: tests compare
-them with :func:`same_bits`, and the criterion-7 guard trains with
-these in place of the shipped ones.
+before its flat-buffer Adam and its path-pruned backward. ``step`` is
+copied verbatim; ``backward`` is too, except that it sums gradient
+arrays, as the shipped first-order vjps return them, where it once
+summed Tensor nodes. The shipped versions must give the same bits:
+tests compare them with :func:`same_bits`, and the criterion-7 guard
+trains with these in place of the shipped ones.
 """
 
 import numpy as np
@@ -15,8 +17,6 @@ from driftlab.tensorcore import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    add,
-    constant,
     topo_order,
 )
 
@@ -58,16 +58,14 @@ def step(state, grads):
     return state
 
 
-def backward(root, wrt, build_graph=False):
-    """Gradients of a scalar ``root`` with respect to each tensor in ``wrt``.
-
-    Returns numpy arrays by default; with ``build_graph=True`` returns
-    Tensor nodes so the gradients can be differentiated again. Tensors
-    not reachable from ``root`` get exact zeros.
+def backward(root, wrt):
+    """Gradients of a scalar ``root`` with respect to each tensor in
+    ``wrt``, as numpy arrays. Tensors not reachable from ``root`` get
+    exact zeros.
     """
     if root.value.size != 1:
         raise ContractError("backward seed must be scalar")
-    grads = {id(root): constant(np.ones_like(root.value))}
+    grads = {id(root): np.ones_like(root.value)}
     for node in reversed(topo_order(root)):
         g = grads.get(id(node))
         if g is None:
@@ -75,11 +73,11 @@ def backward(root, wrt, build_graph=False):
         for parent, vjp in node.parents:
             contrib = vjp(g)
             prev = grads.get(id(parent))
-            grads[id(parent)] = contrib if prev is None else add(prev, contrib)
+            grads[id(parent)] = contrib if prev is None else prev + contrib
     out = []
     for p in wrt:
         g = grads.get(id(p))
         if g is None:
-            g = constant(np.zeros_like(p.value))
-        out.append(g if build_graph else g.value)
+            g = np.zeros_like(p.value)
+        out.append(np.asarray(g))
     return out

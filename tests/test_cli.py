@@ -112,6 +112,17 @@ class TestTrain:
         assert re.fullmatch(r"error: noise_sigma=\S+ is too large: .*\n",
                             proc.stderr)
 
+    @pytest.mark.parametrize("field", ["n_per_domain", "feature_dim"])
+    def test_size_past_numpy_index_range_exits_2(self, capsys, tmp_path, field):
+        # numpy refuses this size with a ValueError, not a MemoryError
+        code, out, err = run(capsys, "train",
+                             "--config", str(FIXTURES / "train" / "toy.cfg"),
+                             "--report", str(tmp_path / "r.json"),
+                             "--set", f"{field}={10 ** 20}")
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: input too large to allocate: .*\n", err)
+
     def test_toy_output_bytes_are_pinned(self, capsys, tmp_path):
         report, ckpt = tmp_path / "toy.json", tmp_path / "toy.ckpt"
         code, _, _ = run(capsys, "train",
@@ -188,6 +199,15 @@ class TestOt:
         assert code == 0
         assert out == "0.1333333333\n"
         assert float(out) == pytest.approx(2.0 / 15.0, abs=1e-9)
+
+    def test_equal_masses_at_large_scale_are_balanced(self, capsys, tmp_path):
+        # The two masses differ in their last bits only: 300000000.29999995
+        # against 300000000.3. An absolute 1e-9 slack once refused them.
+        src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        src.write_text("100000000.1,0.0\n200000000.2,1.0\n")
+        tgt.write_text("300000000.3,0.5\n")
+        code, out, err = run(capsys, "ot", str(src), str(tgt))
+        assert (code, out, err) == (0, "150000000.1\n", "")
 
     def test_nested_distance_runs(self, capsys):
         code, out, _ = run(capsys, "ot", str(OT / "nested_a.csv"),
@@ -360,15 +380,18 @@ class TestCmi:
         assert "at least one sample" in err
 
     # About 10**15 elements: far beyond any address space, so numpy
-    # refuses the request before touching memory.
+    # refuses the request before touching memory, with a MemoryError.
+    # 10**20 is past numpy's index range, where it raises a ValueError.
     @pytest.mark.parametrize("sizes", [("--samples", str(10 ** 15)),
-                                       ("--samples", "10", "--k", str(10 ** 15))])
+                                       ("--samples", "10", "--k", str(10 ** 15)),
+                                       ("--samples", str(10 ** 20), "--k", "4"),
+                                       ("--samples", "10", "--k", str(10 ** 20))])
     def test_size_too_large_to_allocate_exits_2(self, capsys, sizes):
         code, out, err = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
                              *sizes)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "allocate" in err
+        assert re.fullmatch(r"error: input too large to allocate: .*\n", err)
 
     def test_joint_too_large_to_allocate_exits_2(self, capsys, tmp_path):
         # numpy refuses this shape with a ValueError, not a MemoryError

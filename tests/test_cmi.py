@@ -58,6 +58,11 @@ def ln2_joint():
     return DiscreteJoint(t)
 
 
+def pooled_estimate(scorer, batches):
+    """The estimate over sampled chunks, pooled as ``cmi --joint`` does."""
+    return float(np.concatenate([cnce_terms(scorer, b) for b in batches]).mean())
+
+
 def random_joint(rng, shape=(3, 3, 3)):
     t = rng.random(shape) + 1e-3
     return DiscreteJoint(t / t.sum())
@@ -133,7 +138,7 @@ def test_optimal_scorer_converges_to_exact():
     j = random_joint(rng)
     target = exact_cmi(j)
     batches = sample_contrastive(j, 60000, 512, seed=5, chunk=4000)
-    est = cnce_estimate(optimal_scorer(j), batches)
+    est = pooled_estimate(optimal_scorer(j), batches)
     assert abs(est - target) < 0.05
 
 
@@ -144,7 +149,7 @@ def test_optimal_scorer_converges_to_exact():
 def test_k1_returns_exact_zero():
     j = ln2_joint()
     batches = sample_contrastive(j, 500, 1, seed=9, chunk=500)
-    assert cnce_estimate(optimal_scorer(j), batches) == 0.0
+    assert pooled_estimate(optimal_scorer(j), batches) == 0.0
 
 
 def test_constant_scorer_is_zero():
@@ -152,13 +157,13 @@ def test_constant_scorer_is_zero():
     for k in (2, 7, 64):
         batches = sample_contrastive(j, 2000, k, seed=11, chunk=2000)
         sc = TabularScorer(np.full((2, 2, 2), 1.3))
-        assert cnce_estimate(sc, batches) == pytest.approx(0.0, abs=1e-9)
+        assert pooled_estimate(sc, batches) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ln2_estimate_within_003():
     j = ln2_joint()
     batches = sample_contrastive(j, 100000, 256, seed=42, chunk=5000)
-    est = cnce_estimate(optimal_scorer(j), batches)
+    est = pooled_estimate(optimal_scorer(j), batches)
     assert abs(est - math.log(2)) < 0.03
 
 
@@ -190,15 +195,18 @@ def test_gap_tightens_with_k():
     gaps = []
     for k in (2, 8, 32, 128):
         batches = sample_contrastive(j, 40000, k, seed=23, chunk=8000)
-        gaps.append(abs(cnce_estimate(sc, batches) - math.log(2)))
+        gaps.append(abs(pooled_estimate(sc, batches) - math.log(2)))
     # allow small MC noise between adjacent K values
     for tighter, looser in zip(gaps[1:], gaps[:-1]):
         assert tighter <= looser + 0.01
 
 
 def test_empty_batches_rejected():
-    with pytest.raises(ContractError):
-        cnce_estimate(TabularScorer(np.zeros((2, 2, 2))), [])
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ContractError, match="at least one row"):
+        cnce_estimate(TabularScorer(np.zeros((2, 2, 2))), ContrastiveBatch(
+            sources=empty, anchors=empty,
+            candidates=np.zeros((0, 1), dtype=np.int64), z=empty))
 
 
 def test_contrastive_batch_invariants():
@@ -457,7 +465,7 @@ def test_estimate_below_logk_property(seed):
     k = int(rng.integers(2, 12))
     batches = sample_contrastive(j, 200, k, seed=seed, chunk=200)
     sc = TabularScorer(rng.normal(size=(2, 3, 2)))
-    assert cnce_estimate(sc, batches) <= math.log(k)
+    assert pooled_estimate(sc, batches) <= math.log(k)
 
 
 @given(st.integers(0, 10 ** 6))

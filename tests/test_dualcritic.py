@@ -2,15 +2,14 @@
 finite-difference oracle, and training behavior."""
 
 import gc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tensorcore_reference as ref
-from driftlab import dualcritic
 from driftlab.dualcritic import (
+    _input_gradient_graph,
     Critic,
     dual_objective,
     dual_objective_graph,
@@ -24,12 +23,12 @@ from driftlab.dualcritic import (
 )
 from driftlab.errors import ContractError, NumericError
 from driftlab.tensorcore import (
-    MLP,
     OptimState,
     SplitMix64,
     as_tensor,
     backward,
     finite_diff_check,
+    sigmoid,
     tsum,
 )
 
@@ -90,7 +89,7 @@ def test_critic_output_bounded():
     rng = SplitMix64(5)
     c = Critic(4, rng, hidden=(8, 8), lam=1.0, beta=0.2)
     wild = rng.normal((50, 4)) * 100.0
-    out = c.net.forward(as_tensor(wild)).value
+    out = sigmoid(c.net.forward(as_tensor(wild))).value
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
@@ -112,20 +111,20 @@ def test_constant_critic_penalty_is_half_lambda(batches):
 
 
 def test_linear_slope_matches_closed_form():
+    # One sigmoid unit with every weight s and bias -s: on the uniform
+    # batch its pre-activation is 0, where the sigmoid's slope is 1/4,
+    # so every input gradient is s/4.
     M = 4
-    rng = SplitMix64(2)
-    for s in (1.0, 2.0, np.sqrt(M)):
-        lin = SimpleNamespace(net=MLP([M, 1], rng, head=None), lam=2.0, beta=0.3)
-        lin.net.layers[0].w.value[...] = s
-        lin.net.layers[0].b.value[...] = 0.0
-        uni = np.full((3, M), 1.0 / M)
-        expect = 1.0 * (s * s / M - 1.0) ** 2  # lam/2 times the mean term
-        pen = gradient_penalty_graph(lin, as_tensor(uni)).item()
+    uni = as_tensor(np.full((3, M), 1.0 / M))
+    for s in (1.0, 2.0, 4.0 * np.sqrt(M)):
+        c = Critic(M, SplitMix64(2), hidden=(), lam=2.0, beta=0.3)
+        c.net.layers[0].w.value[...] = s
+        c.net.layers[0].b.value[...] = -s
+        expect = 1.0 * ((s / 4.0) ** 2 / M - 1.0) ** 2  # lam/2 times the mean term
+        pen = gradient_penalty_graph(c, uni).item()
         assert pen == pytest.approx(expect, abs=1e-10)
-    # the sqrt(M) slope is exactly the zero of the penalty
-    lin.net.layers[0].w.value[...] = np.sqrt(M)
-    pen = gradient_penalty_graph(lin, as_tensor(np.full((3, M), 1.0 / M))).item()
-    assert pen == pytest.approx(0.0, abs=1e-12)
+    # the 4 sqrt(M) slope is exactly the zero of the penalty
+    assert pen == 0.0
 
 
 def test_penalty_nonnegative_random():
@@ -292,32 +291,36 @@ def test_closed_form_equals_graph_bit_for_bit(m, hidden, ns, nt, lam, zero_units
 @settings(max_examples=40, deadline=None)
 def test_backward_equals_reference_on_critic_graphs(m, hidden, ns, nt, lam,
                                                     zero_units, seed):
-    # The pruned backward against the unpruned one, first and second
-    # order: the input gradient the penalty builds with build_graph=True,
-    # then the critic gradients of the penalty and the full objective.
+    # The pruned backward against the unpruned one: the input gradient
+    # of the critic, then the critic gradients of the penalty and of the
+    # full objective.
     c = random_critic(m, tuple(hidden), lam, seed, zero_units)
     params = c.parameters()
     rng = SplitMix64(seed).spawn(2)
     zs = measure_normalize(rng.normal((ns, m)))
     zt = measure_normalize(rng.normal((nt, m)))
     z = as_tensor(zs)
-    out = tsum(c.net.forward(z))
-    (gz,) = backward(out, wrt=[z], build_graph=True)
-    (ref_gz,) = ref.backward(out, wrt=[z], build_graph=True)
-    assert ref.same_bits(gz.value, ref_gz.value)
-
-    def build(backward_fn):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dualcritic, "backward", backward_fn)
-            return (gradient_penalty_graph(c, as_tensor(zt)),
-                    training_objective_graph(c, as_tensor(zs), as_tensor(zt)))
-
-    for graph, ref_graph in zip(build(backward), build(ref.backward)):
-        assert ref.same_bits(graph.value, ref_graph.value)
-        got = backward(graph, wrt=params, build_graph=True)
-        want = ref.backward(ref_graph, wrt=params, build_graph=True)
+    out = tsum(sigmoid(c.net.forward(z)))
+    assert ref.same_bits(backward(out, wrt=[z])[0], ref.backward(out, wrt=[z])[0])
+    for graph in (gradient_penalty_graph(c, as_tensor(zt)),
+                  training_objective_graph(c, as_tensor(zs), as_tensor(zt))):
+        got = backward(graph, wrt=params)
+        want = ref.backward(graph, wrt=params)
+        assert len(got) == len(want)
         for g, r in zip(got, want):
-            assert ref.same_bits(g.value, r.value)
+            assert ref.same_bits(g, r)
+
+
+@given(st.integers(1, 8), st.lists(st.integers(1, 8), max_size=3),
+       st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_input_gradient_graph_equals_backward(m, hidden, n, zero_units, seed):
+    # The penalty's explicit input-gradient pass has the bits of a
+    # first-order backward of the summed critic output into its input.
+    c = random_critic(m, tuple(hidden), 10.0, seed, zero_units)
+    z = as_tensor(measure_normalize(SplitMix64(seed).spawn(2).normal((n, m))))
+    (want,) = backward(tsum(sigmoid(c.net.forward(z))), [z])
+    assert ref.same_bits(_input_gradient_graph(c, z).value, want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

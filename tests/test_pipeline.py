@@ -413,6 +413,37 @@ class TestAdversarialStep:
             adversarial_step(state, bs, bt, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_descent_gradient_changes_nothing(self):
+        # Leaky ReLUs are positively homogeneous, so scaling phi's weights
+        # by 1e-310, 1e200 and 1e110 (and each bias by the product so far)
+        # keeps the loss finite while the gradient at the first layer
+        # grows past the float range.
+        cfg = tiny_config(use_global=False, use_local=False,
+                          use_regularizer=False)
+        state = init_state(cfg)
+        bs, bt = tiny_batches(cfg)
+        adversarial_step(state, bs, bt, cfg)
+        product = 1.0
+        for layer, scale in zip(state.phi.layers, (1e-310, 1e200, 1e110)):
+            product *= scale
+            layer.w.value = layer.w.value * scale
+            layer.b.value = layer.b.value * product
+        total, _ = rlglc_objective(state, bs, bt, cfg)
+        assert math.isfinite(total.item())
+        optim = state.optim_model
+        before = ([p.value.copy() for p in optim.params],
+                  optim.m.copy(), optim.v.copy(), optim.t)
+        with pytest.raises(NumericError) as info:
+            adversarial_step(state, bs, bt, cfg)
+        assert str(info.value) == (
+            "combined objective: non-finite gradient for parameter phi.layer0.w")
+        assert all(ref.same_bits(p.value, b)
+                   for p, b in zip(optim.params, before[0]))
+        assert ref.same_bits(optim.m, before[1])
+        assert ref.same_bits(optim.v, before[2])
+        assert optim.t == before[3] == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lr, where", [
         ("lr_critic", "epoch 1, batch 0: global consistency term: "),
         ("lr_scorer", "epoch 1, batch 0: local consistency term: "),
