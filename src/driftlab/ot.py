@@ -8,6 +8,14 @@ nested distance over sample batches, and the relaxed primal problem
 whose value vanishes whenever the target measure is contained in the
 source measure scaled by 1/(1-beta).
 
+The min-cost-flow solver starts from a column reduction: each column's
+least unit cost is subtracted, and each column is routed to its first
+cheapest row as far as that row's supply allows (Jonker & Volgenant,
+Computing 38, 1987). Shortest-path searches then route only the rest,
+and each search stops once the sink settles (Ahuja, Magnanti & Orlin,
+Network Flows, 1993, ch. 9). The reported cost is read off the final
+plan as an exact sum, so it does not depend on the augmenting paths.
+
 All solvers are deterministic: each shortest-path search settles the
 open node of least label, the lowest node index on ties, and a settled
 label is final, so returned plans are reproducible bit for bit.
@@ -122,23 +130,54 @@ def _ssp(supplies, demands, costs, want):
     bipartite graph s -> rows -> columns -> t, held densely: ``flows``
     (n, m) on row -> column edges, ``out`` on s -> rows, ``into`` on
     columns -> t. Nodes are rows 0..n-1, columns n..n+m-1, then s, t.
-    Unit costs must be nonnegative so plain Dijkstra applies from the
-    first iteration. Every label is ((d + cost) + pot[u]) - pot[v] in
-    that order; a reverse edge costs -cost, an s or t edge costs ±0.0.
-    Labels compare with a fixed slack; masses (the stop test and the
-    residual capacities) with tolerances scaled by max(1, want), so a
-    large total mass does not strand an ulp-sized remainder.
+
+    Start: every column must receive exactly its demand, so subtracting
+    each column's least unit cost shifts every plan's cost by the same
+    constant; the searches run on these reduced costs, all nonnegative
+    with a zero in each column. Each column is first routed to its
+    lowest-index argmin row, up to that row's remaining supply. This
+    partial flow uses only zero-cost edges, so with all potentials at 0
+    it is dual-feasible and the searches route only what it left over.
+
+    Search: plain Dijkstra that stops once t settles; every potential
+    then moves by min(dist[v], dist[t]), which keeps reduced costs
+    nonnegative. Every label is ((d + cost) + pot[u]) - pot[v] in that
+    order; a reverse edge costs -cost, an s or t edge costs ±0.0. Labels
+    compare with a slack of 1e-13 times min(1, largest unit cost), and
+    masses (the stop test and the residual capacities) with tolerances
+    relative to ``want``, so neither a small cost scale nor a small
+    total mass drowns in an absolute slack.
+
+    Cost: read off the final plan, the exact sum (``math.fsum``) of
+    flow times original unit cost over the cells in use, so it does not
+    depend on the order of the augmentations. The column minima are
+    added back onto the returned column potentials, which therefore
+    certify optimality against the original costs.
     """
     n, m = costs.shape
     s, t = n + m, n + m + 1
     rows, cols = slice(0, n), slice(n, s)
     flows, out, into = np.zeros((n, m)), np.zeros(n), np.zeros(m)
-    senders = [set() for _ in range(m)]  # rows i with flows[i, j] > tiny
-    c = costs.tolist()
     pot = np.zeros(n + m + 2)
-    delivered, total, eps = 0.0, 0.0, 1e-13
-    scale = max(1.0, want)
-    tiny, done = eps * scale, 1e-12 * scale
+    if n == 0 or m == 0:
+        return 0.0, flows, pot
+    floor = costs.min(axis=0)
+    reduced = costs - floor
+    c = reduced.tolist()
+    senders = [set() for _ in range(m)]  # rows i with flows[i, j] > tiny
+    delivered = 0.0
+    eps = 1e-13 * min(1.0, float(costs.max()))
+    scale = want if want > 0 else 1.0
+    tiny, done = 1e-13 * scale, 1e-12 * scale
+
+    for j, i in enumerate(costs.argmin(axis=0).tolist()):
+        push = min(demands[j], supplies[i] - out[i])
+        if push > tiny:
+            flows[i, j] = push
+            out[i] += push
+            into[j] = push
+            senders[j].add(i)
+            delivered += push
 
     def lower(nodes, nd):  # open nodes reached from u at labels nd
         better = nd < lim[nodes]
@@ -158,8 +197,10 @@ def _ssp(supplies, demands, costs, want):
             if d == np.inf:
                 break
             dist[u], key[u], lim[u] = d, np.inf, -np.inf
+            if u == t:
+                break
             if u < n:
-                nd = costs[u] + d
+                nd = reduced[u] + d
                 nd += p[u]
                 nd -= pot[cols]
                 lower(cols, nd)
@@ -172,19 +213,15 @@ def _ssp(supplies, demands, costs, want):
                 nd = ((d + 0.0) + p[u]) - p[t]
                 if demands[j] - into[j] > tiny and nd < lim[t]:
                     key[t], lim[t], prev[t] = nd, nd - eps, u
-            elif u == s:
+            else:  # u == s
                 nd = ((d + 0.0) + p[s]) - pot[rows]
                 lower(rows, np.where(supplies - out > tiny, nd, np.inf))
-            else:
-                nd = ((d + -0.0) + p[t]) - pot[cols]
-                lower(cols, np.where(into > tiny, nd, np.inf))
-        reached = dist < np.inf
-        if not reached[t]:
+        if dist[t] == np.inf:
             raise InfeasibleError(
                 f"cannot route remaining {want - delivered:.6g} mass; "
-                f"saturated cut around nodes {np.flatnonzero(reached).tolist()}"
+                f"saturated cut around nodes {np.flatnonzero(dist < np.inf).tolist()}"
             )
-        pot[reached] += dist[reached]
+        pot += np.minimum(dist, dist[t])
         path, v = [], t  # edges (u, v) from t back to s
         while v != s:
             path.append((int(prev[v]), v))
@@ -200,15 +237,15 @@ def _ssp(supplies, demands, costs, want):
                 out[v] += push
             elif u < n:
                 flows[u, v - n] += push
-                total += push * c[u][v - n]
                 senders[v - n].add(u)
             else:
                 flows[v, u - n] -= push
-                total += push * -c[v][u - n]
                 if flows[v, u - n] <= tiny:
                     senders[u - n].discard(v)
         delivered += push
-    return float(total), flows, pot
+    pot[cols] += floor
+    used = flows != 0
+    return math.fsum((flows[used] * costs[used]).tolist()), flows, pot
 
 
 def min_cost_flow(supplies, demands, unit_costs):

@@ -86,3 +86,102 @@ def w2_dimension(zA, zB):
         remaining_b -= step
         done += step
     return float(np.sqrt(total))
+
+
+# ``ot._ssp`` without its column-reduction start and its stop at t: the
+# first search starts from zero flow, every search settles every node it
+# can reach, and the cost is a running total along the augmenting paths.
+def ssp(supplies, demands, costs, want):
+    """Deliver ``want`` units s -> t at min cost. Returns (cost, flows, pot).
+
+    Successive shortest paths with Johnson potentials on the complete
+    bipartite graph s -> rows -> columns -> t, held densely: ``flows``
+    (n, m) on row -> column edges, ``out`` on s -> rows, ``into`` on
+    columns -> t. Nodes are rows 0..n-1, columns n..n+m-1, then s, t.
+    Unit costs must be nonnegative so plain Dijkstra applies from the
+    first iteration. Every label is ((d + cost) + pot[u]) - pot[v] in
+    that order; a reverse edge costs -cost, an s or t edge costs ±0.0.
+    Labels compare with a fixed slack; masses (the stop test and the
+    residual capacities) with tolerances scaled by max(1, want), so a
+    large total mass does not strand an ulp-sized remainder.
+    """
+    n, m = costs.shape
+    s, t = n + m, n + m + 1
+    rows, cols = slice(0, n), slice(n, s)
+    flows, out, into = np.zeros((n, m)), np.zeros(n), np.zeros(m)
+    senders = [set() for _ in range(m)]  # rows i with flows[i, j] > tiny
+    c = costs.tolist()
+    pot = np.zeros(n + m + 2)
+    delivered, total, eps = 0.0, 0.0, 1e-13
+    scale = max(1.0, want)
+    tiny, done = eps * scale, 1e-12 * scale
+
+    def lower(nodes, nd):  # open nodes reached from u at labels nd
+        better = nd < lim[nodes]
+        np.putmask(key[nodes], better, nd)
+        np.putmask(lim[nodes], better, nd - eps)
+        np.putmask(prev[nodes], better, u)
+
+    while want - delivered > done:
+        # labels of settled nodes; of open nodes; key - eps, -inf once settled
+        dist, key, lim = (np.full(n + m + 2, np.inf) for _ in range(3))
+        prev = np.zeros(n + m + 2, dtype=np.intp)
+        key[s] = 0.0
+        p = pot.tolist()
+        while True:
+            u = int(key.argmin())
+            d = float(key[u])
+            if d == np.inf:
+                break
+            dist[u], key[u], lim[u] = d, np.inf, -np.inf
+            if u < n:
+                nd = costs[u] + d
+                nd += p[u]
+                nd -= pot[cols]
+                lower(cols, nd)
+            elif u < s:
+                j = u - n
+                for i in senders[j]:
+                    nd = ((d - c[i][j]) + p[u]) - p[i]
+                    if nd < lim[i]:
+                        key[i], lim[i], prev[i] = nd, nd - eps, u
+                nd = ((d + 0.0) + p[u]) - p[t]
+                if demands[j] - into[j] > tiny and nd < lim[t]:
+                    key[t], lim[t], prev[t] = nd, nd - eps, u
+            elif u == s:
+                nd = ((d + 0.0) + p[s]) - pot[rows]
+                lower(rows, np.where(supplies - out > tiny, nd, np.inf))
+            else:
+                nd = ((d + -0.0) + p[t]) - pot[cols]
+                lower(cols, np.where(into > tiny, nd, np.inf))
+        reached = dist < np.inf
+        if not reached[t]:
+            raise InfeasibleError(
+                f"cannot route remaining {want - delivered:.6g} mass; "
+                f"saturated cut around nodes {np.flatnonzero(reached).tolist()}"
+            )
+        pot[reached] += dist[reached]
+        path, v = [], t  # edges (u, v) from t back to s
+        while v != s:
+            path.append((int(prev[v]), v))
+            v = path[-1][0]
+        push = min([want - delivered] + [  # row -> column edges are uncapacitated
+            demands[u - n] - into[u - n] if v == t else
+            supplies[v] - out[v] if u == s else flows[v, u - n]
+            for u, v in path if not n <= v < s])
+        for u, v in path:
+            if v == t:
+                into[u - n] += push
+            elif u == s:
+                out[v] += push
+            elif u < n:
+                flows[u, v - n] += push
+                total += push * c[u][v - n]
+                senders[v - n].add(u)
+            else:
+                flows[v, u - n] -= push
+                total += push * -c[v][u - n]
+                if flows[v, u - n] <= tiny:
+                    senders[u - n].discard(v)
+        delivered += push
+    return float(total), flows, pot

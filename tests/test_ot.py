@@ -29,6 +29,7 @@ from driftlab.ot import (
     w2_dimension,
     wasserstein_exact,
 )
+from oracles import ssp as full_search_ssp
 from oracles import w2_dimension as scalar_w2_dimension
 
 OT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "ot"
@@ -200,9 +201,11 @@ def test_unroutable_remainder_names_mass():
 
 
 # Reference solver: successive shortest paths over adjacency lists with
-# a binary heap. Above cost scales of about 1e3 a reduced cost below
-# -1e-13 re-opens a settled node, ``prev`` can then hold a cycle and the
-# path walk never ends, so it is only run on costs in [0, 4].
+# a binary heap, from the same start (column reduction, then each column
+# routed to its lowest-index argmin row), with the same stop at t, slacks
+# and cost read off the plan. Above cost scales of about 1e3 a reduced
+# cost below -1e-13 re-opens a settled node, ``prev`` can then hold a
+# cycle and the path walk never ends, so it is only run on costs in [0, 4].
 
 class _Graph:
     def __init__(self, n):
@@ -213,17 +216,24 @@ class _Graph:
         self.adj[u].append([v, cap, cost, 0.0, len(self.adj[v])])
         self.adj[v].append([u, 0.0, -cost, 0.0, len(self.adj[u]) - 1])
 
+    def push(self, u, ei, amount):
+        e = self.adj[u][ei]
+        e[3] += amount
+        self.adj[e[0]][e[4]][3] -= amount
 
-def _heap_ssp(graph, s, t, want, n):
-    """Deliver ``want`` units s -> t at min cost. Returns total cost.
 
-    Successive shortest paths with Johnson potentials; unit costs must
-    be nonnegative so plain Dijkstra applies from the first iteration.
+def _heap_ssp(graph, s, t, want, n, eps, delivered):
+    """Deliver the ``want`` - ``delivered`` units still missing s -> t at
+    min cost. Returns the potentials.
+
+    Successive shortest paths with Johnson potentials; reduced unit costs
+    must be nonnegative and the start flow tight, so plain Dijkstra
+    applies from the first iteration. A search stops once t is popped.
     """
     pot = [0.0] * n
-    delivered, total = 0.0, 0.0
-    eps = 1e-13
-    while want - delivered > 1e-12:
+    scale = want if want > 0 else 1.0
+    tiny, done = 1e-13 * scale, 1e-12 * scale
+    while want - delivered > done:
         dist = [np.inf] * n
         prev = [None] * n  # (node, edge index)
         dist[s] = 0.0
@@ -232,10 +242,12 @@ def _heap_ssp(graph, s, t, want, n):
             d, u = heapq.heappop(heap)
             if d > dist[u] + eps:
                 continue
+            if u == t:
+                break
             for ei, e in enumerate(graph.adj[u]):
                 v, cap, cost, flow, _ = e
                 residual = cap - flow
-                if residual <= eps:
+                if residual <= tiny:
                     continue
                 nd = d + cost + pot[u] - pot[v]
                 if nd < dist[v] - eps:
@@ -249,8 +261,7 @@ def _heap_ssp(graph, s, t, want, n):
                 f"saturated cut around nodes {reachable}"
             )
         for i in range(n):
-            if np.isfinite(dist[i]):
-                pot[i] += dist[i]
+            pot[i] += min(dist[i], dist[t])
         # bottleneck along the path
         push = want - delivered
         v = t
@@ -262,28 +273,38 @@ def _heap_ssp(graph, s, t, want, n):
         v = t
         while v != s:
             u, ei = prev[v]
-            e = graph.adj[u][ei]
-            e[3] += push
-            graph.adj[v][e[4]][3] -= push
-            total += push * e[2]
+            graph.push(u, ei, push)
             v = u
         delivered += push
-    return total, pot
+    return pot
 
 
 def heap_min_cost_flow(supplies, demands, unit_costs):
     n, m = unit_costs.shape
     s, t = n + m, n + m + 1
+    floor = unit_costs.min(axis=0)
     g = _Graph(n + m + 2)
-    for i in range(n):
+    for i in range(n):  # edge s -> i is adj[s][i]
         g.add_edge(s, i, float(supplies[i]), 0.0)
-    for i in range(n):
+    for i in range(n):  # edge i -> n + j is adj[i][1 + j]
         for j in range(m):
-            g.add_edge(i, n + j, np.inf, float(unit_costs[i, j]))
-    for j in range(m):
+            g.add_edge(i, n + j, np.inf, float(unit_costs[i, j] - floor[j]))
+    for j in range(m):  # edge n + j -> t is adj[n + j][n]
         g.add_edge(n + j, t, float(demands[j]), 0.0)
 
-    cost, pot = _heap_ssp(g, s, t, float(demands.sum()), n + m + 2)
+    want = float(demands.sum())
+    tiny = 1e-13 * (want if want > 0 else 1.0)
+    delivered = 0.0
+    for j in range(m):
+        i = int(np.argmin(unit_costs[:, j]))
+        push = min(demands[j], supplies[i] - g.adj[s][i][3])
+        if push > tiny:
+            g.push(s, i, push)
+            g.push(i, 1 + j, push)
+            g.push(n + j, n, push)
+            delivered += push
+    eps = 1e-13 * min(1.0, float(unit_costs.max()))
+    pot = _heap_ssp(g, s, t, want, n + m + 2, eps, delivered)
 
     flows = np.zeros((n, m))
     for i in range(n):
@@ -291,11 +312,12 @@ def heap_min_cost_flow(supplies, demands, unit_costs):
             v, cap, c, flow, _ = e
             if n <= v < n + m and flow > 0:
                 flows[i, v - n] += flow
+    used = flows != 0
     return FlowResult(
-        cost=cost,
+        cost=math.fsum((flows[used] * unit_costs[used]).tolist()),
         flows=flows,
         row_potentials=np.array(pot[:n]),
-        col_potentials=np.array(pot[n:n + m]),
+        col_potentials=np.array(pot[n:n + m]) + floor,
     )
 
 
@@ -319,6 +341,62 @@ def test_dense_solver_bit_equal_to_heap_reference(n, m, integer_costs, factor, s
     np.testing.assert_array_equal(got.col_potentials, want.col_potentials)
 
 
+@st.composite
+def transport_instances(draw, divisors=st.sampled_from([1.0, 0.6])):
+    """Supplies, demands and unit costs of sizes 1..10. Costs are uniform
+    on [0, 4], small integers (many tied paths) or all zero; supply rows
+    often weigh zero; capacities are the balanced supplies divided by a
+    drawn divisor, 0.6 being the relaxed caps of beta = 0.4."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "integer", "zero"]))
+    if kind == "uniform":
+        costs = rng.uniform(0.0, 4.0, size=(n, m))
+    elif kind == "integer":
+        costs = rng.integers(0, 5, size=(n, m)).astype(np.float64)
+    else:
+        costs = np.zeros((n, m))
+    supplies = rng.random(n) + 1e-3
+    supplies[rng.random(n) < draw(st.sampled_from([0.0, 0.4]))] = 0.0
+    supplies[draw(st.integers(0, n - 1))] += 1.0
+    supplies /= supplies.sum()
+    return supplies / draw(divisors), random_simplex(rng, m), costs
+
+
+@given(transport_instances())
+@settings(max_examples=300, deadline=None)
+def test_cost_matches_full_search_oracle(instance):
+    supplies, demands, costs = instance
+    got = min_cost_flow(supplies, demands, costs).cost
+    want = full_search_ssp(supplies, demands, costs, float(demands.sum()))[0]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@given(transport_instances(divisors=st.just(0.6)))
+@settings(max_examples=300, deadline=None)
+def test_relaxed_plan_certified_by_its_potentials(instance):
+    supplies, demands, costs = instance
+    res = min_cost_flow(supplies, demands, costs)
+    u, v = res.row_potentials, res.col_potentials
+    reduced = costs - (v[None, :] - u[:, None])
+    assert reduced.min() >= -1e-9
+    assert np.all(np.abs(reduced[res.flows > 0]) <= 1e-9)
+    # a row with spare capacity is never dearer than a row in use
+    sent = res.flows.sum(axis=1)
+    spare, used = sent < supplies - 1e-9, sent > 0
+    if spare.any():
+        assert u[spare].max() <= u[used].min() + 1e-9
+    cells = res.flows != 0
+    assert res.cost == math.fsum((res.flows[cells] * costs[cells]).tolist())
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (3, 0), (0, 0)])
+def test_empty_instance_costs_zero(n, m):
+    res = min_cost_flow(np.full(n, 0.5), np.zeros(m), np.ones((n, m)))
+    assert res.cost == 0.0
+    assert res.flows.shape == (n, m)
+
+
 @contextmanager
 def time_limit(seconds):
     """Turn a solver that never returns into a failing test."""
@@ -333,12 +411,12 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("k", range(-6, 7))
+@pytest.mark.parametrize("k", range(-12, 13))
 def test_scale_safe_against_lp_oracle(k):
     # HiGHS tolerances are absolute, so the oracle solves the unit-scale
     # problem and its optimum is scaled: the LP value is linear in the
     # costs and, with supplies and demands scaled together, in the mass.
-    rng = np.random.default_rng([k + 6, 0])
+    rng = np.random.default_rng([k + 12, 0])
     for _ in range(8):
         n, m = (int(x) for x in rng.integers(2, 11, size=2))
         costs = rng.random((n, m))
@@ -349,8 +427,10 @@ def test_scale_safe_against_lp_oracle(k):
             with time_limit(20):
                 by_cost = min_cost_flow(caps, demands, costs * 10.0 ** k)
                 by_mass = min_cost_flow(caps * 10.0 ** k, demands * 10.0 ** k, costs)
-            assert by_cost.cost == pytest.approx(oracle, rel=1e-9)
-            assert by_mass.cost == pytest.approx(oracle, rel=1e-9)
+            # abs=0: pytest.approx's default 1e-12 would pass any value
+            # at the small scales
+            assert by_cost.cost == pytest.approx(oracle, rel=1e-9, abs=0)
+            assert by_mass.cost == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------
