@@ -121,12 +121,12 @@ def _euclidean_cost(a, b):
 
 def _save_plan(plan, path):
     with open(path, "w", encoding="ascii") as fh:
-        for i, j in zip(*np.nonzero(plan.matrix > 0)):
-            fh.write(f"{i},{j},{repr(float(plan.matrix[i, j]))}\n")
+        for i, j in zip(*np.nonzero(plan > 0)):
+            fh.write(f"{i},{j},{repr(float(plan[i, j]))}\n")
 
 
 def cmd_ot(args):
-    """Exit codes: 0 success, 2 invalid input, 4 infeasible problem.
+    """Exit codes: 0 success, 2 invalid input, 3 broken plan, 4 infeasible problem.
 
     --beta 0 solves the balanced problem; 0 < beta < 1 relaxes the
     source marginal. Without --nested the ground cost is the Euclidean

@@ -16,6 +16,11 @@ and each search stops once the sink settles (Ahuja, Magnanti & Orlin,
 Network Flows, 1993, ch. 9). The reported cost is read off the final
 plan as an exact sum, so it does not depend on the augmenting paths.
 
+Masses follow one rule: two differ when abs(a - b) > rtol * mass, mass
+being the mass involved, with no absolute floor. Input masses compare
+at rtol ``_MASS_RTOL``. Containment, and the plan checked after every
+solve, compare at the solver's stop slack ``_STOP_RTOL``.
+
 All solvers are deterministic: each shortest-path search settles the
 open node of least label, the lowest node index on ties, and a settled
 label is final, so returned plans are reproducible bit for bit.
@@ -29,10 +34,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, InfeasibleError, ParseError
+from .errors import ContractError, DimensionError, InfeasibleError, NumericError, ParseError
 from .textio import read_rows
 
-_MARGINAL_TOL = 1e-9  # mass slack; the mass checks scale it by max(1, mass)
+_MASS_RTOL = 1e-9  # input masses differ past this share of the mass
+_STOP_RTOL = 1e-12  # the solver stops with at most this share unrouted
 
 
 @dataclass
@@ -71,27 +77,6 @@ class DiscreteMeasure:
         atoms, weights = self.atoms.tolist(), self.weights.tolist()
         order = sorted(range(len(atoms)), key=atoms.__getitem__)
         return [atoms[k] for k in order], [weights[k] for k in order]
-
-
-@dataclass
-class TransportPlan:
-    """Nonnegative coupling matrix with its two marginals."""
-
-    matrix: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.row_marginal = np.asarray(self.row_marginal, dtype=np.float64)
-        self.col_marginal = np.asarray(self.col_marginal, dtype=np.float64)
-        if np.any(self.matrix < -1e-12):
-            raise ContractError("negative coupling entry")
-        self.matrix = np.maximum(self.matrix, 0.0)
-        if not np.allclose(self.matrix.sum(axis=1), self.row_marginal, atol=_MARGINAL_TOL):
-            raise ContractError("row sums do not match row marginal")
-        if not np.allclose(self.matrix.sum(axis=0), self.col_marginal, atol=_MARGINAL_TOL):
-            raise ContractError("column sums do not match column marginal")
 
 
 @dataclass
@@ -168,7 +153,7 @@ def _ssp(supplies, demands, costs, want):
     delivered = 0.0
     eps = 1e-13 * min(1.0, float(costs.max()))
     scale = want if want > 0 else 1.0
-    tiny, done = 1e-13 * scale, 1e-12 * scale
+    tiny, done = 1e-13 * scale, _STOP_RTOL * scale
 
     for j, i in enumerate(costs.argmin(axis=0).tolist()):
         push = min(demands[j], supplies[i] - out[i])
@@ -254,7 +239,8 @@ def min_cost_flow(supplies, demands, unit_costs):
     Row i may emit at most ``supplies[i]``; column j must receive exactly
     ``demands[j]``; every edge (i, j) is uncapacitated at unit cost
     ``unit_costs[i, j]`` >= 0. Returns a FlowResult whose potentials
-    certify optimality through complementary slackness.
+    certify optimality through complementary slackness; a plan that
+    misses its marginals raises NumericError (:func:`_check_plan`).
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
@@ -267,13 +253,26 @@ def min_cost_flow(supplies, demands, unit_costs):
     if np.any(unit_costs < 0):
         raise ContractError("unit costs must be nonnegative")
     total_demand = float(demands.sum())
-    if supplies.sum() < total_demand - _MARGINAL_TOL * max(1.0, total_demand):
+    if total_demand - supplies.sum() > _MASS_RTOL * total_demand:
         raise InfeasibleError(
             f"violated cut: all supply rows saturate at {supplies.sum():.6g}, "
             f"below total demand {total_demand:.6g}"
         )
     cost, flows, pot = _ssp(supplies, demands, unit_costs, total_demand)
+    _check_plan(flows, supplies, demands)
     return FlowResult(cost, flows, pot[:n], pot[n:n + m])
+
+
+def _check_plan(flows, supplies, demands):
+    """Raise NumericError unless every column of ``flows`` is within the
+    stop slack of its demand and no row exceeds its supply by more; a
+    NaN anywhere fails the check."""
+    slack = _STOP_RTOL * float(demands.sum())
+    short = np.abs(flows.sum(axis=0) - demands).max(initial=0.0)
+    over = (flows.sum(axis=1) - supplies).max(initial=0.0)
+    if not (short <= slack and over <= slack):
+        raise NumericError(f"plan misses its marginals: a column by {short:.3g}, "
+                           f"a row by {over:.3g} over its supply (slack {slack:.3g})")
 
 
 # ---------------------------------------------------------------------
@@ -284,24 +283,22 @@ def wasserstein_exact(mu, nu, cost, p=None):
     """p-Wasserstein distance between two equal-mass discrete measures.
 
     ``cost`` holds ground distances; the solver raises them to the
-    power p internally and takes the 1/p root of the optimum.
+    power p internally and takes the 1/p root of the optimum. Returns
+    the distance and its (n, m) flow plan.
     """
     if p is None:
         p = cost.p
     if p <= 0:
         raise ContractError("p must be positive")
-    if len(mu) == 0 or len(nu) == 0:
-        raise ContractError("empty measure")
-    mass = max(1.0, mu.total_mass, nu.total_mass)
-    if abs(mu.total_mass - nu.total_mass) > _MARGINAL_TOL * mass:
+    mass = max(mu.total_mass, nu.total_mass)
+    if abs(mu.total_mass - nu.total_mass) > _MASS_RTOL * mass:
         raise InfeasibleError(
             f"mass mismatch: {mu.total_mass} vs {nu.total_mass}"
         )
     if cost.values.shape != (len(mu), len(nu)):
         raise DimensionError("cost matrix shape does not match the measures")
     res = min_cost_flow(mu.weights, nu.weights, cost.values ** p)
-    plan = TransportPlan(res.flows, mu.weights, nu.weights)
-    return res.cost ** (1.0 / p), plan
+    return res.cost ** (1.0 / p), res.flows
 
 
 def feature_to_measure(z):
@@ -335,9 +332,9 @@ def w2_dimension(zA, zB):
     """
     if zA.atoms.ndim != 1 or zB.atoms.ndim != 1:
         raise DimensionError("w2_dimension expects 1-D measures")
-    if abs(zA.total_mass - zB.total_mass) > 1e-9:
-        raise InfeasibleError("mass mismatch between dimension measures")
     mass = zA.total_mass
+    if abs(mass - zB.total_mass) > _MASS_RTOL * mass:
+        raise InfeasibleError("mass mismatch between dimension measures")
     pa, wa = zA._quantiles
     pb, wb = zB._quantiles
     last_a, last_b = len(wa) - 1, len(wb) - 1
@@ -397,18 +394,17 @@ def ar_wwd_primal(source, target, cost, beta):
     The optimum is zero exactly when the target is contained in the
     scaled source (every P_t(j) <= P_s(j)/(1-beta) with zero self-cost).
     Monotone nonincreasing in beta; reduces to the balanced problem as
-    beta -> 0.
+    beta -> 0. Returns the value and its (n, m) flow plan.
     """
     if not (0 < beta < 1):
         raise ContractError("beta must lie strictly between 0 and 1")
-    if abs(source.total_mass - 1.0) > 1e-9 or abs(target.total_mass - 1.0) > 1e-9:
+    if any(abs(m.total_mass - 1.0) > _MASS_RTOL for m in (source, target)):
         raise ContractError("both measures must have total mass 1")
     if cost.values.shape != (len(source), len(target)):
         raise DimensionError("cost matrix shape does not match the measures")
     caps = source.weights / (1.0 - beta)
     res = min_cost_flow(caps, target.weights, cost.values ** cost.p)
-    plan = TransportPlan(res.flows, res.flows.sum(axis=1), target.weights)
-    return res.cost ** (1.0 / cost.p), plan
+    return res.cost ** (1.0 / cost.p), res.flows
 
 
 def containment_check(source, target, beta):
@@ -417,7 +413,8 @@ def containment_check(source, target, beta):
         raise ContractError("beta must lie strictly between 0 and 1")
     if len(source) != len(target):
         raise ContractError("containment_check needs shared atom indexing")
-    return bool(np.all(target.weights <= source.weights / (1.0 - beta) + 1e-12))
+    slack = _STOP_RTOL * target.total_mass
+    return bool(np.all(target.weights <= source.weights / (1.0 - beta) + slack))
 
 
 # ---------------------------------------------------------------------

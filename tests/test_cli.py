@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import driftlab
+from driftlab import ot
 from driftlab.cli import main
 from driftlab.pipeline import TrainConfig
 
@@ -290,15 +291,30 @@ class TestOt:
         assert code == 2
 
     def test_plan_file(self, capsys, tmp_path):
+        # ot/plans holds the exact bytes each of these plan files must keep
         plan = tmp_path / "plan.csv"
-        code, _, _ = run(capsys, "ot", str(OT / "uniform4.csv"),
-                         str(OT / "violating4.csv"), "--beta", "0.4",
-                         "--plan", str(plan))
-        assert code == 0
-        rows = [line.split(",") for line in
-                plan.read_text().strip().splitlines()]
-        total = sum(float(r[2]) for r in rows)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        for source, target, flags, pinned in [
+                ("nested_a", "nested_b", ["--nested", "--beta", "0"], "nested_beta0"),
+                ("nested_a", "nested_b", ["--nested", "--beta", "0.4"], "nested_beta04"),
+                ("uniform4", "violating4", ["--beta", "0.4"], "violating_beta04")]:
+            code, _, _ = run(capsys, "ot", str(OT / f"{source}.csv"),
+                             str(OT / f"{target}.csv"), *flags, "--plan", str(plan))
+            assert code == 0
+            assert plan.read_bytes() == (OT / "plans" / f"{pinned}.csv").read_bytes()
+
+    def test_broken_plan_exits_3(self, capsys, monkeypatch):
+        # a solver whose plan leaves half of every demand unrouted
+        solve = ot._ssp
+
+        def half(*args):
+            cost, flows, pot = solve(*args)
+            return cost, flows / 2, pot
+        monkeypatch.setattr(ot, "_ssp", half)
+        code, out, err = run(capsys, "ot", str(OT / "uniform4.csv"),
+                             str(OT / "violating4.csv"), "--beta", "0.4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: plan misses its marginals: a column by 0.")
 
     def test_structured_keys(self, capsys):
         code, out, _ = run(capsys, "ot", str(OT / "uniform4.csv"),

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from driftlab.errors import ContractError, DimensionError, InfeasibleError, ParseError
+from driftlab.errors import (
+    ContractError, DimensionError, InfeasibleError, NumericError, ParseError)
 from driftlab.ot import (
     CostMatrix,
     DiscreteMeasure,
     FlowResult,
-    TransportPlan,
+    _check_plan,
     ar_wwd_primal,
     containment_check,
     feature_to_measure,
@@ -76,7 +77,7 @@ def test_identity_zero():
     cost = CostMatrix(np.abs(mu.atoms[:, None] - mu.atoms[None, :]))
     value, plan = wasserstein_exact(mu, mu, cost, p=1)
     assert value == 0.0
-    assert np.allclose(plan.matrix, np.diag(mu.weights))
+    assert np.allclose(plan, np.diag(mu.weights))
 
 
 def test_single_atom_distance():
@@ -104,8 +105,8 @@ def test_two_by_two_vertex_enumeration():
         measure_1d([0, 1], a), measure_1d([0, 1], b), CostMatrix(c), p=1)
     assert value == pytest.approx(0.25, abs=1e-12)
     assert value == pytest.approx(best, abs=1e-12)
-    assert np.allclose(plan.matrix.sum(axis=1), a)
-    assert np.allclose(plan.matrix.sum(axis=0), b)
+    assert np.allclose(plan.sum(axis=1), a)
+    assert np.allclose(plan.sum(axis=0), b)
 
 
 def test_mass_mismatch_rejected():
@@ -113,6 +114,10 @@ def test_mass_mismatch_rejected():
     m2 = measure_1d([1.0], [0.5])
     with pytest.raises(InfeasibleError):
         wasserstein_exact(m1, m2, CostMatrix(np.array([[1.0]])), p=1)
+    # masses far below 1 are compared relative to themselves too
+    tiny1, tiny2 = measure_1d([0.0], [1e-12]), measure_1d([1.0], [2e-12])
+    with pytest.raises(InfeasibleError, match="mass mismatch"):
+        wasserstein_exact(tiny1, tiny2, CostMatrix(np.array([[1.0]])), p=1)
 
 
 def test_empty_measure_rejected():
@@ -131,8 +136,8 @@ def test_matches_lp_oracle_random():
             value, plan = wasserstein_exact(mu, nu, cost, p=p)
             oracle = lp_transport(mu.weights, nu.weights, cost.values ** p)
             assert value == pytest.approx(oracle ** (1 / p), abs=1e-8)
-            assert np.allclose(plan.matrix.sum(axis=1), mu.weights, atol=1e-9)
-            assert np.allclose(plan.matrix.sum(axis=0), nu.weights, atol=1e-9)
+            assert np.allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
+            assert np.allclose(plan.sum(axis=0), nu.weights, atol=1e-9)
 
 
 def test_triangle_inequality_w1():
@@ -423,14 +428,20 @@ def test_scale_safe_against_lp_oracle(k):
         demands = random_simplex(rng, m)
         supplies = random_simplex(rng, n)
         for caps in (supplies, supplies / 0.6):
-            oracle = lp_transport(caps, demands, costs) * 10.0 ** k
+            unit = lp_transport(caps, demands, costs)
             with time_limit(20):
                 by_cost = min_cost_flow(caps, demands, costs * 10.0 ** k)
                 by_mass = min_cost_flow(caps * 10.0 ** k, demands * 10.0 ** k, costs)
+                # masses and costs scaled apart: the value stays at unit scale
+                mixed = min_cost_flow(caps * 10.0 ** k, demands * 10.0 ** k,
+                                      costs * 10.0 ** -k)
             # abs=0: pytest.approx's default 1e-12 would pass any value
             # at the small scales
-            assert by_cost.cost == pytest.approx(oracle, rel=1e-9, abs=0)
-            assert by_mass.cost == pytest.approx(oracle, rel=1e-9, abs=0)
+            assert by_cost.cost == pytest.approx(unit * 10.0 ** k, rel=1e-9, abs=0)
+            assert by_mass.cost == pytest.approx(unit * 10.0 ** k, rel=1e-9, abs=0)
+            assert mixed.cost == pytest.approx(unit, rel=1e-9, abs=0)
+            for res in (by_cost, by_mass, mixed):
+                assert res.flows.min() >= 0
 
 
 # ---------------------------------------------------------------------
@@ -536,13 +547,18 @@ def test_w2_rejects_vector_atoms():
         w2_dimension(b, a)
 
 
-def test_w2_rejects_mass_mismatch():
-    a = measure_1d([0.0, 1.0], [0.5, 0.5])
-    b = measure_1d([0.0, 1.0], [0.5, 0.5 + 2e-9])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12], ids=["1e-12", "1", "1e12"])
+def test_w2_rejects_mass_mismatch(scale):
+    a = measure_1d([0.0, 1.0], [0.5 * scale, 0.5 * scale])
+    b = measure_1d([0.0, 1.0], [0.5 * scale, (0.5 + 2e-9) * scale])
     with pytest.raises(InfeasibleError, match="mass mismatch"):
         w2_dimension(a, b)
-    # within the 1e-9 tolerance the masses match
-    assert w2_dimension(a, measure_1d([0.0, 1.0], [0.5, 0.5 + 5e-10])) >= 0.0
+    with pytest.raises(InfeasibleError, match="mass mismatch"):
+        w2_dimension(b, a)
+    # within 1e-9 of the mass the masses match
+    close = measure_1d([0.0, 1.0], [0.5 * scale, (0.5 + 5e-10) * scale])
+    assert w2_dimension(a, close) >= 0.0
+    assert w2_dimension(close, a) >= 0.0
 
 
 @st.composite
@@ -641,7 +657,7 @@ def test_wwd_compositional_oracle():
     oracle = min(ground[range(3), perm].sum() / 3
                  for perm in itertools.permutations(range(3)))
     assert value == pytest.approx(oracle, abs=1e-10)
-    assert np.allclose(plan.matrix.sum(axis=1), 1 / 3)
+    assert np.allclose(plan.sum(axis=1), 1 / 3)
 
 
 def test_wwd_symmetric():
@@ -675,8 +691,8 @@ def test_detour_value_and_lp_oracle():
     assert value == pytest.approx(oracle, abs=1e-10)
     assert not containment_check(s, t, 0.5)
     # column marginals exact, rows within capacity
-    assert np.allclose(plan.matrix.sum(axis=0), t.weights, atol=1e-9)
-    assert np.all(plan.matrix.sum(axis=1) <= s.weights / 0.5 + 1e-9)
+    assert np.allclose(plan.sum(axis=0), t.weights, atol=1e-9)
+    assert np.all(plan.sum(axis=1) <= s.weights / 0.5 + 1e-9)
 
 
 def test_beta_to_zero_recovers_balanced_problem():
@@ -738,10 +754,17 @@ def test_beta_out_of_range_rejected():
         containment_check(s, s, 1.5)
 
 
-def test_plan_marginal_invariants_enforced():
-    with pytest.raises(ContractError):
-        TransportPlan(np.array([[0.5, 0.0], [0.0, 0.5]]),
-                      np.array([0.7, 0.3]), np.array([0.5, 0.5]))
+@pytest.mark.parametrize("flows,supplies,demands,message", [
+    ([[0.5, 0.0], [0.0, 0.5]], [0.7, 0.3], [0.5, 0.5], "a row by 0.2 over"),
+    # within numpy.allclose's default rtol of 1e-5
+    ([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5 + 4e-6, 0.5 - 4e-6],
+     "a column by 4e-06"),
+    ([[5e-10]], [1e-12], [1e-12], "a column by 4.99e-10"),
+    ([[1.0]], [np.nan], [1.0], "a row by nan"),
+], ids=["row-over-supply", "column-off-4e-6", "tiny-marginals", "nan-supply"])
+def test_plan_marginal_invariants_enforced(flows, supplies, demands, message):
+    with pytest.raises(NumericError, match=message):
+        _check_plan(np.array(flows), np.array(supplies), np.array(demands))
 
 
 # ---------------------------------------------------------------------
