@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, prefixed
 from .tensorcore import (
     MLP,
     add,
-    as_tensor,
     backward,  # unused here; benchmark tracing and a test reach it by this name
-    constant,
     div,
     matmul,
     mlp_backward,
@@ -83,14 +81,12 @@ def dual_objective_graph(critic, zs, zt):
     """mean f(source) - (1-beta) mean f(target), as a Tensor."""
     fs = tmean(sigmoid(critic.net.forward(zs)))
     ft = tmean(sigmoid(critic.net.forward(zt)))
-    return sub(fs, mul(ft, constant(1.0 - critic.beta)))
+    return sub(fs, mul(ft, 1.0 - critic.beta))
 
 
 def dual_objective(critic, Zs, Zt):
     """Numeric dual value on two feature batches."""
-    zs = as_tensor(_features(Zs))
-    zt = as_tensor(_features(Zt))
-    return float(dual_objective_graph(critic, zs, zt).value)
+    return float(dual_objective_graph(critic, _features(Zs), _features(Zt)).value)
 
 
 def _input_gradient_graph(critic, z):
@@ -104,7 +100,7 @@ def _input_gradient_graph(critic, z):
     for i in range(len(critic.net.layers) - 1, -1, -1):
         gz = matmul(gz, transpose(critic.net.layers[i].w))
         if i:
-            gz = mul(gz, constant(masks[i - 1]))
+            gz = mul(gz, masks[i - 1])
     return gz
 
 
@@ -117,8 +113,8 @@ def gradient_penalty_graph(critic, z):
     backward through the penalty gives the weight gradients.
     """
     gz = _input_gradient_graph(critic, z)
-    term = square(sub(mul(square(gz), z), constant(1.0)))
-    return mul(tmean(term), constant(critic.lam / 2.0))
+    term = square(sub(mul(square(gz), z), 1.0))
+    return mul(tmean(term), critic.lam / 2.0)
 
 
 def training_objective_graph(critic, zs, zt):
@@ -220,11 +216,9 @@ def train_critic(critic, Zs, Zt, steps, optim):
     if np.any(fs < 0) or np.any(ft < 0):
         raise ContractError("critic training expects measure-normalized features")
     for k in range(steps):
-        try:
+        with prefixed(f"critic training diverged at step {k}"):
             _, grads = training_objective_and_grads(critic, fs, ft)
             step(optim, [-g for g in grads])
-        except NumericError as exc:
-            raise NumericError(f"critic training diverged at step {k}: {exc}")
     return critic
 
 

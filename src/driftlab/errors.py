@@ -36,6 +36,16 @@ def allocating():
         raise MemoryError(str(exc)) from exc
 
 
+@contextmanager
+def prefixed(prefix):
+    """Raise a NumericError from the block again as ``prefix: message``,
+    so each caller names its own stage of a failure."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(f"{prefix}: {exc}") from exc
+
+
 class ParseError(ValueError):
     """An input file could not be parsed. Carries a line number when known."""
 

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ContractError
 from .tensorcore import (
     add,
-    constant,
     logsumexp,
     mul,
     square,
@@ -54,8 +53,7 @@ def cross_entropy_loss(psi, features, labels):
     Tensor; use .item() for the value). ``features`` is an array or a
     Tensor, through which gradients then flow."""
     logits = psi.forward(features)
-    onehot = constant(_onehot(labels, psi.sizes[-1]))
-    true_logit = tsum(mul(logits, onehot), axis=1)
+    true_logit = tsum(mul(logits, _onehot(labels, psi.sizes[-1])), axis=1)
     return tmean(sub(logsumexp(logits, axis=1), true_logit))
 
 
@@ -64,11 +62,11 @@ def regularizer(networks, alpha):
     every network in the list (biases excluded); a scalar Tensor."""
     if alpha < 0:
         raise ContractError("alpha must be nonnegative")
-    total = constant(0.0)
+    total = 0.0
     for net in networks:
         for w in net.weights():
             total = add(total, tsum(square(w)))
-    return mul(total, constant(0.5 * alpha))
+    return mul(total, 0.5 * alpha)
 
 
 def predict(psi, features):

@@ -238,9 +238,10 @@ def min_cost_flow(supplies, demands, unit_costs):
 
     Row i may emit at most ``supplies[i]``; column j must receive exactly
     ``demands[j]``; every edge (i, j) is uncapacitated at unit cost
-    ``unit_costs[i, j]`` >= 0. Returns a FlowResult whose potentials
-    certify optimality through complementary slackness; a plan that
-    misses its marginals raises NumericError (:func:`_check_plan`).
+    ``unit_costs[i, j]`` >= 0, and every input is finite. Returns a
+    FlowResult whose potentials certify optimality through complementary
+    slackness; a plan that misses its marginals raises NumericError
+    (:func:`_check_plan`).
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
@@ -248,6 +249,8 @@ def min_cost_flow(supplies, demands, unit_costs):
     n, m = unit_costs.shape
     if supplies.shape != (n,) or demands.shape != (m,):
         raise DimensionError("supply/demand shapes do not match the cost matrix")
+    if not all(np.isfinite(x).all() for x in (supplies, demands, unit_costs)):
+        raise ContractError("supplies, demands and unit costs must be finite")
     if np.any(supplies < 0) or np.any(demands < 0):
         raise ContractError("negative supply or demand")
     if np.any(unit_costs < 0):

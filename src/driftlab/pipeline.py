@@ -35,7 +35,7 @@ from .dualcritic import (
     measure_normalize_graph,
     train_critic,
 )
-from .errors import ContractError, NumericError, ParseError
+from .errors import ContractError, ParseError, prefixed
 from .evalstats import accuracy, emit_report
 from .model import (
     collect_params,
@@ -50,7 +50,6 @@ from .tensorcore import (
     OptimState,
     SplitMix64,
     add,
-    as_tensor,
     backward,
     select_rows,
     step,
@@ -292,29 +291,28 @@ def init_state(config, input_dim=2, num_classes=2):
     )
 
 
-def rlglc_objective(state, batch_s, batch_t, config):
+def rlglc_objective(state, zs, zt, pairing, labels, config):
     """The combined objective as a Tensor, with its term breakdown.
 
+    ``zs`` and ``zt`` are the encoder's feature Tensors for the source
+    and target batch, ``pairing`` is ``pair_positive`` on their values
+    (used only by the local term) and ``labels`` are the source labels.
     Built for the descent half of a step: the critic and scorer act as
     fixed functions and only the encoder/classifier parameters are
     meant to receive the gradients. The breakdown holds one float per
     enabled term plus their exact float sum under "total".
     """
-    zs = state.phi.forward(as_tensor(np.asarray(batch_s.X, dtype=np.float64)))
-    zt = state.phi.forward(as_tensor(np.asarray(batch_t.X, dtype=np.float64)))
-
     terms = {}
     if config.use_global:
         terms["global"] = dual_objective_graph(
             state.critic, measure_normalize_graph(zs), measure_normalize_graph(zt)
         )
     if config.use_local:
-        pairing = pair_positive(zt.value, zs.value)
         terms["local"] = state.scorer.objective_graph(
             select_rows(zs, pairing), zt
         )
     if config.use_classifier:
-        terms["classifier"] = cross_entropy_loss(state.psi, zs, batch_s.labels)
+        terms["classifier"] = cross_entropy_loss(state.psi, zs, labels)
     if config.use_regularizer:
         terms["regularizer"] = regularizer([state.phi, state.psi], config.alpha)
     if not terms:
@@ -323,53 +321,43 @@ def rlglc_objective(state, batch_s, batch_t, config):
     total = None
     breakdown = {}
     for name, tensor in terms.items():
-        val = float(tensor.item())
-        if not np.isfinite(val):
-            raise NumericError(f"{name} term is non-finite")
-        breakdown[name] = val
+        breakdown[name] = tensor.item()
         total = tensor if total is None else add(total, tensor)
-    breakdown["total"] = float(total.item())
+    breakdown["total"] = total.item()
     return total, breakdown
 
 
 def adversarial_step(state, batch_s, batch_t, config):
     """One two-step update: helpers first, then the encoder/classifier.
 
-    Exactly ``critic_steps`` critic updates and ``scorer_steps`` scorer
-    updates run against frozen features, then a single descent step
-    moves the encoder and classifier. Numeric blowups name the term
-    that produced them.
+    One encoder forward per batch and one positive pairing serve both
+    halves. Exactly ``critic_steps`` critic updates and ``scorer_steps``
+    scorer updates run against those frozen features, then a single
+    descent step moves the encoder and classifier. Numeric blowups name
+    the term that produced them.
     """
-    xs = np.asarray(batch_s.X, dtype=np.float64)
-    xt = np.asarray(batch_t.X, dtype=np.float64)
-    try:
-        zs = extract(state.phi, xs)
-        zt = extract(state.phi, xt)
-    except NumericError as exc:
-        raise NumericError(f"encoder features: {exc}")
+    with prefixed("encoder features"):
+        zs = state.phi.forward(batch_s.X)
+        zt = state.phi.forward(batch_t.X)
+    pairing = pair_positive(zt.value, zs.value) if config.use_local else None
 
     if config.use_global and config.critic_steps > 0:
-        try:
-            train_critic(state.critic, measure_normalize(zs),
-                         measure_normalize(zt), config.critic_steps,
+        with prefixed("global consistency term"):
+            train_critic(state.critic, measure_normalize(zs.value),
+                         measure_normalize(zt.value), config.critic_steps,
                          state.optim_critic)
-        except NumericError as exc:
-            raise NumericError(f"global consistency term: {exc}")
 
     if config.use_local and config.scorer_steps > 0:
-        try:
-            train_scorer(state.scorer, zs[pair_positive(zt, zs)], zt,
+        with prefixed("local consistency term"):
+            train_scorer(state.scorer, zs.value[pairing], zt.value,
                          config.scorer_steps, state.optim_scorer)
-        except NumericError as exc:
-            raise NumericError(f"local consistency term: {exc}")
 
-    try:
-        total, _ = rlglc_objective(state, batch_s, batch_t, config)
+    with prefixed("combined objective"):
+        total, _ = rlglc_objective(state, zs, zt, pairing, batch_s.labels,
+                                   config)
         params = state.phi.parameters() + state.psi.parameters()
         grads = backward(total, wrt=params)
         step(state.optim_model, grads)
-    except NumericError as exc:
-        raise NumericError(f"combined objective: {exc}")
     return state
 
 
@@ -427,10 +415,8 @@ def train(config):
     for epoch in range(1, config.epochs + 1):
         batches = epoch_batches((source, target), state.rng, config)
         for b, (batch_s, batch_t) in enumerate(batches):
-            try:
+            with prefixed(f"epoch {epoch}, batch {b}"):
                 adversarial_step(state, batch_s, batch_t, config)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, batch {b}: {exc}")
         state.history.append(evaluate_metrics(state, source, target, epoch))
 
     final = state.history[-1]

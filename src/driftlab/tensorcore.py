@@ -110,10 +110,6 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
 
 
-def constant(x):
-    return Tensor(x, op="const")
-
-
 def parameter(x, name):
     return Tensor(np.array(x, dtype=np.float64, copy=True), op="param", name=name)
 
@@ -294,11 +290,11 @@ def logsumexp(a, axis):
     """
     a = as_tensor(a)
     m = np.max(a.value, axis=axis, keepdims=True)
-    shifted = sub(a, constant(m))
+    shifted = sub(a, m)
     s = log(tsum(exp(shifted), axis=axis, keepdims=True))
     newshape = list(a.value.shape)
     del newshape[axis]
-    return reshape(add(s, constant(m)), tuple(newshape))
+    return reshape(add(s, m), tuple(newshape))
 
 
 def select_rows(a, indices):

@@ -22,6 +22,7 @@ from driftlab.cmi import (
     cnce_terms,
     exact_cmi,
     optimal_scorer,
+    pair_positive,
     sample_contrastive,
     BilinearScorer,
 )
@@ -295,8 +296,13 @@ def test_criterion_6_gradient_integrity():
     bt = LabeledDomain(np.array([[1.5, 0.5], [-0.5, -1.5]]),
                        np.array([0, 1]), "target")
     params = state.phi.parameters() + state.psi.parameters()
-    err = finite_diff_check(
-        lambda: rlglc_objective(state, bs, bt, cfg)[0], params)
+
+    def objective():
+        zs, zt = state.phi.forward(bs.X), state.phi.forward(bt.X)
+        pairing = pair_positive(zt.value, zs.value)
+        return rlglc_objective(state, zs, zt, pairing, bs.labels, cfg)[0]
+
+    err = finite_diff_check(objective, params)
     assert err < 1e-3
 
 

@@ -10,6 +10,11 @@ A method's own definition is its body, so a call from another method
 of its class counts. Names are matched, not types: any attribute of a
 method's name reaches it. Code that only the unit tests reach gets a
 real caller or is deleted.
+
+Every name a ``src/driftlab`` module imports is also used in that
+module, unless ``perfbench/tracing.py`` names it as a string: tracing
+wraps a function in each module that calls it, so a module may import a
+name only for tracing to find there.
 """
 
 import ast
@@ -109,3 +114,28 @@ def test_every_public_definition_has_a_caller_outside_the_unit_tests():
 def test_every_public_method_has_a_caller_outside_the_unit_tests():
     unreached = _unreached(methods=True)
     assert not unreached, "only unit tests reach: " + ", ".join(unreached)
+
+
+def _unused_imports(path, wrapped):
+    """``module:line name`` for each name ``path`` imports and neither
+    uses nor finds in ``wrapped``."""
+    tree = _parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.stem}:{line} {name}" for name, line in imported.items()
+            if name not in used and name not in wrapped]
+
+
+def test_every_import_is_used():
+    wrapped = {n.value for n in ast.walk(_parse(ROOT / "perfbench" / "tracing.py"))
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unused = [u for path in sorted(PACKAGE.glob("*.py"))
+              for u in _unused_imports(path, wrapped)]
+    assert not unused, "imported but unused: " + ", ".join(unused)

@@ -199,6 +199,16 @@ def test_negative_cost_rejected():
         min_cost_flow(np.array([1.0]), np.array([1.0]), np.array([[-1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("arg", ["supplies", "demands", "unit_costs"])
+def test_non_finite_input_rejected(arg, bad):
+    args = {"supplies": np.ones(2), "demands": np.ones(2),
+            "unit_costs": np.ones((2, 2))}
+    args[arg].flat[0] = bad
+    with pytest.raises(ContractError, match="finite"):
+        min_cost_flow(**args)
+
+
 def test_unroutable_remainder_names_mass():
     # within the up-front 1e-9 slack, but the last 5e-10 has no route
     with pytest.raises(InfeasibleError, match="remaining 5e-10 mass"):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tensorcore_reference as ref
 from oracles import load_checkpoint
+from driftlab import pipeline
 from driftlab.cli import main
 from driftlab.cmi import BilinearScorer, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
@@ -57,6 +58,15 @@ def tiny_config(**kw):
 
 def tiny_batches(cfg, seed=3):
     return epoch_batches(make_dataset(cfg), SplitMix64(seed), cfg)[0]
+
+
+def objective(state, bs, bt, cfg):
+    """``rlglc_objective`` on two batches, from the encoder forward and
+    the pairing that ``adversarial_step`` makes."""
+    zs = state.phi.forward(bs.X)
+    zt = state.phi.forward(bt.X)
+    pairing = pair_positive(zt.value, zs.value)
+    return rlglc_objective(state, zs, zt, pairing, bs.labels, cfg)
 
 
 def first_pair(data, rng, batch_size, source, target):
@@ -243,7 +253,7 @@ class TestObjective:
         cfg = tiny_config()
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg)
-        _, bd = rlglc_objective(state, bs, bt, cfg)
+        _, bd = objective(state, bs, bt, cfg)
         parts = [v for k, v in bd.items() if k != "total"]
         assert sum(parts) == bd["total"]
         assert set(bd) == {"global", "local", "classifier", "regularizer",
@@ -253,7 +263,7 @@ class TestObjective:
         cfg = tiny_config()
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg)
-        _, bd = rlglc_objective(state, bs, bt, cfg)
+        _, bd = objective(state, bs, bt, cfg)
 
         zs = extract(state.phi, bs.X)
         zt = extract(state.phi, bt.X)
@@ -274,7 +284,7 @@ class TestObjective:
                           use_regularizer=False)
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg)
-        _, bd = rlglc_objective(state, bs, bt, cfg)
+        _, bd = objective(state, bs, bt, cfg)
         assert set(bd) == {"classifier", "total"}
         assert bd["classifier"] == bd["total"]
 
@@ -284,7 +294,7 @@ class TestObjective:
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg)
         with pytest.raises(ContractError):
-            rlglc_objective(state, bs, bt, cfg)
+            objective(state, bs, bt, cfg)
 
     @given(st.tuples(*[st.booleans()] * 4).filter(any), st.integers(0, 2 ** 31))
     @settings(max_examples=30, deadline=None)
@@ -295,7 +305,7 @@ class TestObjective:
         cfg = tiny_config(seed=seed, **dict(zip(names, on)))
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg, seed=seed)
-        total, _ = rlglc_objective(state, bs, bt, cfg)
+        total, _ = objective(state, bs, bt, cfg)
         model = state.phi.parameters() + state.psi.parameters()
         helpers = state.critic.parameters() + state.scorer.parameters()
         for wrt in (model, model + helpers):
@@ -307,7 +317,7 @@ class TestObjective:
         cfg = tiny_config()
         state = init_state(cfg)
         bs, bt = tiny_batches(cfg)
-        total, _ = rlglc_objective(state, bs, bt, cfg)
+        total, _ = objective(state, bs, bt, cfg)
         grads = backward(total, wrt=state.phi.parameters()
                          + state.psi.parameters())
         assert all(np.all(np.isfinite(g)) for g in grads)
@@ -323,7 +333,7 @@ class TestObjective:
         from driftlab.dualcritic import train_critic
         train_critic(state.critic, measure_normalize(zs),
                      measure_normalize(zs), 60, state.optim_critic)
-        _, bd = rlglc_objective(state, bs, bs, cfg)
+        _, bd = objective(state, bs, bs, cfg)
         assert abs(bd["global"]) < 0.05
 
     def test_composed_gradient_matches_finite_differences(self):
@@ -346,7 +356,7 @@ class TestObjective:
                            np.array([0, 1]), "target")
         params = state.phi.parameters() + state.psi.parameters()
         err = finite_diff_check(
-            lambda: rlglc_objective(state, bs, bt, cfg)[0], params)
+            lambda: objective(state, bs, bt, cfg)[0], params)
         assert err < 1e-3
 
 
@@ -388,6 +398,27 @@ class TestAdversarialStep:
         assert state.optim_scorer.t == 8
         assert state.optim_model.t == 2
 
+    def test_each_value_is_made_once(self, monkeypatch):
+        # The helpers and the descent share one encoder forward per
+        # batch and one positive pairing.
+        cfg = tiny_config()
+        state = init_state(cfg)
+        bs, bt = tiny_batches(cfg)
+        calls = {"forward": 0, "pair_positive": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(state.phi, "forward",
+                            counted("forward", state.phi.forward))
+        monkeypatch.setattr(pipeline, "pair_positive",
+                            counted("pair_positive", pair_positive))
+        adversarial_step(state, bs, bt, cfg)
+        assert calls == {"forward": 2, "pair_positive": 1}
+
     def test_scorer_ascends_its_bound(self):
         cfg = tiny_config(critic_steps=0, scorer_steps=25,
                           use_global=False)
@@ -428,7 +459,7 @@ class TestAdversarialStep:
             product *= scale
             layer.w.value = layer.w.value * scale
             layer.b.value = layer.b.value * product
-        total, _ = rlglc_objective(state, bs, bt, cfg)
+        total, _ = objective(state, bs, bt, cfg)
         assert math.isfinite(total.item())
         optim = state.optim_model
         before = ([p.value.copy() for p in optim.params],
