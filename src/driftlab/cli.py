@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-Subcommands: train, sweep, ot, cmi, friedman, bound. Exit codes are
-shared across subcommands: 0 success, 2 invalid input or configuration
-(including sizes too large to allocate) or an output that cannot be
-written, 3 numeric failure, 4 infeasible transport problem. All output is deterministic: identical
-inputs produce byte-identical stdout.
+Subcommands: train, sweep, ot, cmi, friedman, bound. Each ``cmd_*``
+returns its report dict and its text lines, and :func:`main` alone
+writes stdout: the report under ``--format structured``, the lines
+otherwise. Exit codes are shared across subcommands: 0 success, 2
+invalid input or configuration (including sizes too large to allocate)
+or an output that cannot be written, 3 numeric failure, 4 infeasible
+transport problem. All output is deterministic: identical inputs
+produce byte-identical stdout.
 """
 
 import argparse
@@ -76,13 +79,9 @@ def cmd_train(args):
         report_path = str(Path(args.config).with_suffix(".report.json"))
     report = run_experiment(config, report_path=report_path,
                             checkpoint_path=args.checkpoint)
-    if args.format == "structured":
-        sys.stdout.write(emit_report(report))
-    else:
-        print(f"config_hash {report['config_hash']}")
-        print(f"final_target_acc {_fmt(report['final']['target_acc'])}")
-        print(f"report {report_path}")
-    return 0
+    return report, [f"config_hash {report['config_hash']}",
+                    f"final_target_acc {_fmt(report['final']['target_acc'])}",
+                    f"report {report_path}"]
 
 
 def cmd_sweep(args):
@@ -95,14 +94,10 @@ def cmd_sweep(args):
         raise ContractError("sweep needs at least one value")
     results = run_sweep(config, values, field_name=args.field,
                         out_dir=args.out_dir)
-    if args.format == "structured":
-        sys.stdout.write(emit_report({"runs": results}))
-    else:
-        for r in results:
-            path = r["report_path"] or "-"
-            print(f"{r['run_id']} {r['config_hash'][:16]} "
-                  f"{_fmt(r['final_target_acc'])} {path}")
-    return 0
+    return {"runs": results}, [
+        f"{r['run_id']} {r['config_hash'][:16]} "
+        f"{_fmt(r['final_target_acc'])} {r['report_path'] or '-'}"
+        for r in results]
 
 
 # ---------------------------------------------------------------------
@@ -145,13 +140,9 @@ def cmd_ot(args):
         value, plan = ar_wwd_primal(mu, nu, cost, args.beta)
     if args.plan:
         _save_plan(plan, args.plan)
-    if args.format == "structured":
-        sys.stdout.write(emit_report({"distance": float(value),
-                                      "beta": args.beta,
-                                      "nested": bool(args.nested)}))
-    else:
-        print(_fmt(value))
-    return 0
+    report = {"distance": float(value), "beta": args.beta,
+              "nested": bool(args.nested)}
+    return report, [_fmt(value)]
 
 
 # ---------------------------------------------------------------------
@@ -209,13 +200,8 @@ def cmd_cmi(args):
     else:
         raise ContractError("pass --joint FILE or both --source and --target")
 
-    if args.format == "structured":
-        sys.stdout.write(emit_report(out))
-    else:
-        for key in ("exact", "cnce", "se"):
-            if key in out:
-                print(f"{key} {_fmt(out[key])}")
-    return 0
+    return out, [f"{key} {_fmt(out[key])}"
+                 for key in ("exact", "cnce", "se") if key in out]
 
 
 # ---------------------------------------------------------------------
@@ -233,23 +219,15 @@ def cmd_friedman(args):
     averages = "reported" if rnk.printed_avg is not None else "exact"
     stats = friedman(rnk, averages=averages).as_report()
 
-    if args.format == "structured":
-        sys.stdout.write(emit_report(stats))
-        return 0
-
-    header = ["method"] + list(rnk.tasks) + ["avg_rank"]
-    print(",".join(header))
+    lines = [",".join(["method", *rnk.tasks, "avg_rank"])]
     avgs = rnk.printed_avg if rnk.printed_avg is not None else rnk.avg_ranks
     for i, name in enumerate(rnk.methods):
         cells = [format_rank(r) for r in [*rnk.ranks[i], avgs[i]]]
-        print(",".join([name] + cells))
-    print(f"chi2 {_fmt(stats['chi2'])}")
-    if stats["f_stat"] is None:
-        print("f_stat undefined")
-    else:
-        print(f"f_stat {_fmt(stats['f_stat'])}")
-    print(f"dof {stats['dof_between']} {stats['dof_residual']}")
-    return 0
+        lines.append(",".join([name] + cells))
+    f_stat = "undefined" if stats["f_stat"] is None else _fmt(stats["f_stat"])
+    lines += [f"chi2 {_fmt(stats['chi2'])}", f"f_stat {f_stat}",
+              f"dof {stats['dof_between']} {stats['dof_residual']}"]
+    return stats, lines
 
 
 # ---------------------------------------------------------------------
@@ -259,23 +237,12 @@ def cmd_friedman(args):
 def cmd_bound(args):
     """Exit codes: 0 success, 2 invalid input file."""
     bounds = bayes_bound(read_fields(args.inputs, BoundInputs))
-    if args.format == "structured":
-        sys.stdout.write(emit_report(bounds))
-    else:
-        for key in sorted(bounds):
-            print(f"{key} {_fmt(bounds[key])}")
-    return 0
+    return bounds, [f"{key} {_fmt(bounds[key])}" for key in sorted(bounds)]
 
 
 # ---------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------
-
-def _add_format(sub):
-    sub.add_argument("--format", choices=("text", "structured"),
-                     default="text",
-                     help="text lines or the report-file key schema")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -293,7 +260,6 @@ def build_parser():
     p.add_argument("--report", help="report path (default: config stem "
                                     "+ .report.json)")
     p.add_argument("--checkpoint", help="write final parameters here")
-    _add_format(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("sweep", help="independent runs over one field")
@@ -303,7 +269,6 @@ def build_parser():
     p.add_argument("--values", required=True,
                    help="comma-separated field values")
     p.add_argument("--out-dir", help="write one report file per run")
-    _add_format(p)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("ot", help="transport distance between measures")
@@ -315,7 +280,6 @@ def build_parser():
                    help="treat atoms as feature vectors with the nested "
                         "dimension-measure ground cost")
     p.add_argument("--plan", help="write the optimal plan as i,j,flow rows")
-    _add_format(p)
     p.set_defaults(func=cmd_ot)
 
     p = subs.add_parser("cmi", help="conditional-information estimates")
@@ -330,20 +294,23 @@ def build_parser():
     p.add_argument("--train-steps", type=int, default=0,
                    help="scorer ascent steps before estimating "
                         "(feature mode)")
-    _add_format(p)
     p.set_defaults(func=cmd_cmi)
 
     p = subs.add_parser("friedman", help="rank statistics for a benchmark "
                                          "table")
     p.add_argument("table", help="accuracy or rank table (csv/tsv)")
-    _add_format(p)
     p.set_defaults(func=cmd_friedman)
 
     p = subs.add_parser("bound", help="evaluate error bounds from a "
                                       "key=value file")
     p.add_argument("inputs", help="key=value file of bound inputs")
-    _add_format(p)
     p.set_defaults(func=cmd_bound)
+
+    # one output switch for every subcommand, read only by main
+    for sub in subs.choices.values():
+        sub.add_argument("--format", choices=("text", "structured"),
+                         default="text",
+                         help="text lines or the report-file key schema")
     return parser
 
 
@@ -356,7 +323,12 @@ def main(argv=None):
     try:
         # numeric failures raise NumericError; numpy's warnings would repeat them
         with np.errstate(all="ignore"):
-            return args.func(args)
+            report, lines = args.func(args)
+            if args.format == "structured":
+                sys.stdout.write(emit_report(report))
+            else:
+                sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return 0
     except (ParseError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,9 @@ def _parse_ratio(ratio):
         raise ContractError(f"non-numeric ratio {ratio!r}")
     if a <= 0 or b <= 0:
         raise ContractError("degenerate class ratio: both sides must be positive")
+    if not np.isfinite(a + b):  # a NaN or infinite side, or a sum past the range
+        raise ContractError(
+            f"class ratio {ratio!r} needs finite sides with a finite sum")
     return a / (a + b)
 
 

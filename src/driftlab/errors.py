@@ -6,8 +6,6 @@ ParseError; any other OSError is a failed write (a report, checkpoint,
 plan or sweep directory) and also exits 2, as does a MemoryError.
 """
 
-from contextlib import contextmanager
-
 
 class ContractError(ValueError):
     """A precondition on an operation or type invariant was violated."""
@@ -25,25 +23,32 @@ class InfeasibleError(ValueError):
     """A transport or flow problem has no feasible solution."""
 
 
-@contextmanager
-def allocating():
+class allocating:
     """Raise numpy's refusal of a size past its index range, a
     ValueError, as the MemoryError that a size too large for memory
     raises. Wrap allocations whose size comes from input."""
-    try:
-        yield
-    except ValueError as exc:
-        raise MemoryError(str(exc)) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValueError):
+            raise MemoryError(str(exc)) from exc
 
 
-@contextmanager
-def prefixed(prefix):
+class prefixed:
     """Raise a NumericError from the block again as ``prefix: message``,
     so each caller names its own stage of a failure."""
-    try:
-        yield
-    except NumericError as exc:
-        raise NumericError(f"{prefix}: {exc}") from exc
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, NumericError):
+            raise NumericError(f"{self.prefix}: {exc}") from exc
 
 
 class ParseError(ValueError):

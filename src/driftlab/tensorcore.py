@@ -24,10 +24,10 @@ Design notes
 * Graphs are built by calling the primitives (``add``, ``mul``, ...);
   ``Tensor`` overloads no arithmetic operator.
 * Graphs are acyclic. A vjp closes over its op's input nodes and over
-  arrays, never over the node it belongs to: ``exp`` and ``sigmoid``
-  keep their output array, ``div`` recomputes its quotient. Reference
-  counting therefore frees a graph as soon as it is dropped, with no
-  work left for the cycle collector.
+  arrays, never over the node it belongs to: ``sigmoid`` keeps its
+  output array, ``div`` recomputes its quotient. Reference counting
+  therefore frees a graph as soon as it is dropped, with no work left
+  for the cycle collector.
 * The critic and the scorer train through closed forms built on
   :func:`mlp_forward` and :func:`mlp_backward`
   (``dualcritic.training_objective_and_grads``,
@@ -41,7 +41,7 @@ Design notes
   raises ``NumericError`` naming the op of any node holding a NaN or an
   infinity. The ops in ``_FINITE_PRESERVING`` skip the check, which is
   exact: each only moves, scales down or squashes finite inputs
-  (``transpose``, ``reshape``, ``gather``, ``leaky_relu``, ``sigmoid``,
+  (``transpose``, ``gather``, ``leaky_relu``, ``sigmoid``,
   ``softplus``), so a finite input cannot give them a non-finite
   output, and every input was itself checked where it was made.
   Gradients are arrays and go unchecked until :func:`step`.
@@ -73,7 +73,7 @@ ADAM_EPS = 1e-8
 # Ops whose output is finite whenever their inputs are; Tensor.__init__
 # skips the finite check for them (see the design notes).
 _FINITE_PRESERVING = frozenset(
-    ("transpose", "reshape", "gather", "leaky_relu", "sigmoid", "softplus")
+    ("transpose", "gather", "leaky_relu", "sigmoid", "softplus")
 )
 
 
@@ -202,16 +202,6 @@ def transpose(a):
     return Tensor(a.value.T, parents=((a, lambda g: g.T),), op="transpose")
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    orig = a.value.shape
-    return Tensor(
-        a.value.reshape(shape),
-        parents=((a, lambda g: g.reshape(orig)),),
-        op="reshape",
-    )
-
-
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     orig = a.value.shape
@@ -229,19 +219,12 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def tmean(a):
+    """Mean of all entries as one node: their sum over their count."""
     a = as_tensor(a)
-    return div(tsum(a), float(a.value.size))
-
-
-def exp(a):
-    a = as_tensor(a)
-    e = np.exp(a.value)
-    return Tensor(e, parents=((a, lambda g: g * e),), op="exp")
-
-
-def log(a):
-    a = as_tensor(a)
-    return Tensor(np.log(a.value), parents=((a, lambda g: g / a.value),), op="log")
+    orig, n = a.value.shape, float(a.value.size)
+    return Tensor(a.value.sum() / n,
+                  parents=((a, lambda g: np.broadcast_to(g / n, orig).copy()),),
+                  op="mean")
 
 
 def square(a):
@@ -285,16 +268,21 @@ def leaky_relu(a):
 def logsumexp(a, axis):
     """Stable log-sum-exp along ``axis``, which is reduced away.
 
-    The row max is subtracted as a constant; the value and every
-    derivative are unaffected by that choice of shift.
+    The row max ``m`` is subtracted as a constant; the value and every
+    derivative are unaffected by that choice of shift. One node with
+    the value and vjp of the chain exp(a - m), sum, log, + m, so a row
+    spanning more than the float range keeps its finite value.
     """
     a = as_tensor(a)
     m = np.max(a.value, axis=axis, keepdims=True)
-    shifted = sub(a, m)
-    s = log(tsum(exp(shifted), axis=axis, keepdims=True))
-    newshape = list(a.value.shape)
-    del newshape[axis]
-    return reshape(add(s, m), tuple(newshape))
+    e = np.exp(a.value - m)
+    total = e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return np.broadcast_to(g.reshape(m.shape) / total, a.value.shape).copy() * e
+
+    return Tensor((np.log(total) + m).squeeze(axis), parents=((a, vjp),),
+                  op="logsumexp")
 
 
 def select_rows(a, indices):

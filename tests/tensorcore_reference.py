@@ -1,13 +1,17 @@
-"""Bit-equality oracles for tensorcore's optimizer and backward pass.
+"""Bit-equality oracles for tensorcore's optimizer, backward pass and
+single-node reductions.
 
 ``OptimState``, ``step`` and ``backward`` below are the per-tensor Adam
 and the unpruned backward pass that ``driftlab.tensorcore`` shipped
 before its flat-buffer Adam and its path-pruned backward. ``step`` is
 copied verbatim; ``backward`` is too, except that it sums gradient
 arrays, as the shipped first-order vjps return them, where it once
-summed Tensor nodes. The shipped versions must give the same bits:
-tests compare them with :func:`same_bits`, and the criterion-7 guard
-trains with these in place of the shipped ones.
+summed Tensor nodes. ``logsumexp`` and ``tmean`` are the chains of
+nodes that the shipped single nodes replaced, with the ``exp``, ``log``
+and ``reshape`` ops only they used. The shipped versions must give the
+same bits: tests compare them with :func:`same_bits`, and the
+criterion-7 guard trains with the reference ``step`` and ``backward``
+in place of the shipped ones.
 """
 
 import numpy as np
@@ -17,7 +21,13 @@ from driftlab.tensorcore import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    Tensor,
+    add,
+    as_tensor,
+    div,
+    sub,
     topo_order,
+    tsum,
 )
 
 
@@ -81,3 +91,40 @@ def backward(root, wrt):
             g = np.zeros_like(p.value)
         out.append(np.asarray(g))
     return out
+
+
+def exp(a):
+    a = as_tensor(a)
+    e = np.exp(a.value)
+    return Tensor(e, parents=((a, lambda g: g * e),), op="exp")
+
+
+def log(a):
+    a = as_tensor(a)
+    return Tensor(np.log(a.value), parents=((a, lambda g: g / a.value),), op="log")
+
+
+def reshape(a, shape):
+    a = as_tensor(a)
+    orig = a.value.shape
+    return Tensor(
+        a.value.reshape(shape),
+        parents=((a, lambda g: g.reshape(orig)),),
+        op="reshape",
+    )
+
+
+def tmean(a):
+    a = as_tensor(a)
+    return div(tsum(a), float(a.value.size))
+
+
+def logsumexp(a, axis):
+    """Stable log-sum-exp along ``axis``, which is reduced away."""
+    a = as_tensor(a)
+    m = np.max(a.value, axis=axis, keepdims=True)
+    shifted = sub(a, m)
+    s = log(tsum(exp(shifted), axis=axis, keepdims=True))
+    newshape = list(a.value.shape)
+    del newshape[axis]
+    return reshape(add(s, m), tuple(newshape))

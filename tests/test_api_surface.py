@@ -15,6 +15,10 @@ Every name a ``src/driftlab`` module imports is also used in that
 module, unless ``perfbench/tracing.py`` names it as a string: tracing
 wraps a function in each module that calls it, so a module may import a
 name only for tracing to find there.
+
+The CLI has one output path: each ``cmd_*`` in ``cli.py`` returns its
+report and its text lines, and only ``main`` reads ``--format`` and
+writes stdout.
 """
 
 import ast
@@ -139,3 +143,21 @@ def test_every_import_is_used():
     unused = [u for path in sorted(PACKAGE.glob("*.py"))
               for u in _unused_imports(path, wrapped)]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def _writes_output(node):
+    """Whether ``node`` names ``print``, ``stdout`` or ``args.format``."""
+    if isinstance(node, ast.Name):
+        return node.id in ("print", "stdout")
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "stdout"
+        or node.attr == "format" and isinstance(node.value, ast.Name)
+        and node.value.id == "args")
+
+
+def test_only_cli_main_writes_stdout():
+    writers = [f"{stmt.name}:{node.lineno}"
+               for stmt in _parse(PACKAGE / "cli.py").body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("cmd_")
+               for node in ast.walk(stmt) if _writes_output(node)]
+    assert not writers, "a subcommand writes its own output: " + ", ".join(writers)

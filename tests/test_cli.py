@@ -124,6 +124,21 @@ class TestTrain:
         assert out == ""
         assert re.fullmatch(r"error: input too large to allocate: .*\n", err)
 
+    @pytest.mark.parametrize("ratio", ["nan:1", "1:nan", "inf:1", "inf:inf",
+                                       "1e308:1e308"])
+    @pytest.mark.parametrize("route", ["config", "set"])
+    def test_non_finite_ratio_exits_2(self, capsys, tmp_path, ratio, route):
+        # a NaN or infinite side, or a sum past the float range
+        cfg = tmp_path / "ratio.cfg"
+        cfg.write_text("epochs=0\nn_per_domain=8\n"
+                       + (f"source_ratio={ratio}\n" if route == "config" else ""))
+        extra = ["--set", f"target_ratio={ratio}"] if route == "set" else []
+        code, out, err = run(capsys, "train", "--config", str(cfg),
+                             "--report", str(tmp_path / "r.json"), *extra)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+
     def test_toy_output_bytes_are_pinned(self, capsys, tmp_path):
         report, ckpt = tmp_path / "toy.json", tmp_path / "toy.ckpt"
         code, _, _ = run(capsys, "train",
@@ -704,6 +719,8 @@ FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", str(10 ** 15), "1e300")
 # are left out, and each field is set at most once.
 FREE_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig)
                     if f.name not in ("epochs", "n_per_domain"))
+# Fields that hold an 'a:b' class ratio; each side is drawn on its own.
+RATIO_FIELDS = ("source_ratio", "target_ratio")
 # Valid inputs of each kind; the fuzzer corrupts some of their fields.
 TEMPLATES = {
     "config": FIXTURES / "train" / "toy.cfg",
@@ -754,10 +771,15 @@ def fuzz_argv(draw, command, a, b, report):
         drawn.append(draw(st.one_of(st.just(valid), st.sampled_from(choices))))
         return drawn[-1]
 
+    def field_value(key, valid):
+        if key in RATIO_FIELDS:
+            return f"{value('1')}:{value('1')}"
+        return value(valid)
+
     def overrides(swept=None):
         keys = draw(st.lists(st.sampled_from(FREE_FIELDS), max_size=2,
                              unique=True).filter(lambda ks: swept not in ks))
-        return [x for key in keys for x in ("--set", f"{key}={value('1')}")]
+        return [x for key in keys for x in ("--set", f"{key}={field_value(key, '1')}")]
 
     # Any config that parses trains for zero epochs on 8 points.
     tiny = ["--set", "epochs=0", "--set", "n_per_domain=8"]
@@ -767,7 +789,8 @@ def fuzz_argv(draw, command, a, b, report):
     elif command == "sweep":
         kinds = ("config",)
         swept = draw(st.sampled_from(FREE_FIELDS))
-        values = ",".join(value("0.5") for _ in range(draw(st.integers(1, 3))))
+        values = ",".join(field_value(swept, "0.5")
+                          for _ in range(draw(st.integers(1, 3))))
         argv = ["sweep", "--config", a, "--field", swept, "--values", values,
                 *overrides(swept), *tiny]
     elif command == "ot":
