@@ -391,7 +391,12 @@ class SplitMix64:
 
     def _raw(self, n):
         with np.errstate(over="ignore"), allocating():
-            idx = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.counter)
+            idx = np.arange(1, n + 1, dtype=np.uint64)
+            # From 2**63 - 1 words up, arange returns an empty array
+            # where it should refuse the size.
+            if idx.size != n:
+                raise ValueError(f"{n} random words are past numpy's index range")
+            idx += np.uint64(self.counter)
             z = self.seed + idx * _GAMMA
             z ^= z >> np.uint64(30)
             z *= _MIX1

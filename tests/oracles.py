@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from driftlab.errors import ContractError, DimensionError, InfeasibleError
-from driftlab.tensorcore import as_tensor
+from driftlab.cmi import ContrastiveBatch
+from driftlab.errors import (ContractError, DimensionError, InfeasibleError,
+                             allocating)
+from driftlab.tensorcore import SplitMix64, as_tensor
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
@@ -36,6 +38,67 @@ def gathered_score_matrix(scorer, batch):
     own = (gs * anchors).sum(axis=1)
     cross = (ga[batch.candidates] * anchors[:, None, :]).sum(axis=2)
     return 0.5 * (own[:, None] + cross)
+
+
+def sample_contrastive(joint, n_samples, k, seed, chunk):
+    """``cmi.sample_contrastive`` as one draw: every candidate goes
+    into one (n_samples, k) array, group by group, and the list of
+    chunks holds views into it."""
+    if k < 1:
+        raise ContractError("need k >= 1 candidates")
+    if n_samples < 1:
+        raise ContractError("need at least one sample")
+    rng = SplitMix64(seed)
+    t = joint.table
+    a, b, c = t.shape
+
+    flat_cdf = np.cumsum(t.reshape(-1))
+    flat_cdf[-1] = 1.0
+    u = rng.uniform((n_samples,))
+    cell = np.searchsorted(flat_cdf, u, side="right")
+    xs, xt, z = np.unravel_index(cell, t.shape)
+
+    pz = t.sum(axis=(0, 1))
+    cond = np.zeros((c, b))
+    for v in range(c):
+        if pz[v] > 0:
+            cond[v] = t[:, :, v].sum(axis=0) / pz[v]
+    cond_cdf = np.cumsum(cond, axis=1)
+
+    with allocating():
+        neg = np.zeros((n_samples, k - 1), dtype=np.int64)
+    if k > 1:
+        for v in range(c):
+            mask = z == v
+            m = int(mask.sum())
+            if m == 0:
+                continue
+            cdf = cond_cdf[v].copy()
+            cdf[-1] = 1.0
+            draws = rng.uniform((m, k - 1))
+            neg[mask] = np.searchsorted(cdf, draws.reshape(-1),
+                                        side="right").reshape(m, k - 1)
+    candidates = np.concatenate([xt[:, None], neg], axis=1)
+
+    batches = []
+    for start in range(0, n_samples, chunk):
+        sl = slice(start, min(start + chunk, n_samples))
+        batches.append(ContrastiveBatch(
+            sources=xs[sl], anchors=xt[sl], candidates=candidates[sl], z=z[sl]))
+    return batches
+
+
+def cnce_terms(scorer, batch):
+    """``cmi.cnce_terms`` with the shifted exponentials in a new array."""
+    s = np.asarray(scorer.score_matrix(batch), dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ContractError("scorer produced non-finite values")
+    k = s.shape[1]
+    if k == 1:
+        return np.zeros(s.shape[0])
+    m = s.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(s - m).sum(axis=1))
+    return (s[:, 0] - lse) + np.log(k)
 
 
 def load_checkpoint(path):

@@ -113,13 +113,18 @@ class TestTrain:
         assert re.fullmatch(r"error: noise_sigma=\S+ is too large: .*\n",
                             proc.stderr)
 
-    @pytest.mark.parametrize("field", ["n_per_domain", "feature_dim"])
-    def test_size_past_numpy_index_range_exits_2(self, capsys, tmp_path, field):
-        # numpy refuses this size with a ValueError, not a MemoryError
+    # numpy refuses 10**20 with a ValueError, not a MemoryError. For
+    # 2**63 numpy's arange returns an empty array, which the random
+    # generator refuses the same way.
+    @pytest.mark.parametrize("field, size", [
+        pytest.param("n_per_domain", 10 ** 20, id="n_per_domain"),
+        pytest.param("feature_dim", 10 ** 20, id="feature_dim"),
+        pytest.param("n_per_domain", 2 ** 63, id="n_per_domain-2**63")])
+    def test_size_past_numpy_index_range_exits_2(self, capsys, tmp_path, field, size):
         code, out, err = run(capsys, "train",
                              "--config", str(FIXTURES / "train" / "toy.cfg"),
                              "--report", str(tmp_path / "r.json"),
-                             "--set", f"{field}={10 ** 20}")
+                             "--set", f"{field}={size}")
         assert code == 2
         assert out == ""
         assert re.fullmatch(r"error: input too large to allocate: .*\n", err)
@@ -413,10 +418,12 @@ class TestCmi:
     # About 10**15 elements: far beyond any address space, so numpy
     # refuses the request before touching memory, with a MemoryError.
     # 10**20 is past numpy's index range, where it raises a ValueError.
+    # For 2**63 numpy's arange returns an empty array instead.
     @pytest.mark.parametrize("sizes", [("--samples", str(10 ** 15)),
                                        ("--samples", "10", "--k", str(10 ** 15)),
                                        ("--samples", str(10 ** 20), "--k", "4"),
-                                       ("--samples", "10", "--k", str(10 ** 20))])
+                                       ("--samples", "10", "--k", str(10 ** 20)),
+                                       ("--samples", str(2 ** 63), "--k", "2")])
     def test_size_too_large_to_allocate_exits_2(self, capsys, sizes):
         code, out, err = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
                              *sizes)

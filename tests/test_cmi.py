@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftlab.cmi import (
     BilinearScorer,
@@ -26,6 +26,7 @@ from driftlab.cmi import (
 )
 from driftlab.errors import ContractError, NumericError, ParseError
 from driftlab.tensorcore import OptimState, SplitMix64, as_tensor, backward
+import oracles
 from oracles import build_negatives, dense_pair_positive, gathered_score_matrix
 
 
@@ -181,7 +182,7 @@ def test_random_scorers_stay_below_exact():
     rng = np.random.default_rng(41)
     j = random_joint(rng)
     target = exact_cmi(j)
-    batches = sample_contrastive(j, 20000, 64, seed=19, chunk=5000)
+    batches = list(sample_contrastive(j, 20000, 64, seed=19, chunk=5000))
     for _ in range(20):
         sc = TabularScorer(rng.normal(size=(3, 3, 3)))
         pooled = np.concatenate([cnce_terms(sc, b) for b in batches])
@@ -199,6 +200,28 @@ def test_gap_tightens_with_k():
     # allow small MC noise between adjacent K values
     for tighter, looser in zip(gaps[1:], gaps[:-1]):
         assert tighter <= looser + 0.01
+
+
+@pytest.mark.parametrize("n_samples, k, chunk, message", [
+    (10, 4, 0, "chunk"), (10, 4, -1, "chunk"),
+    (10, 0, 5, "k >= 1"), (0, 4, 5, "at least one sample")])
+def test_sampler_checks_arguments_when_called(n_samples, k, chunk, message):
+    # the draw is a generator: nothing here iterates it
+    with pytest.raises(ContractError, match=message):
+        sample_contrastive(ln2_joint(), n_samples, k, seed=0, chunk=chunk)
+
+
+def test_sampling_and_scoring_memory_stays_below_64_mib():
+    # the cmi-joint benchmark's sizes; one (n, k) draw peaked at 93 MiB
+    j = random_joint(np.random.default_rng(61))
+    sc = optimal_scorer(j)
+    tracemalloc.start()
+    try:
+        pooled_estimate(sc, sample_contrastive(j, 10_000, 512, seed=3, chunk=4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_empty_batches_rejected():
@@ -480,6 +503,45 @@ def test_sampler_hits_only_supported_cells(seed):
     (batch,) = sample_contrastive(j, 300, 4, seed=seed, chunk=300)
     for i in range(300):
         assert j.table[batch.sources[i], batch.anchors[i], batch.z[i]] > 0
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 300), st.integers(1, 8),
+       st.integers(1, 400))
+@example(seed=0, n_samples=1, k=1, chunk=1)
+@example(seed=1, n_samples=1, k=5, chunk=3)
+@example(seed=2, n_samples=250, k=1, chunk=100)
+@settings(max_examples=60, deadline=None)
+def test_streamed_draw_equals_one_draw(seed, n_samples, k, chunk):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(d) for d in rng.integers(1, 4, size=3))
+    t = rng.random(shape)
+    t[rng.random(shape) < 0.3] = 0.0
+    t[:, :, int(rng.integers(shape[2]))] = 0.0  # a z value never drawn
+    if t.sum() == 0:
+        t[0, 0, -1] = 1.0
+    j = DiscreteJoint(t / t.sum())
+    streamed = list(sample_contrastive(j, n_samples, k, seed=seed, chunk=chunk))
+    whole = oracles.sample_contrastive(j, n_samples, k, seed=seed, chunk=chunk)
+    assert len(streamed) == len(whole)
+    for got, want in zip(streamed, whole):
+        for field in ("sources", "anchors", "candidates", "z"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+    sc = optimal_scorer(j)
+    assert (pooled_estimate(sc, streamed)
+            == float(np.concatenate([oracles.cnce_terms(sc, b) for b in whole]).mean()))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+@settings(max_examples=60, deadline=None)
+def test_in_place_exp_keeps_the_terms(seed, rows, k, scale):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(scale=scale, size=(rows, k))
+    s[rng.random((rows, k)) < 0.4] = -30.0  # the optimal scorer's floor
+    s[rng.random(rows) < 0.3] = -30.0
+    fixed = SimpleNamespace(score_matrix=lambda batch: s)
+    assert np.array_equal(cnce_terms(fixed, None), oracles.cnce_terms(fixed, None))
 
 
 # ---------------------------------------------------------------------
