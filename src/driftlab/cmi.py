@@ -36,10 +36,19 @@ from .textio import records
 
 _SCORE_FLOOR = -30.0
 
-# Rows per block in pair_positive and BilinearScorer.score_matrix. A
+# Rows per block in pair_positive and in both score_matrix methods. A
 # block's (rows, N, M) temporary is 2 MB at N=500, M=8, where the whole
-# (N, N, M) array would be 16 MB.
+# (N, N, M) array would be 16 MB; a tabular block's flat index is
+# 256 KiB at K=512, where the whole chunk's would be 16 MB at 4096 rows.
 _ROW_BLOCK = 64
+
+# Largest x_t alphabet whose negatives draw_chunk maps by counting the
+# CDF entries each uniform reaches, one pass over the draws per entry.
+# On 1400 x 511 draws (a 2-vCPU x86 host, numpy 2.4) counting took
+# 3.6 ms at 8 symbols and 7.0 ms at 16, searchsorted 21 and 30 ms;
+# counting grows with the alphabet and the search with its log, so
+# larger alphabets keep the search.
+_COUNTED_SYMBOLS = 8
 
 
 @dataclass
@@ -143,10 +152,25 @@ class TabularScorer:
         self.table = table
 
     def score_matrix(self, batch):
+        """(N, K) scores, gathered from the flattened table with one
+        index per entry, a block of rows at a time so that the index
+        block stays in cache. A symbol outside its axis would read
+        another cell of the flat table, so each axis is checked first."""
         xs = np.asarray(batch.sources, dtype=np.int64)
         cand = np.asarray(batch.candidates, dtype=np.int64)
         z = np.asarray(batch.z, dtype=np.int64)
-        return self.table[xs[:, None], cand, z[:, None]]
+        a, b, c = self.table.shape
+        for axis, symbols, size in (("x_s", xs, a), ("x_t", cand, b), ("z", z, c)):
+            if symbols.size and (symbols.min() < 0 or symbols.max() >= size):
+                raise ContractError(f"{axis} symbol outside [0, {size})")
+        flat_table = self.table.ravel()
+        row_base = (xs * (b * c) + z)[:, None]
+        scores = np.empty(cand.shape)
+        for r in range(0, cand.shape[0], _ROW_BLOCK):
+            idx = cand[r:r + _ROW_BLOCK] * c
+            idx += row_base[r:r + _ROW_BLOCK]
+            scores[r:r + _ROW_BLOCK] = flat_table.take(idx)
+        return scores
 
 
 def optimal_scorer(joint):
@@ -367,7 +391,7 @@ def sample_contrastive(joint, n_samples, k, seed, chunk):
     samples, each drawn by ``draw_chunk`` only when the caller asks for
     it. A caller that scores each chunk before taking the next never
     holds the whole (n_samples, k) draw: sampling and scoring peak at
-    about 54 MiB under tracemalloc at n=10,000, k=512, chunk=4096,
+    about 49 MiB under tracemalloc at n=10,000, k=512, chunk=4096,
     against 93 MiB for one draw of every candidate.
 
     The draw does not depend on ``chunk``. Anchors take ``SplitMix64``
@@ -416,6 +440,12 @@ def draw_chunk(rng, xs, xt, z, cond_cdf, k, counters):
     ``counters[v]`` is the ``rng`` counter at which the next row of
     group v draws its negatives; each group drawn here advances it past
     the words it took.
+
+    A negative is the number of CDF entries at or below its uniform,
+    ``searchsorted(side="right")`` (sequential search: Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, §III.2). The last
+    entry is 1.0, above every uniform, so small alphabets count over the
+    others; an entry rounded above 1.0 counts for no uniform either way.
     """
     with allocating():
         candidates = np.empty((xt.shape[0], k), dtype=np.int64)
@@ -426,7 +456,14 @@ def draw_chunk(rng, xs, xt, z, cond_cdf, k, counters):
             rng.counter = counters[v]
             draws = rng.uniform((int(mask.sum()), k - 1))
             counters[v] = rng.counter
-            candidates[mask, 1:] = np.searchsorted(cond_cdf[v], draws, side="right")
+            cdf = cond_cdf[v]
+            if cdf.size <= _COUNTED_SYMBOLS:
+                symbols = np.zeros(draws.shape, dtype=np.uint8)
+                for q in cdf[:-1].tolist():
+                    symbols += draws >= q
+            else:
+                symbols = np.searchsorted(cdf, draws, side="right")
+            candidates[mask, 1:] = symbols
     return ContrastiveBatch(sources=xs, anchors=xt, candidates=candidates, z=z)
 
 

@@ -59,6 +59,8 @@ Design notes
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, allocating
@@ -363,9 +365,15 @@ def backward(root, wrt):
 # counter-based RNG
 # ---------------------------------------------------------------------
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Words per block of SplitMix64._raw. The mix runs in place on two
+# uint64 buffers of this length, 512 KiB together, which stay in cache
+# where temporaries as long as the whole draw would not.
+_BLOCK = 2 ** 15
 
 
 class SplitMix64:
@@ -382,58 +390,74 @@ class SplitMix64:
     ``(z >> 11) * 2^-53`` in [0, 1). Normals pair uniforms through the
     Box-Muller transform. The counter advances by the number of raw
     64-bit words consumed, so any sequence can be reproduced from
-    (seed, counter) alone.
+    (seed, counter) alone. The words are made in blocks of ``_BLOCK``
+    and each block is written straight into the output; every word is a
+    function of (seed, counter) alone, so the blocks change no bit.
     """
 
     def __init__(self, seed):
-        self.seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self.seed = np.uint64(int(seed) & _MASK64)
         self.counter = 0
 
-    def _raw(self, n):
-        with np.errstate(over="ignore"), allocating():
-            idx = np.arange(1, n + 1, dtype=np.uint64)
-            # From 2**63 - 1 words up, arange returns an empty array
-            # where it should refuse the size.
-            if idx.size != n:
+    def _raw(self, n, dtype=np.uint64):
+        """The next ``n`` words as a new array: the words themselves as
+        uint64, or the uniform doubles they give as float64."""
+        with allocating():
+            if n >= 2 ** 63 - 1:
                 raise ValueError(f"{n} random words are past numpy's index range")
-            idx += np.uint64(self.counter)
-            z = self.seed + idx * _GAMMA
-            z ^= z >> np.uint64(30)
-            z *= _MIX1
-            z ^= z >> np.uint64(27)
-            z *= _MIX2
-            z ^= z >> np.uint64(31)
+            out = np.empty(n, dtype=dtype)
+        m = min(n, _BLOCK)
+        steps = np.arange(1, m + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+        z = np.empty(m, dtype=np.uint64)
+        t = np.empty(m, dtype=np.uint64)
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            zb, tb = z[:b - a], t[:b - a]
+            # word counter + a + i is seed + (counter + a + i + 1) * gamma
+            base = (int(self.seed) + (self.counter + a) * _GAMMA) & _MASK64
+            np.add(steps[:b - a], np.uint64(base), out=zb)
+            np.right_shift(zb, 30, out=tb)
+            np.bitwise_xor(zb, tb, out=zb)
+            np.multiply(zb, _MIX1, out=zb)
+            np.right_shift(zb, 27, out=tb)
+            np.bitwise_xor(zb, tb, out=zb)
+            np.multiply(zb, _MIX2, out=zb)
+            np.right_shift(zb, 31, out=tb)
+            np.bitwise_xor(zb, tb, out=zb)
+            if out.dtype == np.uint64:
+                out[a:b] = zb
+            else:
+                np.right_shift(zb, 11, out=zb)
+                np.multiply(zb, 2.0 ** -53, out=out[a:b])
         self.counter += n
-        return z
+        return out
 
     def uniform(self, shape=()):
-        n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        u = self._raw(math.prod(shape), np.float64)
         return u.reshape(shape) if shape else float(u[0])
 
     def normal(self, shape=()):
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         m = (n + 1) // 2
-        u1 = 1.0 - (self._raw(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        u2 = (self._raw(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        u1 = 1.0 - self.uniform((m,))
+        u2 = self.uniform((m,))
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
         return z.reshape(shape) if shape else float(z[0])
 
     def permutation(self, n):
-        """Fisher-Yates shuffle of range(n)."""
-        perm = np.arange(n)
-        if n < 2:
-            return perm
-        js = self._raw(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(js[n - 1 - i] % np.uint64(i + 1))
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Fisher-Yates shuffle of range(n), on Python ints."""
+        perm = list(range(n))
+        if n > 1:
+            for i, w in zip(range(n - 1, 0, -1), self._raw(n - 1).tolist()):
+                j = w % (i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.int64)
 
     def spawn(self, salt):
         """Independent stream keyed by (seed, salt). Deterministic."""
-        return SplitMix64(int(self.seed) ^ (0x9E3779B97F4A7C15 * (salt + 1) & 0xFFFFFFFFFFFFFFFF))
+        return SplitMix64(int(self.seed) ^ (_GAMMA * (salt + 1) & _MASK64))
 
 
 # ---------------------------------------------------------------------

@@ -12,6 +12,55 @@ from driftlab.tensorcore import SplitMix64, as_tensor
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
+def raw_words(rng, n):
+    """``SplitMix64``'s next n words, each step of the mix done once on
+    the whole array."""
+    with np.errstate(over="ignore"), allocating():
+        idx = np.arange(1, n + 1, dtype=np.uint64)
+        if idx.size != n:
+            raise ValueError(f"{n} random words are past numpy's index range")
+        idx += np.uint64(rng.counter)
+        z = rng.seed + idx * np.uint64(0x9E3779B97F4A7C15)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    rng.counter += n
+    return z
+
+
+def uniform(rng, shape=()):
+    """``SplitMix64.uniform`` on the whole array of words."""
+    n = int(np.prod(shape)) if shape else 1
+    u = (raw_words(rng, n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return u.reshape(shape) if shape else float(u[0])
+
+
+def normal(rng, shape=()):
+    """``SplitMix64.normal`` with its own conversion of each half."""
+    n = int(np.prod(shape)) if shape else 1
+    m = (n + 1) // 2
+    u1 = 1.0 - (raw_words(rng, m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    u2 = (raw_words(rng, m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+    return z.reshape(shape) if shape else float(z[0])
+
+
+def permutation(rng, n):
+    """``SplitMix64.permutation`` on a numpy array, one uint64 modulus
+    per swap."""
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    js = raw_words(rng, n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(js[n - 1 - i] % np.uint64(i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def build_negatives(i, n):
     """The in-batch negatives of anchor i: the other n-1 batch indices,
     in increasing order."""
@@ -54,7 +103,7 @@ def sample_contrastive(joint, n_samples, k, seed, chunk):
 
     flat_cdf = np.cumsum(t.reshape(-1))
     flat_cdf[-1] = 1.0
-    u = rng.uniform((n_samples,))
+    u = uniform(rng, (n_samples,))
     cell = np.searchsorted(flat_cdf, u, side="right")
     xs, xt, z = np.unravel_index(cell, t.shape)
 
@@ -75,7 +124,7 @@ def sample_contrastive(joint, n_samples, k, seed, chunk):
                 continue
             cdf = cond_cdf[v].copy()
             cdf[-1] = 1.0
-            draws = rng.uniform((m, k - 1))
+            draws = uniform(rng, (m, k - 1))
             neg[mask] = np.searchsorted(cdf, draws.reshape(-1),
                                         side="right").reshape(m, k - 1)
     candidates = np.concatenate([xt[:, None], neg], axis=1)
@@ -86,6 +135,13 @@ def sample_contrastive(joint, n_samples, k, seed, chunk):
         batches.append(ContrastiveBatch(
             sources=xs[sl], anchors=xt[sl], candidates=candidates[sl], z=z[sl]))
     return batches
+
+
+def indexed_table_scores(table, batch):
+    """``TabularScorer.score_matrix`` by numpy's three-axis indexing."""
+    xs = np.asarray(batch.sources, dtype=np.int64)
+    z = np.asarray(batch.z, dtype=np.int64)
+    return table[xs[:, None], np.asarray(batch.candidates, dtype=np.int64), z[:, None]]
 
 
 def cnce_terms(scorer, batch):

@@ -510,10 +510,12 @@ def test_sampler_hits_only_supported_cells(seed):
 @example(seed=0, n_samples=1, k=1, chunk=1)
 @example(seed=1, n_samples=1, k=5, chunk=3)
 @example(seed=2, n_samples=250, k=1, chunk=100)
+@example(seed=4, n_samples=300, k=8, chunk=64)  # a 10-symbol x_t
 @settings(max_examples=60, deadline=None)
 def test_streamed_draw_equals_one_draw(seed, n_samples, k, chunk):
     rng = np.random.default_rng(seed)
-    shape = tuple(int(d) for d in rng.integers(1, 4, size=3))
+    # x_t alphabets on both sides of the counted inverse CDF's cutover
+    shape = (int(rng.integers(1, 4)), int(rng.integers(1, 11)), int(rng.integers(1, 4)))
     t = rng.random(shape)
     t[rng.random(shape) < 0.3] = 0.0
     t[:, :, int(rng.integers(shape[2]))] = 0.0  # a z value never drawn
@@ -530,6 +532,61 @@ def test_streamed_draw_equals_one_draw(seed, n_samples, k, chunk):
     sc = optimal_scorer(j)
     assert (pooled_estimate(sc, streamed)
             == float(np.concatenate([oracles.cnce_terms(sc, b) for b in whole]).mean()))
+
+
+def assert_draws_equal(j, n_samples, k, seed, chunk):
+    streamed = list(sample_contrastive(j, n_samples, k, seed=seed, chunk=chunk))
+    whole = oracles.sample_contrastive(j, n_samples, k, seed=seed, chunk=chunk)
+    for got, want in zip(streamed, whole, strict=True):
+        assert np.array_equal(got.candidates, want.candidates)
+    return np.concatenate([b.candidates[:, 1:] for b in streamed])
+
+
+def test_counted_draw_where_the_cdf_rounds_above_one():
+    # P(x_t | z) = (0.7, 0.2, 0.1, 0) sums to 0.9999999999999999, so the
+    # normalized CDF is (0.7, 0.9, 1.0000000000000002, 1.0): not
+    # monotone at its last entry
+    t = np.zeros((1, 4, 1))
+    t[0, :, 0] = [0.7, 0.2, 0.1, 0.0]
+    j = DiscreteJoint(t)
+    cdf = np.cumsum(t[0, :, 0] / t.sum())
+    assert cdf[-2] > 1.0
+    negatives = assert_draws_equal(j, 2000, 16, seed=5, chunk=512)
+    assert set(np.unique(negatives).tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("symbols", [8, 9])
+def test_draw_either_side_of_the_counting_cutover(symbols):
+    t = np.random.default_rng(symbols).random((2, symbols, 3))
+    j = DiscreteJoint(t / t.sum())
+    negatives = assert_draws_equal(j, 1000, 32, seed=symbols, chunk=300)
+    assert set(np.unique(negatives).tolist()) == set(range(symbols))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 200), st.integers(1, 12))
+@example(seed=0, n=129, k=5)  # two full row blocks and one row
+@settings(max_examples=40, deadline=None)
+def test_flat_gather_equals_indexed_table(seed, n, k):
+    rng = np.random.default_rng(seed)
+    a, b, c = (int(d) for d in rng.integers(1, 6, size=3))
+    table = rng.normal(size=(a, b, c))
+    batch = ContrastiveBatch(sources=rng.integers(a, size=n), anchors=rng.integers(b, size=n),
+                             candidates=rng.integers(b, size=(n, k)), z=rng.integers(c, size=n))
+    assert np.array_equal(TabularScorer(table).score_matrix(batch),
+                          oracles.indexed_table_scores(table, batch))
+
+
+@pytest.mark.parametrize("field, value, axis", [
+    ("candidates", 3, "x_t"), ("candidates", -1, "x_t"), ("z", 4, "z"),
+    ("sources", 2, "x_s"), ("sources", -1, "x_s")])
+def test_tabular_scores_refuse_symbols_outside_the_table(field, value, axis):
+    # a flat index would read another cell instead of raising IndexError
+    fields = dict(sources=np.array([0, 1]), anchors=np.array([0, 2]),
+                  candidates=np.array([[0, 1], [2, 0]]), z=np.array([0, 3]))
+    fields[field] = fields[field].copy()
+    fields[field].flat[-1] = value
+    with pytest.raises(ContractError, match=f"^{axis} symbol"):
+        TabularScorer(np.zeros((2, 3, 4))).score_matrix(ContrastiveBatch(**fields))
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 40), st.integers(1, 40),

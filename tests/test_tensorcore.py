@@ -1,12 +1,14 @@
 """Engine tests: autodiff correctness, optimizers, RNG, finite differences."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 import tensorcore_reference as ref
 from driftlab import tensorcore as tc
 from driftlab.errors import ContractError, DimensionError, NumericError
@@ -427,6 +429,75 @@ def test_rng_normal_moments():
     z = tc.SplitMix64(12).normal((20000,))
     assert abs(z.mean()) < 0.03
     assert abs(z.std() - 1.0) < 0.03
+
+
+# Sizes on both sides of one and three 2**15-word blocks, and seeds and
+# counters at the ends of their ranges.
+_WORD_SIZES = st.sampled_from([0, 1, 2, 32_767, 32_768, 32_769, 65_536, 100_003])
+_SEEDS = st.sampled_from([0, 7, 2 ** 63 + 5, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+_COUNTERS = st.sampled_from([0, 12_345, 2 ** 40, 2 ** 63]) | st.integers(0, 2 ** 63)
+
+
+def _twin_generators(seed, counter):
+    new, old = tc.SplitMix64(seed), tc.SplitMix64(seed)
+    new.counter = old.counter = counter
+    return new, old
+
+
+@given(_SEEDS, _COUNTERS, _WORD_SIZES, st.integers(1, 3))
+@example(seed=2 ** 63 + 5, counter=2 ** 63, n=100_003, rows=1)
+@example(seed=0, counter=0, n=32_769, rows=3)
+@settings(max_examples=40, deadline=None)
+def test_blocked_uniform_equals_one_pass_oracle(seed, counter, n, rows):
+    new, old = _twin_generators(seed, counter)
+    shape = (rows, n)
+    assert np.array_equal(new.uniform(shape), oracles.uniform(old, shape))
+    assert new.uniform() == oracles.uniform(old)
+    assert new.counter == old.counter
+
+
+@given(_SEEDS, _COUNTERS, _WORD_SIZES)
+@example(seed=2 ** 63 + 5, counter=2 ** 63, n=100_003)
+@example(seed=1, counter=5, n=32_767)
+@settings(max_examples=40, deadline=None)
+def test_normal_equals_oracle_with_its_own_conversion(seed, counter, n):
+    new, old = _twin_generators(seed, counter)
+    assert np.array_equal(new.normal((n,)), oracles.normal(old, (n,)))
+    assert new.normal() == oracles.normal(old)
+    assert new.counter == old.counter
+
+
+@given(_SEEDS, _COUNTERS,
+       st.sampled_from([0, 1, 2, 3, 500, 32_768, 32_770]) | st.integers(0, 2_000))
+@example(seed=2 ** 63 + 5, counter=2 ** 63, n=32_770)
+@settings(max_examples=40, deadline=None)
+def test_permutation_equals_numpy_oracle(seed, counter, n):
+    new, old = _twin_generators(seed, counter)
+    got, want = new.permutation(n), oracles.permutation(old, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert new.counter == old.counter
+
+
+def test_word_count_past_int64_raises_memory_error():
+    # 2**80 words: an int64 product would wrap to 0
+    rng = tc.SplitMix64(0)
+    with pytest.raises(MemoryError, match="past numpy's index range"):
+        rng.uniform((2 ** 40, 2 ** 40))
+    with pytest.raises(MemoryError, match="past numpy's index range"):
+        rng.normal((2 ** 40, 2 ** 40))
+    assert rng.counter == 0
+
+
+def test_uniform_memory_stays_near_its_output():
+    # the 8 MB output and three 2**15-word buffers; one pass over the
+    # whole draw peaked at 22.9 MiB
+    tracemalloc.start()
+    try:
+        tc.SplitMix64(0).uniform((1_000_000,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20
 
 
 def test_mlp_sigmoid_head_bounded():
