@@ -60,6 +60,7 @@ Design notes
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -376,6 +377,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 2 ** 15
 
 
+def _word_count(shape):
+    """Entries in an array of ``shape``, an int or a sequence of them,
+    multiplied as Python ints so that no count wraps."""
+    return math.prod(map(operator.index, shape if np.iterable(shape) else (shape,)))
+
+
 class SplitMix64:
     """Counter-based 64-bit generator (SplitMix64).
 
@@ -402,6 +409,7 @@ class SplitMix64:
     def _raw(self, n, dtype=np.uint64):
         """The next ``n`` words as a new array: the words themselves as
         uint64, or the uniform doubles they give as float64."""
+        n = operator.index(n)
         with allocating():
             if n >= 2 ** 63 - 1:
                 raise ValueError(f"{n} random words are past numpy's index range")
@@ -434,11 +442,11 @@ class SplitMix64:
         return out
 
     def uniform(self, shape=()):
-        u = self._raw(math.prod(shape), np.float64)
+        u = self._raw(_word_count(shape), np.float64)
         return u.reshape(shape) if shape else float(u[0])
 
     def normal(self, shape=()):
-        n = math.prod(shape)
+        n = _word_count(shape)
         m = (n + 1) // 2
         u1 = 1.0 - self.uniform((m,))
         u2 = self.uniform((m,))
@@ -447,13 +455,17 @@ class SplitMix64:
         return z.reshape(shape) if shape else float(z[0])
 
     def permutation(self, n):
-        """Fisher-Yates shuffle of range(n), on Python ints."""
-        perm = list(range(n))
+        """Fisher-Yates shuffle of range(n). Memoryviews give each word
+        and entry as a Python int, so the modulus is exact and the swaps
+        hold no more than the words and the output."""
+        with allocating():
+            perm = np.arange(n)
         if n > 1:
-            for i, w in zip(range(n - 1, 0, -1), self._raw(n - 1).tolist()):
+            p = memoryview(perm)
+            for i, w in zip(range(n - 1, 0, -1), memoryview(self._raw(n - 1))):
                 j = w % (i + 1)
-                perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+                p[i], p[j] = p[j], p[i]
+        return perm
 
     def spawn(self, salt):
         """Independent stream keyed by (seed, salt). Deterministic."""

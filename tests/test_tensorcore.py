@@ -485,7 +485,19 @@ def test_word_count_past_int64_raises_memory_error():
         rng.uniform((2 ** 40, 2 ** 40))
     with pytest.raises(MemoryError, match="past numpy's index range"):
         rng.normal((2 ** 40, 2 ** 40))
+    with pytest.raises(MemoryError, match="past numpy's index range"):
+        rng.uniform((np.int64(2 ** 40), np.int64(2 ** 40)))
     assert rng.counter == 0
+
+
+def test_numpy_int_sizes_keep_the_counter_a_python_int():
+    # an np.int64 counter would overflow against the uint64 gamma
+    new, old = _twin_generators(3, 0)
+    assert np.array_equal(new.uniform((np.int64(2), 3)), oracles.uniform(old, (2, 3)))
+    assert np.array_equal(new.normal(np.int64(3)), oracles.normal(old, (3,)))
+    assert np.array_equal(new.permutation(np.int64(4)), oracles.permutation(old, 4))
+    assert type(new.counter) is int and new.counter == old.counter
+    assert new.uniform() == oracles.uniform(old)
 
 
 def test_uniform_memory_stays_near_its_output():
@@ -498,6 +510,20 @@ def test_uniform_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2 ** 20
+
+
+def test_permutation_memory_stays_near_its_words_and_output():
+    # 16 bytes a row, the uint64 words and the int64 output, plus the
+    # word path's 768 KiB of block buffers; shuffling through a Python
+    # list peaked at 92 bytes a row
+    n = 100_000
+    tracemalloc.start()
+    try:
+        tc.SplitMix64(0).permutation(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n + 2 ** 20
 
 
 def test_mlp_sigmoid_head_bounded():
