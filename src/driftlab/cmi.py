@@ -146,13 +146,14 @@ class TabularScorer:
         """(N, K) scores, gathered from the flattened table with one
         index per entry, a block of rows at a time so that the index
         block stays in cache. A symbol outside its axis would read
-        another cell of the flat table, so each axis is checked first."""
+        another cell of the flat table, so each axis is checked first, in
+        one pass: read as uint64, a negative symbol is 2**63 or more."""
         xs = np.asarray(batch.sources, dtype=np.int64)
         cand = np.asarray(batch.candidates, dtype=np.int64)
         z = np.asarray(batch.z, dtype=np.int64)
         a, b, c = self.table.shape
         for axis, symbols, size in (("x_s", xs, a), ("x_t", cand, b), ("z", z, c)):
-            if symbols.size and (symbols.min() < 0 or symbols.max() >= size):
+            if symbols.size and symbols.view(np.uint64).max() >= size:
                 raise ContractError(f"{axis} symbol outside [0, {size})")
         flat_table = self.table.ravel()
         row_base = (xs * (b * c) + z)[:, None]

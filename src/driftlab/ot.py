@@ -11,10 +11,17 @@ source measure scaled by 1/(1-beta).
 The min-cost-flow solver starts from a column reduction: each column's
 least unit cost is subtracted, and each column is routed to its first
 cheapest row as far as that row's supply allows (Jonker & Volgenant,
-Computing 38, 1987). Shortest-path searches then route only the rest,
-and each search stops once the sink settles (Ahuja, Magnanti & Orlin,
-Network Flows, 1993, ch. 9). The reported cost is read off the final
-plan as an exact sum, so it does not depend on the augmenting paths.
+Computing 38, 1987). Shortest-path searches then route only the rest
+(Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9). A balanced
+solve searches from the source and stops once the sink settles. A
+relaxed solve, whose supply exceeds its demand, has many rows with
+spare supply and few columns still short, so it searches from the sink
+over reversed edges and stops once the source settles. The reported
+cost is read off the final plan as an exact sum, so it does not depend
+on the augmenting paths. Every solve certifies itself: the returned
+potentials must be dual-feasible and their dual value must match the
+cost, each to the stop slack relative to the largest unit cost (and the
+total demand), or the solve raises NumericError.
 
 Masses follow one rule: two differ when abs(a - b) > rtol * mass, mass
 being the mass involved, with no absolute floor. Input masses compare
@@ -124,12 +131,19 @@ def _ssp(supplies, demands, costs, want):
     partial flow uses only zero-cost edges, so with all potentials at 0
     it is dual-feasible and the searches route only what it left over.
 
-    Search: plain Dijkstra that stops once t settles; every potential
-    then moves by min(dist[v], dist[t]), which keeps reduced costs
-    nonnegative. Every label is ((d + cost) + pot[u]) - pot[v] in that
-    order; a reverse edge costs -cost, an s or t edge costs ±0.0. Labels
-    compare with a slack of 1e-13 times min(1, largest unit cost), and
-    masses (the stop test and the residual capacities) with tolerances
+    Search: plain Dijkstra from a root to a goal. A balanced solve
+    searches from s along residual edges and stops once t settles;
+    every potential then moves by min(dist[v], dist[t]). A relaxed
+    solve, whose supply exceeds ``want`` by more than the stop slack,
+    leaves most rows with spare supply and few columns short, so it
+    searches from t along reversed residual edges and stops once s
+    settles; every potential then moves by -min(dist[v], dist[s])
+    (Ahuja, Magnanti & Orlin, Network Flows, 1993, sec. 9.7). Both keep
+    reduced costs nonnegative. Every label is ((d + cost) + pot[u]) -
+    pot[v] for the residual edge (u, v), whichever end is opened; a
+    reverse edge costs -cost, an s or t edge costs ±0.0. Labels compare
+    with a slack of 1e-13 times min(1, largest unit cost), and masses
+    (the stop test and the residual capacities) with tolerances
     relative to ``want``, so neither a small cost scale nor a small
     total mass drowns in an absolute slack.
 
@@ -137,7 +151,8 @@ def _ssp(supplies, demands, costs, want):
     flow times original unit cost over the cells in use, so it does not
     depend on the order of the augmentations. The column minima are
     added back onto the returned column potentials, which therefore
-    certify optimality against the original costs.
+    certify optimality against the original costs
+    (:func:`_check_duals`).
     """
     n, m = costs.shape
     s, t = n + m, n + m + 1
@@ -150,6 +165,7 @@ def _ssp(supplies, demands, costs, want):
     reduced = costs - floor
     c = reduced.tolist()
     senders = [set() for _ in range(m)]  # rows i with flows[i, j] > tiny
+    receivers = [set() for _ in range(n)]  # columns j with flows[i, j] > tiny
     delivered = 0.0
     eps = 1e-13 * min(1.0, float(costs.max()))
     scale = want if want > 0 else 1.0
@@ -162,19 +178,70 @@ def _ssp(supplies, demands, costs, want):
             out[i] += push
             into[j] = push
             senders[j].add(i)
+            receivers[i].add(j)
             delivered += push
 
-    def lower(nodes, nd):  # open nodes reached from u at labels nd
-        better = nd < lim[nodes]
-        np.putmask(key[nodes], better, nd)
-        np.putmask(lim[nodes], better, nd - eps)
-        np.putmask(prev[nodes], better, u)
+    # Each search refills: labels of settled nodes; of open nodes; key -
+    # eps, -inf once settled. ``via``, the node each label came through,
+    # is read only along the path, whose nodes the same search opened.
+    dist, key, lim = (np.empty(n + m + 2) for _ in range(3))
+    via = np.zeros(n + m + 2, dtype=np.intp)
+    at_rows, at_cols = ((key[x], lim[x], via[x]) for x in (rows, cols))
+    pot_rows, pot_cols = pot[rows], pot[cols]  # views: pot changes in place
 
+    def lower(nodes, nd, u):  # open nodes (at_rows or at_cols) through u at labels nd
+        keys, lims, vias = nodes
+        better = nd < lims
+        np.putmask(keys, better, nd)
+        np.putmask(lims, better, nd - eps)
+        np.putmask(vias, better, u)
+
+    def lower_one(v, nd, u):
+        if nd < lim[v]:
+            key[v], lim[v], via[v] = nd, nd - eps, u
+
+    def forward(u, d):  # open the heads of the residual edges out of u
+        if u < n:
+            nd = reduced[u] + d
+            nd += p[u]
+            nd -= pot_cols
+            lower(at_cols, nd, u)
+        elif u < s:
+            j = u - n
+            for i in senders[j]:
+                lower_one(i, ((d - c[i][j]) + p[u]) - p[i], u)
+            if demands[j] - into[j] > tiny:
+                lower_one(t, ((d + 0.0) + p[u]) - p[t], u)
+        else:  # u == s
+            nd = ((d + 0.0) + p[s]) - pot_rows
+            lower(at_rows, np.where(supplies - out > tiny, nd, np.inf), u)
+
+    def backward(v, d):  # open the tails of the residual edges into v
+        if v < n:
+            for j in receivers[v]:
+                lower_one(n + j, ((d - c[v][j]) + p[n + j]) - p[v], v)
+            if supplies[v] - out[v] > tiny:
+                lower_one(s, ((d + 0.0) + p[s]) - p[v], v)
+        elif v < s:
+            nd = reduced_t[v - n] + d
+            nd += pot_rows
+            nd -= p[v]
+            lower(at_rows, nd, v)
+        else:  # v == t
+            nd = (d + 0.0) + pot_cols
+            nd -= p[t]
+            lower(at_cols, np.where(demands - into > tiny, nd, np.inf), v)
+
+    relaxed = float(supplies.sum()) - want > _STOP_RTOL * want
+    if relaxed:
+        root, goal, expand = t, s, backward
+        reduced_t = np.ascontiguousarray(reduced.T)  # a column's costs, contiguous
+    else:
+        root, goal, expand = s, t, forward
     while want - delivered > done:
-        # labels of settled nodes; of open nodes; key - eps, -inf once settled
-        dist, key, lim = (np.full(n + m + 2, np.inf) for _ in range(3))
-        prev = np.zeros(n + m + 2, dtype=np.intp)
-        key[s] = 0.0
+        for x in (dist, key, lim):
+            x.fill(np.inf)
+        key[root] = 0.0
         p = pot.tolist()
         while True:
             u = int(key.argmin())
@@ -182,35 +249,27 @@ def _ssp(supplies, demands, costs, want):
             if d == np.inf:
                 break
             dist[u], key[u], lim[u] = d, np.inf, -np.inf
-            if u == t:
+            if u == goal:
                 break
-            if u < n:
-                nd = reduced[u] + d
-                nd += p[u]
-                nd -= pot[cols]
-                lower(cols, nd)
-            elif u < s:
-                j = u - n
-                for i in senders[j]:
-                    nd = ((d - c[i][j]) + p[u]) - p[i]
-                    if nd < lim[i]:
-                        key[i], lim[i], prev[i] = nd, nd - eps, u
-                nd = ((d + 0.0) + p[u]) - p[t]
-                if demands[j] - into[j] > tiny and nd < lim[t]:
-                    key[t], lim[t], prev[t] = nd, nd - eps, u
-            else:  # u == s
-                nd = ((d + 0.0) + p[s]) - pot[rows]
-                lower(rows, np.where(supplies - out > tiny, nd, np.inf))
-        if dist[t] == np.inf:
+            expand(u, d)
+        if dist[goal] == np.inf:
             raise InfeasibleError(
                 f"cannot route remaining {want - delivered:.6g} mass; "
                 f"saturated cut around nodes {np.flatnonzero(dist < np.inf).tolist()}"
             )
-        pot += np.minimum(dist, dist[t])
-        path, v = [], t  # edges (u, v) from t back to s
-        while v != s:
-            path.append((int(prev[v]), v))
-            v = path[-1][0]
+        path = []  # edges (u, v)
+        if relaxed:
+            pot -= np.minimum(dist, dist[s])
+            u = s
+            while u != t:
+                path.append((u, int(via[u])))
+                u = path[-1][1]
+        else:
+            pot += np.minimum(dist, dist[t])
+            v = t
+            while v != s:
+                path.append((int(via[v]), v))
+                v = path[-1][0]
         push = min([want - delivered] + [  # row -> column edges are uncapacitated
             demands[u - n] - into[u - n] if v == t else
             supplies[v] - out[v] if u == s else flows[v, u - n]
@@ -223,10 +282,12 @@ def _ssp(supplies, demands, costs, want):
             elif u < n:
                 flows[u, v - n] += push
                 senders[v - n].add(u)
+                receivers[u].add(v - n)
             else:
                 flows[v, u - n] -= push
                 if flows[v, u - n] <= tiny:
                     senders[u - n].discard(v)
+                    receivers[v].discard(u - n)
         delivered += push
     pot[cols] += floor
     used = flows != 0
@@ -239,9 +300,9 @@ def min_cost_flow(supplies, demands, unit_costs):
     Row i may emit at most ``supplies[i]``; column j must receive exactly
     ``demands[j]``; every edge (i, j) is uncapacitated at unit cost
     ``unit_costs[i, j]`` >= 0, and every input is finite. Returns a
-    FlowResult whose potentials certify optimality through complementary
-    slackness; a plan that misses its marginals raises NumericError
-    (:func:`_check_plan`).
+    FlowResult whose potentials certify its cost as optimal. A plan that
+    misses its marginals (:func:`_check_plan`), or a cost its potentials
+    do not certify (:func:`_check_duals`), raises NumericError.
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)
@@ -263,7 +324,9 @@ def min_cost_flow(supplies, demands, unit_costs):
         )
     cost, flows, pot = _ssp(supplies, demands, unit_costs, total_demand)
     _check_plan(flows, supplies, demands)
-    return FlowResult(cost, flows, pot[:n], pot[n:n + m])
+    u, v = pot[:n], pot[n:n + m]
+    _check_duals(cost, unit_costs, supplies, demands, u, v)
+    return FlowResult(cost, flows, u, v)
 
 
 def _check_plan(flows, supplies, demands):
@@ -276,6 +339,33 @@ def _check_plan(flows, supplies, demands):
     if not (short <= slack and over <= slack):
         raise NumericError(f"plan misses its marginals: a column by {short:.3g}, "
                            f"a row by {over:.3g} over its supply (slack {slack:.3g})")
+
+
+def _check_duals(cost, costs, caps, demands, u, v):
+    """Raise NumericError unless the row potentials ``u`` and column
+    potentials ``v`` certify ``cost`` as the optimum.
+
+    Both tests are relative to the largest unit cost, at the stop slack:
+    every reduced cost c_ij + u_i - v_j must be at least -slack times it
+    (dual feasibility), and the dual value, with theta the least row
+    potential, sum_j d_j (v_j - theta) - sum_i cap_i (u_i - theta), must
+    lie within slack times it times the total demand of ``cost`` (no
+    duality gap). A NaN anywhere fails the check.
+    """
+    if costs.size == 0:
+        return
+    top = float(costs.max())
+    worst = float(((costs + u[:, None]) - v).min())
+    if not worst >= -_STOP_RTOL * top:
+        raise NumericError(f"potentials are not dual-feasible: a reduced cost of "
+                           f"{worst:.3g} (slack {_STOP_RTOL * top:.3g})")
+    theta = float(u.min())
+    dual = (math.fsum((demands * (v - theta)).tolist())
+            - math.fsum((caps * (u - theta)).tolist()))
+    slack = _STOP_RTOL * float(demands.sum()) * top
+    if not abs(cost - dual) <= slack:
+        raise NumericError(f"duality gap: plan cost {cost:.17g} against dual value "
+                           f"{dual:.17g} (slack {slack:.3g})")
 
 
 # ---------------------------------------------------------------------

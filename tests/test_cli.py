@@ -731,9 +731,11 @@ RATIO_FIELDS = ("source_ratio", "target_ratio")
 # Valid inputs of each kind; the fuzzer corrupts some of their fields.
 TEMPLATES = {
     "config": FIXTURES / "train" / "toy.cfg",
-    # measures of two widths: 3-D atoms and 1-D atoms
+    # measures of three widths and sizes: five 3-D atoms, four 1-D atoms
+    # and seven 2-D atoms; --beta 0 solves them balanced, 0.4 relaxed
     "measure": OT / "nested_a.csv",
     "scalar_measure": OT / "uniform4.csv",
+    "plane_measure": OT / "plane7.csv",
     "joint": CMI / "ln2.csv",
     "features": OT / "nested_b.csv",
     "table": FIXTURES / "toy_two_methods.csv",
@@ -801,7 +803,8 @@ def fuzz_argv(draw, command, a, b, report):
         argv = ["sweep", "--config", a, "--field", swept, "--values", values,
                 *overrides(swept), *tiny]
     elif command == "ot":
-        kinds = tuple(draw(st.sampled_from(["measure", "scalar_measure"]))
+        kinds = tuple(draw(st.sampled_from(["measure", "scalar_measure",
+                                            "plane_measure"]))
                       for _ in "ab")
         argv = ["ot", a, b, "--beta", value("0.4")]
         if draw(st.booleans()):

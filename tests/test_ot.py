@@ -20,6 +20,7 @@ from driftlab.ot import (
     CostMatrix,
     DiscreteMeasure,
     FlowResult,
+    _check_duals,
     _check_plan,
     ar_wwd_primal,
     containment_check,
@@ -217,10 +218,12 @@ def test_unroutable_remainder_names_mass():
 
 # Reference solver: successive shortest paths over adjacency lists with
 # a binary heap, from the same start (column reduction, then each column
-# routed to its lowest-index argmin row), with the same stop at t, slacks
-# and cost read off the plan. Above cost scales of about 1e3 a reduced
-# cost below -1e-13 re-opens a settled node, ``prev`` can then hold a
-# cycle and the path walk never ends, so it is only run on costs in [0, 4].
+# routed to its lowest-index argmin row), with the same root rule (a
+# relaxed instance searches from t over reversed edges and stops at s,
+# a balanced one from s to t), slacks and cost read off the plan. Above
+# cost scales of about 1e3 a reduced cost below -1e-13 re-opens a
+# settled node, ``via`` can then hold a cycle and the path walk never
+# ends, so it is only run on costs in [0, 4].
 
 class _Graph:
     def __init__(self, n):
@@ -237,59 +240,74 @@ class _Graph:
         self.adj[e[0]][e[4]][3] -= amount
 
 
-def _heap_ssp(graph, s, t, want, n, eps, delivered):
+def _heap_ssp(graph, s, t, want, n, eps, delivered, relaxed):
     """Deliver the ``want`` - ``delivered`` units still missing s -> t at
     min cost. Returns the potentials.
 
     Successive shortest paths with Johnson potentials; reduced unit costs
     must be nonnegative and the start flow tight, so plain Dijkstra
-    applies from the first iteration. A search stops once t is popped.
+    applies from the first iteration. A balanced search runs from s over
+    residual edges and stops once t is popped; a ``relaxed`` one runs
+    from t over reversed residual edges and stops once s is popped.
     """
     pot = [0.0] * n
     scale = want if want > 0 else 1.0
     tiny, done = 1e-13 * scale, 1e-12 * scale
+    root, goal = (t, s) if relaxed else (s, t)
     while want - delivered > done:
         dist = [np.inf] * n
-        prev = [None] * n  # (node, edge index)
-        dist[s] = 0.0
-        heap = [(0.0, s)]
+        via = [None] * n  # (tail, index of the edge in the tail's list)
+        dist[root] = 0.0
+        heap = [(0.0, root)]
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + eps:
+            d, x = heapq.heappop(heap)
+            if d > dist[x] + eps:
                 continue
-            if u == t:
+            if x == goal:
                 break
-            for ei, e in enumerate(graph.adj[u]):
-                v, cap, cost, flow, _ = e
-                residual = cap - flow
-                if residual <= tiny:
+            for ei, e in enumerate(graph.adj[x]):
+                if relaxed:  # open the tail of the edge into x, e's twin
+                    u, v, edge = e[0], x, e[4]
+                    y = u
+                    _, cap, cost, flow, _ = graph.adj[u][edge]
+                else:  # open the head of the edge e out of x
+                    u, v, edge = x, e[0], ei
+                    y = v
+                    _, cap, cost, flow, _ = e
+                if cap - flow <= tiny:
                     continue
                 nd = d + cost + pot[u] - pot[v]
-                if nd < dist[v] - eps:
-                    dist[v] = nd
-                    prev[v] = (u, ei)
-                    heapq.heappush(heap, (nd, v))
-        if not np.isfinite(dist[t]):
+                if nd < dist[y] - eps:
+                    dist[y] = nd
+                    via[y] = (u, edge)
+                    heapq.heappush(heap, (nd, y))
+        if not np.isfinite(dist[goal]):
             reachable = [i for i in range(n) if np.isfinite(dist[i])]
             raise InfeasibleError(
                 f"cannot route remaining {want - delivered:.6g} mass; "
                 f"saturated cut around nodes {reachable}"
             )
-        for i in range(n):
-            pot[i] += min(dist[i], dist[t])
-        # bottleneck along the path
-        push = want - delivered
-        v = t
-        while v != s:
-            u, ei = prev[v]
+        path = []  # (tail, edge index) along the augmenting path
+        if relaxed:
+            for i in range(n):
+                pot[i] -= min(dist[i], dist[s])
+            x = s
+            while x != t:
+                path.append(via[x])
+                x = graph.adj[x][via[x][1]][0]
+        else:
+            for i in range(n):
+                pot[i] += min(dist[i], dist[t])
+            x = t
+            while x != s:
+                path.append(via[x])
+                x = via[x][0]
+        push = want - delivered  # bottleneck along the path
+        for u, ei in path:
             e = graph.adj[u][ei]
             push = min(push, e[1] - e[3])
-            v = u
-        v = t
-        while v != s:
-            u, ei = prev[v]
+        for u, ei in path:
             graph.push(u, ei, push)
-            v = u
         delivered += push
     return pot
 
@@ -319,7 +337,8 @@ def heap_min_cost_flow(supplies, demands, unit_costs):
             g.push(n + j, n, push)
             delivered += push
     eps = 1e-13 * min(1.0, float(unit_costs.max()))
-    pot = _heap_ssp(g, s, t, want, n + m + 2, eps, delivered)
+    relaxed = float(supplies.sum()) - want > 1e-12 * want
+    pot = _heap_ssp(g, s, t, want, n + m + 2, eps, delivered, relaxed)
 
     flows = np.zeros((n, m))
     for i in range(n):
@@ -452,6 +471,54 @@ def test_scale_safe_against_lp_oracle(k):
             assert mixed.cost == pytest.approx(unit, rel=1e-9, abs=0)
             for res in (by_cost, by_mass, mixed):
                 assert res.flows.min() >= 0
+
+
+def assert_certified(res, caps, demands, costs):
+    """The returned potentials are dual-feasible and close the duality
+    gap, each to 1e-12 relative to the largest unit cost (and the total
+    demand): the certificate ``min_cost_flow`` checks, restated."""
+    u, v = res.row_potentials, res.col_potentials
+    top = float(costs.max())
+    assert ((costs + u[:, None]) - v).min() >= -1e-12 * top
+    theta = u.min()
+    dual = sum(demands * (v - theta)) - sum(caps * (u - theta))
+    assert abs(res.cost - dual) <= 1e-12 * demands.sum() * top
+
+
+@given(st.integers(1, 40), st.integers(1, 40),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(-12, 12), st.integers(-12, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_relaxed_solve_matches_lp_oracle_across_scales(n, m, beta, cost_exp,
+                                                       mass_exp, seed):
+    # The oracle solves at unit scale and its value is scaled (see
+    # test_scale_safe_against_lp_oracle); capacities are those of
+    # ar_wwd_primal, P_s(i) / (1 - beta).
+    rng = np.random.default_rng(seed)
+    costs = rng.random((n, m))
+    caps, demands = random_simplex(rng, n) / (1.0 - beta), random_simplex(rng, m)
+    unit = lp_transport(caps, demands, costs)
+    by_cost, by_mass = 10.0 ** cost_exp, 10.0 ** mass_exp
+    scaled = (caps * by_mass, demands * by_mass, costs * by_cost)
+    with time_limit(20):
+        res = min_cost_flow(*scaled)
+    assert res.cost == pytest.approx(unit * by_cost * by_mass, rel=1e-9, abs=0)
+    assert_certified(res, *scaled)
+
+
+@pytest.mark.parametrize("cost,u,v,message", [
+    (0.25, [0.0, 0.0], [0.1, 0.0], "not dual-feasible: a reduced cost of -0.1"),
+    (0.25, [0.0, 0.0], [0.0, 0.0], "duality gap: plan cost 0.25 against dual value 0 "),
+    (0.0, [np.nan, 0.0], [0.0, 0.0], "reduced cost of nan"),
+    (np.nan, [0.0, 0.0], [0.0, 0.0], "duality gap: plan cost nan"),
+], ids=["negative-reduced-cost", "gap", "nan-potential", "nan-cost"])
+def test_duality_certificate_enforced(cost, u, v, message):
+    # costs [[0, 1], [1, 0]] with unit masses on the diagonal: optimum 0,
+    # certified by all-zero potentials
+    args = np.array([[0.0, 1.0], [1.0, 0.0]]), np.full(2, 0.5), np.full(2, 0.5)
+    _check_duals(0.0, *args, np.zeros(2), np.zeros(2))
+    with pytest.raises(NumericError, match=message):
+        _check_duals(cost, *args, np.array(u), np.array(v))
 
 
 # ---------------------------------------------------------------------
