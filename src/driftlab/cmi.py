@@ -20,7 +20,6 @@ from .tensorcore import (
     MLP,
     SplitMix64,
     add,
-    as_tensor,
     logsumexp,
     matmul,
     mlp_backward,
@@ -216,12 +215,13 @@ class BilinearScorer:
         candidates are then gathered from them by index. Each kept
         entry is the same M products reduced in the same order as the
         gathered (N, K, M) form, so the blocks change no bit; no array
-        larger than (block, N, M) is built.
+        larger than (block, N, M) is built. Products of finite features
+        can overflow, so the scores are checked here.
         """
         anchors = np.asarray(batch.anchors, dtype=np.float64)
         sources = np.asarray(batch.sources, dtype=np.float64)
-        gs = self.net.forward(sources).value
-        ga = self.net.forward(anchors).value
+        gs = mlp_forward(self.net, sources)[0]
+        ga = mlp_forward(self.net, anchors)[0]
         own = (gs * anchors).sum(axis=1)
         idx = batch.candidates
         cross = np.empty(idx.shape)
@@ -229,7 +229,10 @@ class BilinearScorer:
             b = a + _ROW_BLOCK
             pairs = (ga[None] * anchors[a:b, None]).sum(axis=2)
             cross[a:b] = np.take_along_axis(pairs, idx[a:b], axis=1)
-        return 0.5 * (own[:, None] + cross)
+        scores = 0.5 * (own[:, None] + cross)
+        if not np.isfinite(scores).all():
+            raise NumericError("scorer produced non-finite values")
+        return scores
 
     def objective_graph(self, paired_sources, anchors):
         """Differentiable in-batch estimate (K = N, positive = self).
@@ -276,8 +279,6 @@ class BilinearScorer:
         grads = [a + b for a, b in zip(
             mlp_backward(self.net, u_inputs, u_masks, own_grad * anchors),
             mlp_backward(self.net, g_inputs, g_masks, (anchors.T @ grad).T))]
-        if not all(np.isfinite(x).all() for x in grads):
-            raise NumericError("non-finite gradient")
         return float(value), grads
 
 
@@ -291,7 +292,7 @@ def train_scorer(scorer, paired, anchors, steps, optim):
     """
     if steps < 0:
         raise ContractError("steps must be nonnegative")
-    paired, anchors = as_tensor(paired).value, as_tensor(anchors).value
+    paired, anchors = np.asarray(paired, np.float64), np.asarray(anchors, np.float64)
     for k in range(steps):
         with prefixed(f"scorer training diverged at step {k}"):
             _, grads = scorer.objective_and_grads(paired, anchors)
@@ -311,8 +312,6 @@ def cnce_terms(scorer, batch):
     positive attains the maximum, and >= exp(pos - max) otherwise.
     """
     s = np.asarray(scorer.score_matrix(batch), dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise ContractError("scorer produced non-finite values")
     k = s.shape[1]
     if k == 1:
         return np.zeros(s.shape[0])

@@ -16,6 +16,7 @@ from .errors import ContractError
 from .tensorcore import (
     add,
     logsumexp,
+    mlp_forward,
     mul,
     square,
     sub,
@@ -33,7 +34,7 @@ CHECKPOINT_VERSION = 1
 
 def extract(phi, X):
     """The extractor's (N, M) feature array for the rows of X."""
-    return phi.forward(X).value
+    return mlp_forward(phi, np.asarray(X, dtype=np.float64))[0]
 
 
 def _onehot(labels, n_classes):
@@ -72,7 +73,8 @@ def regularizer(networks, alpha):
 def predict(psi, features):
     """Class labels for extracted features; ties in the argmax resolve
     to the lowest class index."""
-    return np.argmax(psi.forward(features).value, axis=1)
+    logits = mlp_forward(psi, np.asarray(features, dtype=np.float64))[0]
+    return np.argmax(logits, axis=1)
 
 
 # ---------------------------------------------------------------------

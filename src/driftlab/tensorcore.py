@@ -37,14 +37,12 @@ Design notes
   equal to it bit for bit. Rounding differences are not harmless here:
   the training outcome depends on the helpers' last bits. The graphs
   stay as their oracles and serve the descent step.
-* Finiteness is checked where values are made: ``Tensor.__init__``
-  raises ``NumericError`` naming the op of any node holding a NaN or an
-  infinity. The ops in ``_FINITE_PRESERVING`` skip the check, which is
-  exact: each only moves, scales down or squashes finite inputs
-  (``transpose``, ``gather``, ``leaky_relu``, ``sigmoid``,
-  ``softplus``), so a finite input cannot give them a non-finite
-  output, and every input was itself checked where it was made.
-  Gradients are arrays and go unchecked until :func:`step`.
+* Finiteness is checked once, where a value is made: a node checks
+  itself, each :func:`mlp_forward` checks its output, scores are
+  checked where products of finite features can overflow, and
+  gradients are checked in :func:`step`. A node holding a NaN or an
+  infinity raises ``NumericError`` naming its op, unless the op only
+  moves, scales down or squashes finite inputs (``_FINITE_PRESERVING``).
 * Adam keeps its moments as one flat vector each (:class:`OptimState`)
   and updates them with one run of numpy calls per step, not one per
   parameter. The update is elementwise, with the same expressions in
@@ -533,10 +531,11 @@ def mlp_forward(net, x):
     """``net.forward`` on an array, keeping what :func:`mlp_backward` needs.
 
     Returns ``(out, inputs, masks)``: the last layer's pre-activation,
-    the input of every layer and the
-    leaky-ReLU slope (1 or ``LEAKY_SLOPE``) of every hidden unit. The
-    arithmetic is the graph's, bit for bit, and a non-finite layer
-    output raises ``NumericError`` naming the op the graph would name.
+    the input of every layer and the leaky-ReLU slope (1 or
+    ``LEAKY_SLOPE``) of every hidden unit, bit for bit the graph's. Only
+    the output is checked: a NaN or infinity in any layer reaches it, as
+    leaky ReLU keeps ±inf and a matmul makes inf·0 NaN. A non-finite
+    output replays the layers to name the op the graph would name.
     """
     net._check_input(x)
     inputs, masks = [], []
@@ -548,11 +547,13 @@ def mlp_forward(net, x):
             masks.append(np.where(a > 0, 1.0, LEAKY_SLOPE))
             h = a * masks[-1]
         inputs.append(h)
-        z = h @ layer.w.value
-        a = z + layer.b.value
-        if not np.isfinite(a).all():
-            op = "add" if np.isfinite(z).all() else "matmul"
-            raise NumericError(f"non-finite values produced by op '{op}'")
+        a = h @ layer.w.value + layer.b.value
+    if not np.isfinite(a).all():
+        for h, layer in zip(inputs, net.layers):
+            z = h @ layer.w.value
+            if not np.isfinite(z + layer.b.value).all():
+                op = "add" if np.isfinite(z).all() else "matmul"
+                raise NumericError(f"non-finite values produced by op '{op}'")
     return a, inputs, masks
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 
 from driftlab.cmi import ContrastiveBatch
+from driftlab.dualcritic import dual_objective_graph
 from driftlab.errors import (ContractError, DimensionError, InfeasibleError,
-                             allocating)
-from driftlab.tensorcore import SplitMix64, as_tensor
+                             NumericError, allocating)
+from driftlab.tensorcore import LEAKY_SLOPE, SplitMix64, as_tensor
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
@@ -78,9 +79,43 @@ def dense_pair_positive(Zt, Zs):
     return ((Zt[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
 
 
+def mlp_forward(net, x):
+    """``tensorcore.mlp_forward`` with a finite check after every layer,
+    raising at the first layer whose output is not finite."""
+    net._check_input(x)
+    inputs, masks = [], []
+    h = x
+    for i, layer in enumerate(net.layers):
+        if i:
+            masks.append(np.where(a > 0, 1.0, LEAKY_SLOPE))
+            h = a * masks[-1]
+        inputs.append(h)
+        z = h @ layer.w.value
+        a = z + layer.b.value
+        if not np.isfinite(a).all():
+            op = "add" if np.isfinite(z).all() else "matmul"
+            raise NumericError(f"non-finite values produced by op '{op}'")
+    return a, inputs, masks
+
+
+def extract(phi, X):
+    """``model.extract`` through the graph forward."""
+    return phi.forward(X).value
+
+
+def predict(psi, features):
+    """``model.predict`` through the graph forward."""
+    return np.argmax(psi.forward(features).value, axis=1)
+
+
+def dual_objective(critic, Zs, Zt):
+    """``dualcritic.dual_objective`` as the value of its graph."""
+    return float(dual_objective_graph(critic, Zs, Zt).value)
+
+
 def gathered_score_matrix(scorer, batch):
-    """``BilinearScorer.score_matrix`` on the gathered (N, K, M) array of
-    candidate embeddings."""
+    """``BilinearScorer.score_matrix`` through the graph forward, on the
+    gathered (N, K, M) array of candidate embeddings."""
     anchors = np.asarray(batch.anchors, dtype=np.float64)
     gs = scorer.net.forward(as_tensor(batch.sources)).value
     ga = scorer.net.forward(as_tensor(anchors)).value
@@ -147,8 +182,6 @@ def indexed_table_scores(table, batch):
 def cnce_terms(scorer, batch):
     """``cmi.cnce_terms`` with the shifted exponentials in a new array."""
     s = np.asarray(scorer.score_matrix(batch), dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise ContractError("scorer produced non-finite values")
     k = s.shape[1]
     if k == 1:
         return np.zeros(s.shape[0])

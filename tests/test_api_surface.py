@@ -16,6 +16,9 @@ module, unless ``perfbench/tracing.py`` names it as a string: tracing
 wraps a function in each module that calls it, so a module may import a
 name only for tracing to find there.
 
+An MLP's graph forward, ``.forward(``, runs only where a gradient is
+taken through its output; value-only forwards use ``mlp_forward``.
+
 The CLI has one output path: each ``cmd_*`` in ``cli.py`` returns its
 report and its text lines, and only ``main`` reads ``--format`` and
 writes stdout.
@@ -161,3 +164,26 @@ def test_only_cli_main_writes_stdout():
                if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("cmd_")
                for node in ast.walk(stmt) if _writes_output(node)]
     assert not writers, "a subcommand writes its own output: " + ", ".join(writers)
+
+
+# The functions in src/driftlab whose graph forward a gradient is taken
+# through.
+GRAPH_FORWARD_CALLERS = {
+    "pipeline.adversarial_step",
+    "model.cross_entropy_loss",
+    "dualcritic.dual_objective_graph",
+    "dualcritic._input_gradient_graph",
+    "cmi.BilinearScorer.objective_graph",
+}
+
+
+def test_graph_forward_runs_only_where_a_gradient_is_taken():
+    callers = {".".join((path.stem, *scope))
+               for path in sorted(PACKAGE.glob("*.py"))
+               for stmt in _parse(path).body
+               for scope, node in _scoped(stmt)
+               for n in ast.walk(node)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "forward"}
+    stray = sorted(callers - GRAPH_FORWARD_CALLERS)
+    assert not stray, "graph forward for a value only: " + ", ".join(stray)

@@ -472,26 +472,32 @@ class TestCmi:
         if mode == "features":
             assert "line 2" in err
 
-    @pytest.mark.parametrize("huge, code, stdout", [
-        ("target", 3, ""),
-        ("source", 0, "cnce -0.001956345844\nse 0.01707876618\n"),
+    @pytest.mark.parametrize("huge, code, stdout, steps, error", [
+        pytest.param("target", 3, "", "2", "objective not finite",
+                     id="target-3-"),
+        pytest.param("source", 0, "cnce -0.001956345844\nse 0.01707876618\n",
+                     "2", None,
+                     id="source-0-cnce -0.001956345844\nse 0.01707876618\n"),
+        pytest.param("target", 3, "", "0", "scorer produced non-finite values",
+                     id="target-3-untrained"),
     ])
     def test_overflowing_features_print_no_warning(self, tmp_path, huge, code,
-                                                   stdout):
+                                                   stdout, steps, error):
         # A first value of 1e300 overflows the squared distances of the
         # positive pairing and, as the anchor, the scorer's scores; numpy
-        # once warned about each on stderr.
+        # once warned about each on stderr. The overflow exits 3 whether
+        # the scorer trains first or not.
         files = {"source": OT / "nested_b.csv", "target": OT / "nested_b.csv"}
         text = files[huge].read_text()
         files[huge] = tmp_path / "huge.csv"
         files[huge].write_text("1e300" + text[text.index(","):])
         proc = run_process("cmi", "--source", str(files["source"]),
                            "--target", str(files["target"]),
-                           "--train-steps", "2", timeout=60)
+                           "--train-steps", steps, timeout=60)
         assert proc.returncode == code
         assert proc.stdout == stdout
         if code:
-            assert re.fullmatch(r"error: .*objective not finite\n", proc.stderr)
+            assert re.fullmatch(rf"error: .*{error}\n", proc.stderr)
         else:
             assert proc.stderr == ""
 

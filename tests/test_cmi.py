@@ -28,6 +28,7 @@ from driftlab.errors import ContractError, NumericError, ParseError
 from driftlab.tensorcore import OptimState, SplitMix64, as_tensor, backward
 import oracles
 from oracles import build_negatives, dense_pair_positive, gathered_score_matrix
+from tensorcore_reference import same_bits
 
 
 def triple_loop_cmi(table):
@@ -474,6 +475,31 @@ def test_train_scorer_divergence_names_the_step():
     with pytest.raises(NumericError, match="step 1"):
         train_scorer(sc, paired, zt, 3,
                      OptimState(sc.parameters(), lr=1e160))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_scorer_gradient_names_its_parameter_and_changes_nothing():
+    # A first layer scaled down by 1e-300 and the rest scaled up by
+    # 1e78 keep the scores and the objective finite; the first layer's
+    # gradient, which the other layers multiply, overflows.
+    rng = SplitMix64(5)
+    sc = BilinearScorer(3, rng.spawn(1), hidden=(4, 4, 4, 4))
+    zs = rng.normal((6, 3))
+    zt = rng.normal((6, 3))
+    paired = zs[pair_positive(zt, zs)]
+    optim = OptimState(sc.parameters())
+    train_scorer(sc, paired, zt, 1, optim)
+    weights = sc.net.weights()
+    weights[0].value = weights[0].value * 1e-300
+    for w in weights[1:]:
+        w.value = w.value * 1e78
+    before = [p.value.copy() for p in sc.parameters()] + [optim.m.copy(), optim.v.copy()]
+    with pytest.raises(NumericError, match=r"^scorer training diverged at step 0: "
+                       r"non-finite gradient for parameter scorer\.layer0\.w$"):
+        train_scorer(sc, paired, zt, 1, optim)
+    after = [p.value for p in sc.parameters()] + [optim.m, optim.v]
+    assert optim.t == 1
+    assert all(map(same_bits, after, before))
 
 
 # ---------------------------------------------------------------------

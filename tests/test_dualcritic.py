@@ -213,6 +213,28 @@ def test_divergence_reports_step_index(batches):
                      optim=OptimState(c.parameters(), lr=1e160))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_gradient_names_its_parameter_and_changes_nothing():
+    # A penalty weight of 1e308 keeps the objective finite but overflows
+    # the weight gradients; step names the first and moves nothing.
+    rng = SplitMix64(3)
+    c = Critic(3, rng.spawn(1), hidden=(4, 4), lam=10.0)
+    for w in c.net.weights():
+        w.value = w.value * 3.0
+    zs = measure_normalize(rng.normal((6, 3)))
+    zt = measure_normalize(rng.normal((5, 3)))
+    optim = OptimState(c.parameters())
+    train_critic(c, zs, zt, steps=1, optim=optim)
+    before = [p.value.copy() for p in c.parameters()] + [optim.m.copy(), optim.v.copy()]
+    c.lam = 1e308
+    with pytest.raises(NumericError, match=r"^critic training diverged at step 0: "
+                       r"non-finite gradient for parameter critic\.layer0\.w$"):
+        train_critic(c, zs, zt, steps=1, optim=optim)
+    after = [p.value for p in c.parameters()] + [optim.m, optim.v]
+    assert optim.t == 1
+    assert all(map(ref.same_bits, after, before))
+
+
 def test_negative_steps_rejected(batches):
     c = Critic(3, SplitMix64(1), hidden=(4,), lam=1.0, beta=0.3)
     with pytest.raises(ContractError):

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import tensorcore_reference as ref
 from oracles import load_checkpoint
 from driftlab import pipeline
 from driftlab.cli import main
-from driftlab.cmi import BilinearScorer, pair_positive
+from driftlab.cmi import BilinearScorer, contrastive_from_features, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
 from driftlab.dualcritic import Critic, dual_objective, measure_normalize
 from driftlab.errors import ContractError, NumericError, ParseError
 from driftlab.evalstats import emit_report
-from driftlab.model import cross_entropy_loss, extract, regularizer
+from driftlab.model import cross_entropy_loss, extract, predict, regularizer
 from driftlab.pipeline import (
     TrainConfig,
     TrainState,
@@ -518,11 +519,37 @@ class TestAdversarialStep:
                            regularizer([state.phi, state.psi], cfg.alpha))
                 params = state.phi.parameters() + state.psi.parameters()
                 step(state.optim_model, backward(loss, wrt=params))
-        from driftlab.model import predict
         from driftlab.evalstats import accuracy
         preds = predict(state.psi, extract(state.phi, target.X))
         plain = accuracy(preds, target.labels)
         assert abs(rep["final"]["target_acc"] - plain) <= 0.5
+
+
+# ---------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------
+
+@given(st.integers(2, 40), st.integers(1, 8),
+       st.lists(st.integers(1, 16), max_size=3),
+       st.sampled_from([1e-3, 1.0, 30.0, 1e3]), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_value_only_forwards_equal_the_graph_bit_for_bit(n, m, hidden, scale, seed):
+    # evaluate_metrics runs every network on mlp_forward, off the graph
+    rng = SplitMix64(seed)
+    phi = MLP([2, *hidden, m], rng.spawn(1), name="phi")
+    psi = MLP([m, *hidden, 3], rng.spawn(2), name="psi")
+    critic = Critic(m, rng.spawn(3), hidden=tuple(hidden))
+    scorer = BilinearScorer(m, rng.spawn(4), hidden=tuple(hidden))
+    Xs, Xt = rng.normal((n, 2)) * scale, rng.normal((n, 2)) * scale
+    zs, zt = extract(phi, Xs), extract(phi, Xt)
+    assert ref.same_bits(zs, oracles.extract(phi, Xs))
+    assert ref.same_bits(predict(psi, zs), oracles.predict(psi, zs))
+    Zs, Zt = measure_normalize(rng.normal((n, m))), measure_normalize(rng.normal((n, m)))
+    assert ref.same_bits(dual_objective(critic, Zs, Zt),
+                         oracles.dual_objective(critic, Zs, Zt))
+    batch = contrastive_from_features(zs, zt)
+    assert ref.same_bits(scorer.score_matrix(batch),
+                         oracles.gathered_score_matrix(scorer, batch))
 
 
 # ---------------------------------------------------------------------

@@ -531,3 +531,61 @@ def test_mlp_sigmoid_head_bounded():
     x = tc.SplitMix64(9).normal((50, 3)) * 20
     out = tc.sigmoid(net.forward(x)).value
     assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+def _forward_outcome(forward, net, x):
+    """``forward(net, x)``, or the message of the NumericError it raises."""
+    try:
+        return forward(net, x)
+    except NumericError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.integers(1, 24), min_size=2, max_size=5), st.integers(1, 24),
+       st.integers(0, 2 ** 32),
+       st.sampled_from(["input", "weight", "bias", "overflow", "zero row"]),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+@settings(max_examples=400, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_output_check_raises_what_the_per_layer_check_raises(sizes, n, seed, fault,
+                                                             bad, data):
+    # The check on the output alone sees every fault that a check after
+    # each layer sees, and names the same op: a NaN or an infinity in
+    # any layer reaches the output, even through a weight row of exact
+    # zeros, since inf * 0 is NaN.
+    rng = tc.SplitMix64(seed)
+    net = tc.MLP(sizes, rng.spawn(1))
+    x = rng.normal((n, sizes[0]))
+    depth = len(net.layers)
+    hidden = fault == "zero row" and depth > 1
+    i = data.draw(st.integers(0, depth - 2 if hidden else depth - 1))
+    w, b = net.layers[i].w.value, net.layers[i].b.value
+    row = data.draw(st.integers(0, w.shape[0] - 1))
+    col = data.draw(st.integers(0, w.shape[1] - 1))
+    if fault == "input":
+        x[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, sizes[0] - 1))] = bad
+    elif fault == "weight":
+        w[row, col] = bad
+    elif fault == "bias":
+        b[col] = bad
+    elif fault == "overflow":
+        w *= 10.0 ** data.draw(st.integers(150, 308))
+    else:
+        # a hidden unit goes infinite, by its bias or by a matmul
+        # overflow, and the next layer's weights ignore it
+        if data.draw(st.booleans()):
+            b[col] = bad
+        else:
+            w[:, col] = 1e308
+        if hidden:
+            net.layers[i + 1].w.value[col] = 0.0
+    got = _forward_outcome(tc.mlp_forward, net, x)
+    want = _forward_outcome(oracles.mlp_forward, net, x)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        out, inputs, masks = got
+        assert ref.same_bits(out, want[0])
+        assert all(map(ref.same_bits, inputs, want[1]))
+        assert all(map(ref.same_bits, masks, want[2]))
