@@ -63,10 +63,14 @@ def _features(batch):
 def measure_normalize(features):
     """Rowwise softplus + L1 normalization (numeric path). It differs from
     ``measure_normalize_graph`` in the last bit on about 16% of entries,
-    so merging the two would change every training report."""
+    so merging the two would change every training report. A row whose
+    weights sum to 0 (all below about -745) or overflow raises."""
     f = np.asarray(features, dtype=np.float64)
     w = np.logaddexp(0.0, f)
-    return w / w.sum(axis=1, keepdims=True)
+    total = w.sum(axis=1, keepdims=True)
+    if not ((total > 0) & (total < np.inf)).all():
+        raise NumericError("measure normalization: a row's weights sum to 0 or overflow")
+    return w / total
 
 
 def measure_normalize_graph(z):

@@ -28,6 +28,11 @@ Design notes
   output array, ``div`` recomputes its quotient. Reference counting
   therefore frees a graph as soon as it is dropped, with no work left
   for the cycle collector.
+* A network forward is one node, :meth:`MLP.forward`, with the value of
+  :func:`mlp_forward` and vjps from :func:`layer_gradients`, as in
+  :func:`mlp_backward`. Each vjp is the numpy expression of the
+  per-layer chain it replaced (the oracle in the tests), and the merge
+  keeps the order of every other node, so ``backward`` keeps its bits.
 * The critic and the scorer train through closed forms built on
   :func:`mlp_forward` and :func:`mlp_backward`
   (``dualcritic.training_objective_and_grads``,
@@ -40,9 +45,9 @@ Design notes
 * Finiteness is checked once, where a value is made: a node checks
   itself, each :func:`mlp_forward` checks its output, scores are
   checked where products of finite features can overflow, and
-  gradients are checked in :func:`step`. A node holding a NaN or an
-  infinity raises ``NumericError`` naming its op, unless the op only
-  moves, scales down or squashes finite inputs (``_FINITE_PRESERVING``).
+  gradients and Adam's moments in :func:`step`. A node holding a NaN
+  or an infinity raises ``NumericError`` naming its op, unless the op
+  keeps finite inputs finite or its value is checked (``_UNCHECKED``).
 * Adam keeps its moments as one flat vector each (:class:`OptimState`)
   and updates them with one run of numpy calls per step, not one per
   parameter. The update is elementwise, with the same expressions in
@@ -71,11 +76,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Ops whose output is finite whenever their inputs are; Tensor.__init__
-# skips the finite check for them (see the design notes).
-_FINITE_PRESERVING = frozenset(
-    ("transpose", "gather", "leaky_relu", "sigmoid", "softplus")
-)
+# Ops whose nodes skip the finite check in Tensor.__init__ (see the
+# design notes). The first four give finite outputs whenever their
+# inputs are finite. An 'mlp' node holds mlp_forward's output, which
+# mlp_forward has checked, naming the layer op that went non-finite.
+_UNCHECKED = frozenset(("transpose", "gather", "sigmoid", "softplus", "mlp"))
 
 
 class Tensor:
@@ -90,7 +95,7 @@ class Tensor:
 
     def __init__(self, value, parents=(), op="leaf", name=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if op not in _FINITE_PRESERVING and not np.isfinite(self.value).all():
+        if op not in _UNCHECKED and not np.isfinite(self.value).all():
             raise NumericError(f"non-finite values produced by op '{op}'")
         self.parents = tuple(parents)
         self.op = op
@@ -255,15 +260,6 @@ def softplus(a):
     v = a.value
     sv = np.where(v > 30.0, v, np.log1p(np.exp(np.minimum(v, 30.0))))
     return Tensor(sv, parents=((a, lambda g: g * sigmoid_value(a.value)),), op="softplus")
-
-
-def leaky_relu(a):
-    a = as_tensor(a)
-    return Tensor(
-        np.where(a.value > 0, a.value, LEAKY_SLOPE * a.value),
-        parents=((a, lambda g: g * np.where(a.value > 0, 1.0, LEAKY_SLOPE)),),
-        op="leaky_relu",
-    )
 
 
 def logsumexp(a, axis):
@@ -483,9 +479,6 @@ class Linear:
         self.w = parameter(w0, name=f"{name}.w")
         self.b = parameter(np.zeros(n_out), name=f"{name}.b")
 
-    def apply(self, x):
-        return add(matmul(x, self.w), self.b)
-
 
 class MLP:
     """Perceptron with leaky-ReLU hidden layers; its output is the last
@@ -509,13 +502,19 @@ class MLP:
             )
 
     def forward(self, x):
-        h = as_tensor(x)
-        self._check_input(h.value)
+        """One node; each vjp computes only its own parent's share."""
+        x = as_tensor(x)
+        out, inputs, masks = mlp_forward(self, x.value)
+        memo = [None, None]  # the last incoming gradient and its pass
+        def pre(g):
+            if memo[0] is not g:
+                memo[:] = g, layer_gradients(self, masks, g)
+            return memo[1]
+        parents = [(x, lambda g: pre(g)[0] @ self.layers[0].w.value.T)]
         for i, layer in enumerate(self.layers):
-            h = layer.apply(h)
-            if i < len(self.layers) - 1:
-                h = leaky_relu(h)
-        return h
+            parents += [(layer.w, lambda g, i=i: inputs[i].T @ pre(g)[i]),
+                        (layer.b, lambda g, i=i: pre(g)[i].sum(axis=0))]
+        return Tensor(out, parents, op="mlp")
 
     def parameters(self):
         out = []
@@ -528,21 +527,21 @@ class MLP:
 
 
 def mlp_forward(net, x):
-    """``net.forward`` on an array, keeping what :func:`mlp_backward` needs.
+    """``net.forward``'s value on an array, with what the backward needs.
 
     Returns ``(out, inputs, masks)``: the last layer's pre-activation,
     the input of every layer and the leaky-ReLU slope (1 or
-    ``LEAKY_SLOPE``) of every hidden unit, bit for bit the graph's. Only
+    ``LEAKY_SLOPE``) of every hidden unit, bit for bit the chain's. Only
     the output is checked: a NaN or infinity in any layer reaches it, as
     leaky ReLU keeps ±inf and a matmul makes inf·0 NaN. A non-finite
-    output replays the layers to name the op the graph would name.
+    output replays the layers to name the op the chain would name.
     """
     net._check_input(x)
     inputs, masks = [], []
     h = x
     for i, layer in enumerate(net.layers):
         if i:
-            # a * slope equals the graph's where(a > 0, a, LEAKY_SLOPE * a)
+            # a * slope equals the chain's where(a > 0, a, LEAKY_SLOPE * a)
             # bit for bit: a * 1.0 is a, and the product commutes.
             masks.append(np.where(a > 0, 1.0, LEAKY_SLOPE))
             h = a * masks[-1]
@@ -557,19 +556,25 @@ def mlp_forward(net, x):
     return a, inputs, masks
 
 
+def layer_gradients(net, masks, g):
+    """Gradients at every pre-activation, first layer first, from ``g`` at the last."""
+    out = [g]
+    for i in range(len(net.layers) - 1, 0, -1):
+        out.append((out[-1] @ net.layers[i].w.value.T) * masks[i - 1])
+    return out[::-1]
+
+
 def mlp_backward(net, inputs, masks, g):
     """First-order gradients in ``net.parameters()`` order, given the
     gradient ``g`` at the last pre-activation.
 
-    Each line is the vjp the graph runs at that node, on operands of the
-    same memory layout, so the result equals ``backward`` bit for bit.
+    Each line is the vjp the per-layer chain of nodes runs, on operands
+    of the same memory layout, so the result equals ``backward`` on
+    that chain bit for bit.
     """
-    grads = [None] * (2 * len(net.layers))
-    for i in range(len(net.layers) - 1, -1, -1):
-        grads[2 * i] = inputs[i].T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
-        if i:
-            g = (g @ net.layers[i].w.value.T) * masks[i - 1]
+    grads = []
+    for h, d in zip(inputs, layer_gradients(net, masks, g)):
+        grads += [h.T @ d, d.sum(axis=0)]
     return grads
 
 
@@ -597,19 +602,20 @@ class OptimState:
         self.v = np.zeros(self.offsets[-1])
 
 
-def _raise_non_finite(state, grads):
-    """NumericError naming the first of ``grads`` that is not finite."""
-    for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
+def _raise_non_finite(state, arrays, what="gradient"):
+    """NumericError naming the first parameter whose array is not finite."""
+    for i, a in enumerate(arrays):
+        if not np.isfinite(a).all():
             name = state.params[i].name or i
-            raise NumericError(f"non-finite gradient for parameter {name}")
+            raise NumericError(f"non-finite {what} for parameter {name}")
 
 
 def step(state, grads):
     """Apply one Adam update in place. Returns the state.
 
-    Every gradient is checked before anything changes, so a step that
-    raises leaves the parameters, the moments and ``t`` as they were.
+    The gradients and the new moments are checked before anything
+    changes, so a step that raises leaves the parameters, the moments
+    and ``t`` as they were.
     The update then runs once on the concatenated gradient with the
     per-element expressions of a per-tensor Adam, so each parameter
     gets the same bits.
@@ -623,11 +629,15 @@ def step(state, grads):
             name = state.params[i].name or i
             raise DimensionError(f"gradient shape mismatch for {name}")
     g = np.concatenate([g.ravel() for g in grads] or [np.zeros(0)])
-    if not np.isfinite(g).all():
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    # v is finite only if g is and no g * g overflowed (past about
+    # 1.3e154); a finite v bounds every |g| so far, and so m
+    if not np.isfinite(v).all():
         _raise_non_finite(state, grads)
+        _raise_non_finite(state, np.split(v, state.offsets[1:-1]), "Adam second moment")
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    state.m, state.v = m, v
     mhat = state.m / (1 - ADAM_BETA1 ** state.t)
     vhat = state.v / (1 - ADAM_BETA2 ** state.t)
     delta = state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

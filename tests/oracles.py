@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 
+from tensorcore_reference import mlp_chain
 from driftlab.cmi import ContrastiveBatch
-from driftlab.dualcritic import dual_objective_graph
 from driftlab.errors import (ContractError, DimensionError, InfeasibleError,
                              NumericError, allocating)
-from driftlab.tensorcore import LEAKY_SLOPE, SplitMix64, as_tensor
+from driftlab.tensorcore import (LEAKY_SLOPE, SplitMix64, as_tensor, mul,
+                                  sigmoid, sub, tmean)
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
@@ -99,26 +100,29 @@ def mlp_forward(net, x):
 
 
 def extract(phi, X):
-    """``model.extract`` through the graph forward."""
-    return phi.forward(X).value
+    """``model.extract`` through the per-layer graph chain."""
+    return mlp_chain(phi, X).value
 
 
 def predict(psi, features):
-    """``model.predict`` through the graph forward."""
-    return np.argmax(psi.forward(features).value, axis=1)
+    """``model.predict`` through the per-layer graph chain."""
+    return np.argmax(mlp_chain(psi, features).value, axis=1)
 
 
 def dual_objective(critic, Zs, Zt):
-    """``dualcritic.dual_objective`` as the value of its graph."""
-    return float(dual_objective_graph(critic, Zs, Zt).value)
+    """``dualcritic.dual_objective`` as the value of its graph
+    (``dual_objective_graph``), with the critic run as the per-layer
+    graph chain."""
+    fs, ft = (tmean(sigmoid(mlp_chain(critic.net, z))) for z in (Zs, Zt))
+    return float(sub(fs, mul(ft, 1.0 - critic.beta)).value)
 
 
 def gathered_score_matrix(scorer, batch):
-    """``BilinearScorer.score_matrix`` through the graph forward, on the
-    gathered (N, K, M) array of candidate embeddings."""
+    """``BilinearScorer.score_matrix`` through the per-layer graph
+    chain, on the gathered (N, K, M) array of candidate embeddings."""
     anchors = np.asarray(batch.anchors, dtype=np.float64)
-    gs = scorer.net.forward(as_tensor(batch.sources)).value
-    ga = scorer.net.forward(as_tensor(anchors)).value
+    gs = mlp_chain(scorer.net, as_tensor(batch.sources)).value
+    ga = mlp_chain(scorer.net, as_tensor(anchors)).value
     own = (gs * anchors).sum(axis=1)
     cross = (ga[batch.candidates] * anchors[:, None, :]).sum(axis=2)
     return 0.5 * (own[:, None] + cross)

@@ -1,5 +1,5 @@
-"""Bit-equality oracles for tensorcore's optimizer, backward pass and
-single-node reductions.
+"""Bit-equality oracles for tensorcore's optimizer, backward pass,
+single-node reductions and single-node network forward.
 
 ``OptimState``, ``step`` and ``backward`` below are the per-tensor Adam
 and the unpruned backward pass that ``driftlab.tensorcore`` shipped
@@ -8,10 +8,12 @@ copied verbatim; ``backward`` is too, except that it sums gradient
 arrays, as the shipped first-order vjps return them, where it once
 summed Tensor nodes. ``logsumexp`` and ``tmean`` are the chains of
 nodes that the shipped single nodes replaced, with the ``exp``, ``log``
-and ``reshape`` ops only they used. The shipped versions must give the
-same bits: tests compare them with :func:`same_bits`, and the
-criterion-7 guard trains with the reference ``step`` and ``backward``
-in place of the shipped ones.
+and ``reshape`` ops only they used. :func:`mlp_chain` is the per-layer
+chain of ``matmul``, ``add`` and ``leaky_relu`` nodes (``linear`` was
+``Linear.apply``) that ``MLP.forward``'s single node replaced. The
+shipped versions must give the same bits: tests compare them with
+:func:`same_bits`, and the criterion-7 guard trains with the reference
+``step``, ``backward`` and ``mlp_chain`` in place of the shipped ones.
 """
 
 import numpy as np
@@ -21,10 +23,12 @@ from driftlab.tensorcore import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    LEAKY_SLOPE,
     Tensor,
     add,
     as_tensor,
     div,
+    matmul,
     sub,
     topo_order,
     tsum,
@@ -128,3 +132,27 @@ def logsumexp(a, axis):
     newshape = list(a.value.shape)
     del newshape[axis]
     return reshape(add(s, m), tuple(newshape))
+
+
+def leaky_relu(a):
+    a = as_tensor(a)
+    return Tensor(
+        np.where(a.value > 0, a.value, LEAKY_SLOPE * a.value),
+        parents=((a, lambda g: g * np.where(a.value > 0, 1.0, LEAKY_SLOPE)),),
+        op="leaky_relu",
+    )
+
+
+def linear(layer, x):
+    return add(matmul(x, layer.w), layer.b)
+
+
+def mlp_chain(net, x):
+    """``net.forward(x)`` as one node per op; a drop-in ``MLP.forward``."""
+    h = as_tensor(x)
+    net._check_input(h.value)
+    for i, layer in enumerate(net.layers):
+        h = linear(layer, h)
+        if i < len(net.layers) - 1:
+            h = leaky_relu(h)
+    return h

@@ -363,10 +363,12 @@ def graph_train_scorer(scorer, paired, anchors, steps, optim):
 
 def test_criterion_7_closed_forms_train_like_the_graph(monkeypatch):
     # Criterion 7's margins depend on the last bits of every update, so
-    # the closed-form helper steps, the flat-buffer Adam and the pruned
-    # backward must reproduce the graph loops on the reference optimizer
-    # and backward exactly; a drift fails here in seconds instead of
-    # moving the 600 s fixture.
+    # the closed-form helper steps, the flat-buffer Adam, the pruned
+    # backward and the one-node network forward must reproduce the graph
+    # loops on the reference optimizer, backward and per-layer chain
+    # exactly; a drift fails here in seconds instead of moving the
+    # 600 s fixture. The chain keeps the two sides from sharing any
+    # network gradient code.
     cfg = TrainConfig(seed=0, **{**ADAPT_SETTINGS, "epochs": 2})
     fast, report = train(cfg)
     monkeypatch.setattr(pipeline, "train_critic", graph_train_critic)
@@ -375,6 +377,7 @@ def test_criterion_7_closed_forms_train_like_the_graph(monkeypatch):
     monkeypatch.setattr(pipeline, "step", ref.step)
     monkeypatch.setattr(pipeline, "backward", ref.backward)
     monkeypatch.setattr(dualcritic, "backward", ref.backward)
+    monkeypatch.setattr(MLP, "forward", ref.mlp_chain)
     slow, ref_report = train(cfg)
     assert isinstance(slow.optim_model, ref.OptimState)
     for name in ("phi", "psi", "critic", "scorer"):

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import driftlab
-from driftlab import ot
+from driftlab import ot, pipeline
 from driftlab.cli import main
 from driftlab.pipeline import TrainConfig
 
@@ -98,6 +98,26 @@ class TestTrain:
         assert code == 3
         assert "error:" in err
         assert "epoch 1, batch 1: encoder features: " in err
+
+    def test_massless_features_exit_3_under_the_global_term(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # Encoder features below about -745 in every entry give the
+        # critic's measure normalization rows of mass 0 from the first
+        # step on; the evaluation at epoch 0 runs before the shift.
+        step = pipeline.adversarial_step
+
+        def sunk(state, batch_s, batch_t, config):
+            last = state.phi.layers[-1]
+            last.b.value = last.b.value - 1e4
+            return step(state, batch_s, batch_t, config)
+
+        monkeypatch.setattr(pipeline, "adversarial_step", sunk)
+        code, out, err = run(capsys, "train",
+                             "--config", str(FIXTURES / "train" / "toy.cfg"),
+                             "--report", str(tmp_path / "r.json"))
+        assert (code, out) == (3, "")
+        assert err == ("error: epoch 1, batch 0: global consistency term: measure "
+                       "normalization: a row's weights sum to 0 or overflow\n")
 
     @pytest.mark.parametrize("sigma", ["1e100", "1e300"])
     def test_oversized_noise_sigma_exits_2(self, tmp_path, sigma):

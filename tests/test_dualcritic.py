@@ -127,6 +127,18 @@ def test_linear_slope_matches_closed_form():
     assert pen == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", [[-1000.0, -800.0], [-746.0, -746.0],
+                                 [1e308, 1e308]])
+def test_measure_normalize_refuses_a_row_without_a_measure(row):
+    # Softplus underflows to 0 below about -745, so the first two rows
+    # would divide 0 by 0 into NaN; the last sums to inf and would
+    # normalize to a measure of mass 0.
+    with pytest.raises(NumericError, match="^measure normalization: "
+                       "a row's weights sum to 0 or overflow$"):
+        measure_normalize(np.array([[0.5, 1.0], row]))
+
+
 def test_penalty_nonnegative_random():
     rng = SplitMix64(7)
     for i in range(5):
@@ -233,6 +245,27 @@ def test_overflowing_gradient_names_its_parameter_and_changes_nothing():
     after = [p.value for p in c.parameters()] + [optim.m, optim.v]
     assert optim.t == 1
     assert all(map(ref.same_bits, after, before))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_squared_gradient_fails_the_critic_step():
+    # A feature of 1e300 under a zero weight row keeps every gradient
+    # finite, but the first layer's weight gradient squares past the
+    # float range; Adam's second moment once went inf there for good
+    # and froze the weight, with no error.
+    c = Critic(2, SplitMix64(3), hidden=(4, 4))
+    c.net.layers[0].w.value[0] = 0.0
+    zs = np.abs(SplitMix64(4).normal((6, 2)))
+    zs[0, 0] = 1e300
+    zt = np.abs(SplitMix64(5).normal((6, 2)))
+    optim = OptimState(c.parameters(), lr=3e-3)
+    before = [p.value.copy() for p in c.parameters()]
+    with pytest.raises(NumericError, match=r"^critic training diverged at step 0: "
+                       r"non-finite Adam second moment for parameter critic\.layer0\.w$"):
+        train_critic(c, zs, zt, steps=3, optim=optim)
+    assert optim.t == 0
+    assert all(map(ref.same_bits, [p.value for p in c.parameters()], before))
+    assert not optim.m.any() and not optim.v.any()
 
 
 def test_negative_steps_rejected(batches):

@@ -12,6 +12,7 @@ import oracles
 import tensorcore_reference as ref
 from driftlab import tensorcore as tc
 from driftlab.errors import ContractError, DimensionError, NumericError
+from driftlab.model import regularizer
 
 # Frozen output of MLP([2,3,2], SplitMix64(7)) on the fixed input below,
 # computed once by the first verified build of the engine.
@@ -116,7 +117,7 @@ def _build_expr(x, y, choice):
     if choice == 3:
         return tc.tsum(tc.logsumexp(tc.mul(x, y), axis=1))
     if choice == 4:
-        return tc.tsum(tc.mul(tc.sigmoid(tc.mul(y, -1.0)), tc.leaky_relu(x)))
+        return tc.tsum(tc.mul(tc.sigmoid(tc.mul(y, -1.0)), ref.leaky_relu(x)))
     if choice == 5:
         return tc.tmean(tc.div(x, y))
     return tc.tsum(tc.matmul(x, tc.transpose(y)))
@@ -208,9 +209,18 @@ def test_step_equals_per_tensor_reference_bit_for_bit(shapes, steps, lr, data):
         for _ in range(steps):
             grads = [data.draw(arrays(np.float64, s, elements=GRAD_VALUES))
                      for s in shapes]
-            tc.step(state, grads)
+            before = copy.deepcopy(ref_state)
             ref.step(ref_state, grads)
-    assert state.t == ref_state.t == steps
+            if all(np.isfinite(v).all() for v in ref_state.v):
+                tc.step(state, grads)
+                continue
+            # g * g overflowed, and the reference froze that entry for
+            # good; the shipped step refuses the whole step instead
+            with pytest.raises(NumericError, match="non-finite Adam second moment"):
+                tc.step(state, grads)
+            ref_state, theirs = before, before.params
+            break
+    assert state.t == ref_state.t
     for p, q in zip(ours, theirs):
         assert ref.same_bits(p.value, q.value)
     for flat, parts in ((state.m, ref_state.m), (state.v, ref_state.v)):
@@ -255,6 +265,26 @@ def test_failed_step_changes_nothing():
         assert np.array_equal(p.value, before)
     for now, before in zip((state.m, state.v), moments):
         assert all(np.array_equal(a, b) for a, b in zip(now, before))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_second_moment_fails_the_step_and_changes_nothing():
+    # a finite 1e160 overflows g * g; committing it would leave v at inf
+    # and freeze the entry's parameter at its value for good
+    params = [tc.parameter(np.array([1.0, -2.0]), "a"),
+              tc.parameter(np.ones((2, 2)), "b")]
+    state = tc.OptimState(params, lr=0.1)
+    tc.step(state, [np.full(2, 0.5), np.full((2, 2), -0.25)])
+    values = [p.value.copy() for p in params]
+    m, v = state.m.copy(), state.v.copy()
+    huge = np.full((2, 2), 0.5)
+    huge[0, 1] = 1e160
+    with pytest.raises(NumericError) as info:
+        tc.step(state, [np.full(2, 0.5), huge])
+    assert str(info.value) == "non-finite Adam second moment for parameter b"
+    assert state.t == 1
+    assert all(ref.same_bits(p.value, b) for p, b in zip(params, values))
+    assert ref.same_bits(state.m, m) and ref.same_bits(state.v, v)
 
 
 def test_step_zero_gradient_keeps_params():
@@ -368,20 +398,27 @@ def test_tensor_rejects_non_finite():
 
 EXTREMES = np.array([[1.79e308, -1.79e308, 5e-324, -5e-324, 0.0, -0.0]])
 
-# Every op that skips the finite check, applied to the extreme finite inputs.
+# Every op whose node skips the finite check, with the reason it may,
+# and the op applied to the extreme finite inputs where that reason is
+# that the op keeps finite inputs finite. An 'mlp' node's value comes
+# from mlp_forward, which checks it and names the layer op that went
+# non-finite, as test_mlp_node_equals_the_layer_chain shows.
 UNCHECKED = {
-    "transpose": tc.transpose,
-    "gather": lambda x: tc.select_rows(tc.transpose(x), [5, 0, 0, 3]),
-    "leaky_relu": tc.leaky_relu,
-    "sigmoid": tc.sigmoid,
-    "softplus": tc.softplus,
+    "transpose": ("moves entries", tc.transpose),
+    "gather": ("moves entries",
+               lambda x: tc.select_rows(tc.transpose(x), [5, 0, 0, 3])),
+    "sigmoid": ("maps into [0, 1]", tc.sigmoid),
+    "softplus": ("lies in [max(x, 0), max(x, 0) + log 2]", tc.softplus),
+    "mlp": ("checked by mlp_forward", None),
 }
 
 
 def test_unchecked_ops_keep_extreme_finite_inputs_finite():
-    assert set(UNCHECKED) == tc._FINITE_PRESERVING
+    assert set(UNCHECKED) == tc._UNCHECKED
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for op, apply in UNCHECKED.items():
+        for op, (_, apply) in UNCHECKED.items():
+            if apply is None:
+                continue
             out = apply(EXTREMES)
             assert out.op == op
             assert np.isfinite(out.value).all(), op
@@ -589,3 +626,105 @@ def test_output_check_raises_what_the_per_layer_check_raises(sizes, n, seed, fau
         assert ref.same_bits(out, want[0])
         assert all(map(ref.same_bits, inputs, want[1]))
         assert all(map(ref.same_bits, masks, want[2]))
+
+
+# Sizes of a network of depth 1 to 4 (depth 1 has no hidden layer).
+NET_SIZES = st.lists(st.integers(1, 8), min_size=2, max_size=5)
+
+
+@given(NET_SIZES, st.integers(1, 40),
+       st.sampled_from([1e-3, 1.0, 30.0, 1e3]) | st.floats(1e-3, 1e3),
+       st.sampled_from(["one", "two inputs and the regularizer", "stacked"]),
+       st.sampled_from([(True, True), (True, False), (False, True)]),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_mlp_node_equals_the_layer_chain(sizes, n, scale, case, live, seed):
+    # One node per forward gives the value and, through the pruned and
+    # the unpruned backward, the gradients of the per-layer chain, bit
+    # for bit: an input fed as a const or as a live Tensor, parameters
+    # live or pruned, three contributions reaching one weight (two
+    # forwards and the regularizer), and one net fed another's output.
+    x_live, params_live = live
+    rng = tc.SplitMix64(seed)
+    net = tc.MLP(sizes, rng.spawn(1), name="a")
+    head = tc.MLP([sizes[-1], *sizes[1:-1], 3], rng.spawn(2), name="b")
+    x0, x1 = (rng.normal((n, sizes[0])) * scale for _ in range(2))
+    x = tc.parameter(x0, "x") if x_live else x0
+    width = 3 if case == "stacked" else sizes[-1]
+    r0, r1 = (rng.normal((n, width)) for _ in range(2))
+
+    def loss():
+        if case == "stacked":
+            return tc.tsum(tc.mul(head.forward(net.forward(x)), r0))
+        out = tc.tsum(tc.mul(net.forward(x), r0))
+        if case == "one":
+            return out
+        out = tc.add(out, tc.tsum(tc.mul(net.forward(x1), r1)))
+        return tc.add(out, regularizer([net], 0.3))
+
+    got = loss()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tc.MLP, "forward", ref.mlp_chain)
+        want = loss()
+    assert ref.same_bits(got.value, want.value)
+    params = net.parameters() + (head.parameters() if case == "stacked" else [])
+    wrt = [x] * x_live + params * params_live
+    expected = ref.backward(want, wrt)
+    for grads in (tc.backward(got, wrt), ref.backward(got, wrt),
+                  tc.backward(want, wrt)):
+        assert all(map(ref.same_bits, grads, expected))
+
+
+@given(NET_SIZES, st.integers(1, 40), st.integers(0, 2 ** 32),
+       st.sampled_from(["input", "weight", "bias", "overflow"]),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mlp_node_raises_what_the_layer_chain_raises(sizes, n, seed, fault, bad,
+                                                     data):
+    rng = tc.SplitMix64(seed)
+    net = tc.MLP(sizes, rng.spawn(1))
+    x = rng.normal((n, sizes[0]))
+    layer = net.layers[data.draw(st.integers(0, len(net.layers) - 1))]
+    row = data.draw(st.integers(0, layer.w.value.shape[0] - 1))
+    col = data.draw(st.integers(0, layer.w.value.shape[1] - 1))
+    if fault == "input":
+        x[data.draw(st.integers(0, n - 1)), row % sizes[0]] = bad
+    elif fault == "weight":
+        layer.w.value[row, col] = bad
+    elif fault == "bias":
+        layer.b.value[col] = bad
+    else:
+        layer.w.value *= 10.0 ** data.draw(st.integers(150, 308))
+    got = _forward_outcome(lambda net, x: net.forward(x).value, net, x)
+    want = _forward_outcome(lambda net, x: ref.mlp_chain(net, x).value, net, x)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert ref.same_bits(got, want)
+
+
+def test_mlp_forward_is_one_node_and_one_layer_pass_per_gradient():
+    net = tc.MLP([3, 4, 4, 2], tc.SplitMix64(5))
+    x = tc.parameter(tc.SplitMix64(6).normal((5, 3)), "x")
+    built, passes = [], []
+    init, layer_gradients = tc.Tensor.__init__, tc.layer_gradients
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("op", args[2] if len(args) > 2 else "leaf"))
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tc.Tensor, "__init__", spy)
+        mp.setattr(tc, "layer_gradients",
+                   lambda *args: passes.append(1) or layer_gradients(*args))
+        out = net.forward(x)
+        assert built == ["mlp"]
+        net.forward(x.value)
+        assert built == ["mlp", "const", "mlp"]
+        tc.backward(tc.tsum(out), [x, *net.parameters()])
+        assert len(passes) == 1
+    # a second root through the same node gets a pass of its own
+    (got,) = tc.backward(tc.tsum(tc.mul(out, 2.0)), [x])
+    (want,) = ref.backward(tc.tsum(tc.mul(ref.mlp_chain(net, x), 2.0)), [x])
+    assert ref.same_bits(got, want)
