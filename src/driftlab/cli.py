@@ -23,7 +23,6 @@ from .cmi import (
     exact_cmi,
     load_joint,
     optimal_scorer,
-    pair_positive,
     sample_contrastive,
     train_scorer,
 )
@@ -189,11 +188,12 @@ def cmd_cmi(args):
         if Zs.shape[1] != Zt.shape[1]:
             raise ContractError("feature widths differ between domains")
         scorer = BilinearScorer(Zs.shape[1], SplitMix64(args.seed))
+        batch = contrastive_from_features(Zs, Zt)
         if args.train_steps:
             optim = OptimState(scorer.parameters(), lr=1e-3)
-            train_scorer(scorer, Zs[pair_positive(Zt, Zs)], Zt,
+            train_scorer(scorer, batch.sources, batch.anchors,
                          args.train_steps, optim)
-        terms = cnce_terms(scorer, contrastive_from_features(Zs, Zt))
+        terms = cnce_terms(scorer, batch)
         out["cnce"], out["se"] = _terms_summary(terms)
         out["k"] = int(Zt.shape[0])
         out["samples"] = int(Zt.shape[0])

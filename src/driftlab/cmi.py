@@ -37,9 +37,16 @@ _SCORE_FLOOR = -30.0
 
 # Rows per block in pair_positive and in both score_matrix methods. A
 # block's (rows, N, M) temporary is 2 MB at N=500, M=8, where the whole
-# (N, N, M) array would be 16 MB; a tabular block's flat index is
+# (N, N, M) array would be 16 MB; the pairing screen's (rows, N_s)
+# distance block is 250 KB at N_s=500; a tabular block's flat index is
 # 256 KiB at K=512, where the whole chunk's would be 16 MB at 4096 rows.
 _ROW_BLOCK = 64
+
+# pair_positive screens only when both sides have at least this many
+# rows. On a 2-vCPU x86 host (numpy 2.4, OpenBLAS) the screen took
+# 0.034 ms at 20 x 20 x 4, where the direct sums took 0.021, and 0.054 ms
+# at 50 x 50 x 8, where they took 0.098.
+_SCREEN_MIN_ROWS = 32
 
 @dataclass
 class DiscreteJoint:
@@ -98,7 +105,8 @@ class ContrastiveBatch:
                 raise ContractError("candidate column 0 must be the positive")
             if np.any(idx[:, 1:] == np.arange(n)[:, None]):
                 raise ContractError("positive index found among negatives")
-            if np.any((idx < 0) | (idx >= n)):
+            # read as unsigned, a negative index is 2**(bits - 1) or more
+            if idx.view(f"u{idx.itemsize}").max() >= n:
                 raise ContractError("candidate index outside the batch")
 
 
@@ -335,14 +343,74 @@ def pair_positive(Zt, Zs):
     """Index of the nearest source row for every target row
     (squared Euclidean; ties go to the lowest index).
 
-    Target rows are taken in blocks. A row's distances, and so its
-    argmin, do not depend on the other rows, so the blocks give the same
-    bits as one (N_t, N_s, M) difference array without building it.
+    The index is always that of ``_direct_pairing``, which sums
+    (a_k - b_k)**2 over the M features of every pair. When both sides
+    have at least ``_SCREEN_MIN_ROWS`` rows it is found by screen and
+    verify instead:
+
+    - Screen. For a block of target rows, d~ = ||a||^2 + ||b||^2 - 2 a.b
+      for every source row b, from one matmul, and its argmin j.
+    - Bound. d~ and the direct sum each lie within
+      gamma_{M+2} (||a|| + ||b||)^2 of the exact squared distance, in
+      any summation order and with FMA, where gamma_n = n u / (1 - n u)
+      and u = 2**-53 (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, 2002, §3.1); products that underflow add at most
+      M 2**-1074 more. Row i takes E_i = 4 gamma_{M+2} (||a_i||^2 +
+      max ||b||^2) + 4 (M + 2) 2**-1074, at least twice both bounds for
+      every source row.
+    - Verify. Any index the direct sums could rank first has
+      d~ <= d~_ij + 4 E_i. A row with no other index in that window
+      takes j; every other row takes ``_direct_pairing``, whose sums in
+      a row do not depend on the other rows, so it gives the same
+      index, ties included.
+
+    A non-finite norm or bound (NaN, infinity, or an ||a||^2 that
+    overflows) sends the whole call to ``_direct_pairing``, so no index
+    comes from a non-finite screen.
     """
     Zt = np.asarray(Zt, dtype=np.float64)
     Zs = np.asarray(Zs, dtype=np.float64)
     if Zt.shape[0] == 0 or Zs.shape[0] == 0:
         raise ContractError("empty batch")
+    if min(Zt.shape[0], Zs.shape[0]) < _SCREEN_MIN_ROWS:
+        return _direct_pairing(Zt, Zs)
+    m = Zt.shape[1]
+    gamma = (m + 2) * 2.0 ** -53 / (1 - (m + 2) * 2.0 ** -53)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nt = np.einsum("ij,ij->i", Zt, Zt)
+        ns = np.einsum("ij,ij->i", Zs, Zs)
+        # 4 (||a||^2 + max ||b||^2) also bounds every term of the screen,
+        # so a finite reach means a screen without overflow.
+        reach = 4.0 * (nt + ns.max())
+    if not np.isfinite(reach).all():
+        return _direct_pairing(Zt, Zs)
+    window = 4.0 * (gamma * reach + 4 * (m + 2) * 2.0 ** -1074)
+    pairing = np.empty(Zt.shape[0], dtype=np.intp)
+    open_rows = []
+    for a in range(0, Zt.shape[0], _ROW_BLOCK):
+        b = a + _ROW_BLOCK
+        d = Zt[a:b] @ Zs.T
+        d *= -2.0
+        d += nt[a:b, None]
+        d += ns
+        j = d.argmin(axis=1)
+        limit = d[np.arange(j.shape[0]), j] + window[a:b]
+        pairing[a:b] = j
+        open_rows.append(a + np.flatnonzero(
+            np.count_nonzero(d <= limit[:, None], axis=1) > 1))
+    rows = np.concatenate(open_rows)
+    if rows.size:
+        pairing[rows] = _direct_pairing(Zt[rows], Zs)
+    return pairing
+
+
+def _direct_pairing(Zt, Zs):
+    """``pair_positive`` from every squared distance, summed directly.
+
+    Target rows are taken in blocks. A row's distances, and so its
+    argmin, do not depend on the other rows, so the blocks give the same
+    bits as one (N_t, N_s, M) difference array without building it.
+    """
     pairing = np.empty(Zt.shape[0], dtype=np.intp)
     for a in range(0, Zt.shape[0], _ROW_BLOCK):
         b = a + _ROW_BLOCK
@@ -362,9 +430,10 @@ def contrastive_from_features(Zs, Zt):
     # Row i is [i, then every other batch index in increasing order]:
     # negative slot j holds index j below the diagonal and j + 1 from it
     # on, so K equals the batch size.
-    rows = np.arange(n)[:, None]
-    slots = np.arange(n - 1)[None, :]
-    idx = np.concatenate([rows, slots + (slots >= rows)], axis=1)
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[:, 0] = np.arange(n)
+    idx[:, 1:] = np.arange(n - 1)
+    idx[:, 1:] += ~np.tri(n, n - 1, -1, dtype=bool)
     return ContrastiveBatch(
         sources=Zs[pairing],
         anchors=Zt,

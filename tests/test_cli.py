@@ -521,6 +521,36 @@ class TestCmi:
         else:
             assert proc.stderr == ""
 
+    @pytest.mark.parametrize("steps, error", [
+        ("0", "scorer produced non-finite values"),
+        ("2", "scorer training diverged at step 0: objective not finite"),
+    ])
+    def test_overflowing_norm_prints_no_warning(self, tmp_path, steps, error):
+        # 40 rows take pair_positive's screen, but ||a||^2 of target row 0
+        # and ||b||^2 of half the source rows overflow, so the direct sums
+        # pair them; the scores then overflow and the run exits 3.
+        rng = np.random.default_rng(8)
+        zs, zt = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+        zt[0, 0] = zs[:20, 0] = 1e160
+        for name, rows in (("src.csv", zs), ("tgt.csv", zt)):
+            (tmp_path / name).write_text("".join(
+                ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        proc = run_process("cmi", "--source", str(tmp_path / "src.csv"),
+                           "--target", str(tmp_path / "tgt.csv"),
+                           "--train-steps", steps, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {error}\n"
+
+    def test_single_row_batch_exits_2_before_training(self, capsys, tmp_path):
+        # the batch is built first, so a scorer that would diverge on it
+        # never trains
+        path = tmp_path / "one.csv"
+        path.write_text("1e300,1.0\n")
+        code, out, err = run(capsys, "cmi", "--source", str(path),
+                             "--target", str(path), "--train-steps", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: batch of size 1 has no negatives\n"
+
     def test_joint_and_features_conflict(self, capsys):
         code, _, _ = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
                          "--source", "a.csv", "--target", "b.csv")

@@ -3,12 +3,15 @@ contrastive estimator, sampling-rule checks."""
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from driftlab import cmi
 from driftlab.cmi import (
     BilinearScorer,
     ContrastiveBatch,
@@ -253,14 +256,18 @@ def test_contrastive_batch_candidates_are_the_indexed_anchors():
     zs = rng.normal((4, 3))
     zt = rng.normal((4, 3))
     batch = contrastive_from_features(zs, zt)
-    idx = batch.candidates
-    for bad in (-3, 4):  # anchors[-3] is anchor 1, the row it replaced
-        moved = idx.copy()
-        moved[0, 1] = bad
-        with pytest.raises(ContractError, match="outside"):
-            ContrastiveBatch(sources=batch.sources, anchors=zt,
-                             candidates=moved)
-    ContrastiveBatch(sources=batch.sources, anchors=zt, candidates=idx.copy())
+    # anchors[-3] is anchor 1, the row it replaced; read as unsigned, a
+    # negative index is 2**31 or 2**63 or more
+    for dtype in (np.int64, np.int32):
+        idx = batch.candidates.astype(dtype)
+        for bad in (-3, -2 ** 31, 4):
+            moved = idx.copy()
+            moved[0, 1] = bad
+            with pytest.raises(ContractError,
+                               match="candidate index outside the batch"):
+                ContrastiveBatch(sources=batch.sources, anchors=zt,
+                                 candidates=moved)
+        ContrastiveBatch(sources=batch.sources, anchors=zt, candidates=idx)
 
 
 # ---------------------------------------------------------------------
@@ -317,15 +324,16 @@ def test_build_negatives_rejects_singleton():
 
 def test_contrastive_from_features_k_equals_n():
     rng = SplitMix64(6)
-    zs = rng.normal((5, 3))
-    zt = rng.normal((5, 3))
-    batch = contrastive_from_features(zs, zt)
-    assert batch.candidates.shape == (5, 5)
-    assert np.issubdtype(batch.candidates.dtype, np.integer)
-    assert np.array_equal(zt[batch.candidates[:, 0]], zt)
-    expected = np.stack([np.concatenate([[i], build_negatives(i, 5)])
-                         for i in range(5)])
-    assert np.array_equal(batch.candidates, expected)
+    for n in (2, 5, 64, 65, 130):
+        zs = rng.normal((n, 3))
+        zt = rng.normal((n, 3))
+        batch = contrastive_from_features(zs, zt)
+        assert batch.candidates.shape == (n, n)
+        assert batch.candidates.dtype == np.intp
+        assert np.array_equal(zt[batch.candidates[:, 0]], zt)
+        expected = np.stack([np.concatenate([[i], build_negatives(i, n)])
+                             for i in range(n)])
+        assert np.array_equal(batch.candidates, expected)
     with pytest.raises(ContractError):
         contrastive_from_features(zs[:1], zt[:1])
 
@@ -397,15 +405,72 @@ def test_score_matrix_needs_candidate_indices():
             ContrastiveBatch(sources=zs, anchors=zt, candidates=bad)
 
 
-@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 4),
+@given(st.integers(1, 130), st.integers(1, 130), st.integers(1, 16),
        st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
 def test_pair_positive_equals_dense_oracle(nt, ns, m, seed):
-    # Half-unit grid values make exact distance ties common.
+    # Half-unit grid values make exact distance ties common; sizes on
+    # both sides of _SCREEN_MIN_ROWS run the direct sums and the screen.
     rng = np.random.default_rng(seed)
     zt = rng.integers(-2, 3, size=(nt, m)) / 2
     zs = rng.integers(-2, 3, size=(ns, m)) / 2
     assert np.array_equal(pair_positive(zt, zs), dense_pair_positive(zt, zs))
+
+
+def screen_instance(kind, nt, ns, m, scale, seed):
+    """Feature batches that put the screen's error bound to work."""
+    rng = np.random.default_rng(seed)
+    zs = rng.normal(size=(ns, m)) * scale
+    if kind == "normal":
+        zt = rng.normal(size=(nt, m)) * scale
+    elif kind == "duplicates":
+        # repeated source rows: exact ties the lowest index must win
+        zs[rng.integers(0, ns, ns // 2)] = zs[rng.integers(0, ns, ns // 2)]
+        zt = zs[rng.integers(0, ns, nt)] + rng.normal(size=(nt, m)) * scale * 1e-3
+    elif kind == "near-ties":
+        # a target on a source row, next to that row moved by one ulp
+        zt = zs[rng.integers(0, ns, nt)]
+        moved = rng.integers(0, ns, ns // 2)
+        zs[moved] = np.nextafter(zs[rng.integers(0, ns, ns // 2)],
+                                 rng.choice([-np.inf, np.inf], size=(ns // 2, m)))
+    else:
+        # a target row whose ||a||^2 overflows, with source rows at a
+        # finite distance from it
+        zt = rng.normal(size=(nt, m)) * scale
+        zt[0, 0] = zs[:(ns + 1) // 2, 0] = 1e160
+    return zt, zs
+
+
+@given(st.sampled_from(["normal", "duplicates", "near-ties", "overflow"]),
+       st.integers(1, 130), st.integers(1, 130), st.integers(1, 16),
+       st.sampled_from([1e-200, 1e-160, 1e-154, 1e-100, 1e-8, 1.0, 1e8,
+                        1e100, 1e150]),
+       st.integers(0, 2 ** 32))
+@example("overflow", 40, 40, 3, 1.0, 0)
+@example("near-ties", 64, 64, 8, 1e-200, 1)
+# distances near the subnormal range, where the bound's absolute term
+# is what keeps the tied rows open
+@example("near-ties", 37, 73, 6, 6.750872865162265e-155, 976325631)
+@settings(max_examples=150, deadline=None)
+def test_screened_pairing_equals_dense_oracle(kind, nt, ns, m, scale, seed):
+    zt, zs = screen_instance(kind, nt, ns, m, scale, seed)
+    with mock.patch.object(cmi, "_direct_pairing",
+                           wraps=cmi._direct_pairing) as direct:
+        if kind == "overflow":
+            # the direct sums overflow on the huge rows, as they always did
+            with np.errstate(over="ignore"):
+                got = pair_positive(zt, zs)
+                want = dense_pair_positive(zt, zs)
+            # the non-finite bound sends every row to the direct sums
+            assert direct.call_count == 1
+            assert direct.call_args.args[0].shape == zt.shape
+        else:
+            # and where they do not, the screen adds no warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = pair_positive(zt, zs)
+            want = dense_pair_positive(zt, zs)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 16])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import tensorcore_reference as ref
 from oracles import load_checkpoint
-from driftlab import pipeline
+from driftlab import cmi, pipeline
 from driftlab.cli import main
 from driftlab.cmi import BilinearScorer, contrastive_from_features, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
@@ -503,6 +503,16 @@ class TestAdversarialStep:
         _, rep_b = train(cfg)
         assert rep_a == rep_b
         assert emit_report(rep_a) == emit_report(rep_b)
+
+    def test_screened_pairing_leaves_the_report_unchanged(self, monkeypatch):
+        # 50-row batches and 100-row evaluations take pair_positive's
+        # screen; the dense oracle computes every distance directly.
+        cfg = tiny_config(n_per_domain=100, batch_size=50)
+        assert cfg.batch_size >= cmi._SCREEN_MIN_ROWS
+        screened = emit_report(train(cfg)[1])
+        monkeypatch.setattr(cmi, "pair_positive", oracles.dense_pair_positive)
+        monkeypatch.setattr(pipeline, "pair_positive", oracles.dense_pair_positive)
+        assert emit_report(train(cfg)[1]) == screened
 
     def test_ablation_matches_plain_supervised_run(self):
         cfg = tiny_config(epochs=4, use_global=False, use_local=False)
