@@ -189,10 +189,8 @@ def cmd_cmi(args):
             raise ContractError("feature widths differ between domains")
         scorer = BilinearScorer(Zs.shape[1], SplitMix64(args.seed))
         batch = contrastive_from_features(Zs, Zt)
-        if args.train_steps:
-            optim = OptimState(scorer.parameters(), lr=1e-3)
-            train_scorer(scorer, batch.sources, batch.anchors,
-                         args.train_steps, optim)
+        train_scorer(scorer, batch.sources, batch.anchors, args.train_steps,
+                     OptimState(scorer.parameters(), lr=1e-3))
         terms = cnce_terms(scorer, batch)
         out["cnce"], out["se"] = _terms_summary(terms)
         out["k"] = int(Zt.shape[0])

@@ -14,18 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractError, DimensionError, NumericError, ParseError,
-                     allocating, prefixed)
+from .errors import ContractError, DimensionError, NumericError, ParseError, allocating
 from .tensorcore import (
     MLP,
     SplitMix64,
     add,
+    ascend,
     logsumexp,
     matmul,
     mlp_backward,
     mlp_forward,
     mul,
-    step,
     sub,
     tmean,
     transpose,
@@ -291,21 +290,13 @@ class BilinearScorer:
 
 
 def train_scorer(scorer, paired, anchors, steps, optim):
-    """Ascend the in-batch contrastive bound for `steps` full-batch steps.
-
-    ``paired`` holds the positive source row for each anchor row; both
-    are (N, M) feature arrays held fixed. steps=0 leaves the scorer
-    untouched. Divergence raises a numeric error naming the step at
-    which values left the finite range.
-    """
-    if steps < 0:
-        raise ContractError("steps must be nonnegative")
+    """Ascend the in-batch contrastive bound for `steps` full-batch steps
+    on :func:`~driftlab.tensorcore.ascend`. ``paired`` holds the positive
+    source row for each anchor row; both are (N, M) arrays held fixed.
+    Returns the bound at each step, taken before that step's update."""
     paired, anchors = np.asarray(paired, np.float64), np.asarray(anchors, np.float64)
-    for k in range(steps):
-        with prefixed(f"scorer training diverged at step {k}"):
-            _, grads = scorer.objective_and_grads(paired, anchors)
-            step(optim, [-g for g in grads])
-    return scorer
+    return ascend(optim, lambda: scorer.objective_and_grads(paired, anchors),
+                  steps, "scorer")
 
 
 # ---------------------------------------------------------------------

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NumericError, prefixed
+from .errors import ContractError, NumericError
 from .tensorcore import (
     MLP,
     add,
+    ascend,
     backward,  # unused here; benchmark tracing and a test reach it by this name
     div,
     matmul,
@@ -28,7 +29,7 @@ from .tensorcore import (
     sigmoid_value,
     softplus,
     square,
-    step,
+    step,  # unused here; benchmark tracing reaches it by this name
     sub,
     tmean,
     transpose,
@@ -209,24 +210,14 @@ def training_objective_and_grads(critic, zs, zt):
 # ---------------------------------------------------------------------
 
 def train_critic(critic, Zs, Zt, steps, optim):
-    """Ascend the penalized dual objective for `steps` full-batch steps.
-
-    steps=0 leaves the critic untouched. Divergence raises a numeric
-    error naming the step at which values left the finite range.
-    """
-    if steps < 0:
-        raise ContractError("steps must be nonnegative")
-    if steps == 0:
-        return critic
-    fs = _features(Zs)
-    ft = _features(Zt)
+    """Ascend the penalized dual objective for `steps` full-batch steps
+    on :func:`~driftlab.tensorcore.ascend`. Returns its value at each
+    step, taken before that step's update."""
+    fs, ft = _features(Zs), _features(Zt)
     if np.any(fs < 0) or np.any(ft < 0):
         raise ContractError("critic training expects measure-normalized features")
-    for k in range(steps):
-        with prefixed(f"critic training diverged at step {k}"):
-            _, grads = training_objective_and_grads(critic, fs, ft)
-            step(optim, [-g for g in grads])
-    return critic
+    return ascend(optim, lambda: training_objective_and_grads(critic, fs, ft),
+                  steps, "critic")
 
 
 def estimate_alignment_residual(critic, Zs, Zt):

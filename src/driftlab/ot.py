@@ -115,6 +115,18 @@ class FlowResult:
     col_potentials: np.ndarray = field(repr=False, default=None)
 
 
+def _search_cap(n, m):
+    """Searches one solve may run before it raises. A search ends at a
+    row's spare supply, a column's shortfall, the rest of the mass or
+    the flow of an edge it cancels, and only the last recurs without a
+    bound. Valid solves of up to 40 x 40 use under half of this cap
+    (see the tests). 1-D squared-distance costs took the most searches
+    measured: 330 balanced at 40 x 40 and 2454 at 160 x 160, past any
+    cap linear in n + m.
+    """
+    return (n + m) ** 2 + 16
+
+
 def _ssp(supplies, demands, costs, want):
     """Deliver ``want`` units s -> t at min cost. Returns (cost, flows, pot).
 
@@ -238,7 +250,12 @@ def _ssp(supplies, demands, costs, want):
         reduced_t = np.ascontiguousarray(reduced.T)  # a column's costs, contiguous
     else:
         root, goal, expand = s, t, forward
+    searches, cap = 0, _search_cap(n, m)
     while want - delivered > done:
+        if searches == cap:
+            raise NumericError(f"no optimal plan after {cap} shortest-path searches: "
+                               f"{want - delivered:.6g} mass unrouted")
+        searches += 1
         for x in (dist, key, lim):
             x.fill(np.inf)
         key[root] = 0.0
@@ -300,9 +317,10 @@ def min_cost_flow(supplies, demands, unit_costs):
     Row i may emit at most ``supplies[i]``; column j must receive exactly
     ``demands[j]``; every edge (i, j) is uncapacitated at unit cost
     ``unit_costs[i, j]`` >= 0, and every input is finite. Returns a
-    FlowResult whose potentials certify its cost as optimal. A plan that
-    misses its marginals (:func:`_check_plan`), or a cost its potentials
-    do not certify (:func:`_check_duals`), raises NumericError.
+    FlowResult whose potentials certify its cost as optimal. A solve
+    past its search cap (:func:`_search_cap`), a plan that misses its
+    marginals (:func:`_check_plan`), or a cost its potentials do not
+    certify (:func:`_check_duals`), raises NumericError.
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     demands = np.asarray(demands, dtype=np.float64)

@@ -41,7 +41,10 @@ Design notes
   gradient's contributions in the order ``backward`` does, so they are
   equal to it bit for bit. Rounding differences are not harmless here:
   the training outcome depends on the helpers' last bits. The graphs
-  stay as their oracles and serve the descent step.
+  stay as their oracles and serve the descent step. Both helpers train
+  through one loop, :func:`ascend`, which owns the step count, the
+  divergence message and the negated step, and returns every step's
+  objective value.
 * Finiteness is checked once, where a value is made: a node checks
   itself, each :func:`mlp_forward` checks its output, scores are
   checked where products of finite features can overflow, and
@@ -67,7 +70,7 @@ import operator
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError, allocating
+from .errors import ContractError, DimensionError, NumericError, allocating, prefixed
 
 LEAKY_SLOPE = 0.01  # negative-side slope of every leaky ReLU
 
@@ -645,6 +648,23 @@ def step(state, grads):
     for p, shape, a, b in bounds:
         p.value = p.value - delta[a:b].reshape(shape)  # a fresh array, not a view
     return state
+
+
+def ascend(state, objective, steps, what):
+    """Take ``steps`` Adam steps up ``objective()``, which gives
+    ``(value, grads)`` at the current parameters; :func:`step` gets the
+    negated grads. Returns each step's value, taken before its update.
+    A numeric failure is raised again naming ``what`` and its step.
+    """
+    if steps < 0:
+        raise ContractError("steps must be nonnegative")
+    values = []
+    for k in range(steps):
+        with prefixed(f"{what} training diverged at step {k}"):
+            value, grads = objective()
+            step(state, [-g for g in grads])
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------

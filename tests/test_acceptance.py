@@ -341,24 +341,21 @@ def adaptation_runs():
     }
 
 
-def graph_train_critic(critic, Zs, Zt, steps, optim):
-    """Reference critic loop: the per-tensor Adam and the unpruned
-    backward on the Tensor graph each step."""
-    params = critic.parameters()
+def graph_ascend(params, optim, steps, objective_graph):
+    """Reference helper loop: the unpruned backward on the Tensor graph
+    and the per-tensor Adam each step."""
     for _ in range(steps):
-        obj = training_objective_graph(critic, as_tensor(Zs), as_tensor(Zt))
-        ref.step(optim, [-g for g in ref.backward(obj, wrt=params)])
-    return critic
+        ref.step(optim, [-g for g in ref.backward(objective_graph(), wrt=params)])
+
+
+def graph_train_critic(critic, Zs, Zt, steps, optim):
+    graph_ascend(critic.parameters(), optim, steps,
+                 lambda: training_objective_graph(critic, as_tensor(Zs), as_tensor(Zt)))
 
 
 def graph_train_scorer(scorer, paired, anchors, steps, optim):
-    """Reference scorer loop: the per-tensor Adam and the unpruned
-    backward on the Tensor graph each step."""
-    params = scorer.parameters()
-    for _ in range(steps):
-        obj = scorer.objective_graph(as_tensor(paired), as_tensor(anchors))
-        ref.step(optim, [-g for g in ref.backward(obj, wrt=params)])
-    return scorer
+    graph_ascend(scorer.parameters(), optim, steps,
+                 lambda: scorer.objective_graph(as_tensor(paired), as_tensor(anchors)))
 
 
 def test_criterion_7_closed_forms_train_like_the_graph(monkeypatch):

@@ -356,6 +356,16 @@ class TestOt:
         assert out == ""
         assert err.startswith("error: plan misses its marginals: a column by 0.")
 
+    def test_search_cap_exits_3(self, capsys, monkeypatch):
+        # this balanced problem needs two searches after the column
+        # reduction; the first leaves 0.15 unrouted
+        monkeypatch.setattr(ot, "_search_cap", lambda n, m: 1)
+        code, out, err = run(capsys, "ot", str(OT / "uniform4.csv"),
+                             str(OT / "violating4.csv"))
+        assert (code, out) == (3, "")
+        assert err == ("error: no optimal plan after 1 shortest-path searches: "
+                       "0.15 mass unrouted\n")
+
     def test_structured_keys(self, capsys):
         code, out, _ = run(capsys, "ot", str(OT / "uniform4.csv"),
                            str(OT / "contained4.csv"), "--beta", "0.4",
@@ -550,6 +560,13 @@ class TestCmi:
                              "--target", str(path), "--train-steps", "2")
         assert (code, out) == (2, "")
         assert err == "error: batch of size 1 has no negatives\n"
+
+    def test_negative_train_steps_exit_2(self, capsys):
+        path = str(OT / "nested_b.csv")
+        code, out, err = run(capsys, "cmi", "--source", path, "--target", path,
+                             "--train-steps", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: steps must be nonnegative\n"
 
     def test_joint_and_features_conflict(self, capsys):
         code, _, _ = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),

@@ -8,12 +8,14 @@ import signal
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from driftlab import ot
 from driftlab.errors import (
     ContractError, DimensionError, InfeasibleError, NumericError, ParseError)
 from driftlab.ot import (
@@ -214,6 +216,48 @@ def test_unroutable_remainder_names_mass():
     # within the up-front 1e-9 slack, but the last 5e-10 has no route
     with pytest.raises(InfeasibleError, match="remaining 5e-10 mass"):
         min_cost_flow(np.array([0.5 - 5e-10]), np.array([0.5]), np.array([[1.0]]))
+
+
+@st.composite
+def search_heavy_instances(draw):
+    """Supplies, demands and unit costs of sizes 1..40, at mass and cost
+    scales 1e-12..1e12, balanced or relaxed. Costs include the 1-D
+    distance powers whose solves cancel the most flow, and tied ones;
+    weights include zeros and spans of twelve decades."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, y = rng.random((n, 1)), rng.random(m)
+    costs = {
+        "uniform": lambda: rng.random((n, m)),
+        "tied": lambda: rng.integers(0, 3, (n, m)).astype(np.float64),
+        "zero": lambda: np.zeros((n, m)),
+        "line": lambda: np.abs(x - y),
+        "line-squared": lambda: (x - y) ** 2,
+        "line-cubed": lambda: np.abs(x - y) ** 3,
+    }[draw(st.sampled_from(["uniform", "tied", "zero", "line", "line-squared",
+                            "line-cubed"]))]()
+
+    def weights(k):
+        w = {"uniform": lambda: rng.random(k) + 1e-3,
+             "decades": lambda: 10.0 ** rng.uniform(-12, 0, k),
+             "equal": lambda: np.ones(k),
+             "sparse": lambda: np.where(rng.random(k) < 0.4, 0.0, rng.random(k)),
+             }[draw(st.sampled_from(["uniform", "decades", "equal", "sparse"]))]()
+        w[draw(st.integers(0, k - 1))] += 1.0
+        return w / w.sum()
+
+    mass = 10.0 ** draw(st.integers(-12, 12))
+    caps = weights(n) / draw(st.sampled_from([1.0, 0.99, 0.6, 0.2]))
+    return caps * mass, weights(m) * mass, costs * 10.0 ** draw(st.integers(-12, 12))
+
+
+@given(search_heavy_instances())
+@settings(max_examples=150, deadline=None)
+def test_valid_solves_use_under_half_the_search_cap(instance):
+    # the cap must never be what ends a valid solve
+    cap = ot._search_cap
+    with mock.patch.object(ot, "_search_cap", lambda n, m: cap(n, m) // 2):
+        min_cost_flow(*instance)
 
 
 # Reference solver: successive shortest paths over adjacency lists with

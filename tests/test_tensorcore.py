@@ -11,6 +11,9 @@ from hypothesis.extra.numpy import arrays
 import oracles
 import tensorcore_reference as ref
 from driftlab import tensorcore as tc
+from driftlab.cmi import BilinearScorer, pair_positive, train_scorer
+from driftlab.dualcritic import (Critic, measure_normalize, train_critic,
+                                 training_objective_and_grads)
 from driftlab.errors import ContractError, DimensionError, NumericError
 from driftlab.model import regularizer
 
@@ -322,6 +325,61 @@ def test_step_nan_gradient_raises_with_name():
     state = tc.OptimState([p], lr=0.1)
     with pytest.raises(NumericError, match="theta_3"):
         tc.step(state, [np.array(np.nan)])
+
+
+def critic_case():
+    """A critic, its training batches, its trainer and its closed form."""
+    rng = tc.SplitMix64(11)
+    zs, zt = (measure_normalize(rng.normal(shape)) for shape in ((5, 3), (7, 3)))
+    critic = Critic(3, tc.SplitMix64(17), hidden=(4,), lam=1.0, beta=0.3)
+    return critic, (zs, zt), train_critic, lambda c: training_objective_and_grads(c, zs, zt)
+
+
+def scorer_case():
+    """A scorer, its paired rows and anchors, its trainer and its closed form."""
+    rng = tc.SplitMix64(10)
+    scorer = BilinearScorer(3, rng.spawn(1), hidden=(5,))
+    zs, zt = rng.normal((8, 3)), rng.normal((8, 3))
+    paired = zs[pair_positive(zt, zs)]
+    return scorer, (paired, zt), train_scorer, lambda s: s.objective_and_grads(paired, zt)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("what,case", [("critic", critic_case), ("scorer", scorer_case)],
+                         ids=["critic", "scorer"])
+def test_helper_training_contract(what, case):
+    # Both helpers train through tc.ascend. The replay steps a copy of
+    # the network with the closed form and the per-tensor reference Adam,
+    # so no loop code is shared with what it checks.
+    net, data, train, closed_form = case()
+    optim = tc.OptimState(net.parameters(), lr=3e-3)
+
+    def state():
+        return [p.value.copy() for p in net.parameters()] + [optim.m.copy(), optim.v.copy()]
+
+    before = state()
+    assert train(net, *data, 0, optim) == []
+    with pytest.raises(ContractError, match="^steps must be nonnegative$"):
+        train(net, *data, -1, optim)
+    assert optim.t == 0 and all(map(ref.same_bits, state(), before))
+
+    replay = copy.deepcopy(net)
+    values = train(net, *data, 4, optim)
+    assert len(values) == 4 and optim.t == 4
+    replay_optim = ref.OptimState(replay.parameters(), lr=3e-3)
+    for k, value in enumerate(values):
+        want, grads = closed_form(replay)
+        assert ref.same_bits(value, want), k
+        ref.step(replay_optim, [-g for g in grads])
+    assert all(map(ref.same_bits, [p.value for p in net.parameters()],
+                   [p.value for p in replay.parameters()]))
+
+    net, data, train, _ = case()
+    optim = tc.OptimState(net.parameters(), lr=1e160)
+    with pytest.raises(NumericError, match=rf"^{what} training diverged at step 1: "
+                       r"non-finite values produced by op 'matmul'$"):
+        train(net, *data, 3, optim)
+    assert optim.t == 1
 
 
 def test_finite_diff_check_quadratic_tight():
