@@ -516,6 +516,32 @@ def test_cnce_estimate_memory_stays_below_one_nnm_array():
     assert peak < n * n * m * 8
 
 
+def scorer_batch(seed):
+    rng = SplitMix64(seed)
+    sc = BilinearScorer(3, rng.spawn(1), hidden=(5,))
+    zs = rng.normal((8, 3))
+    zt = rng.normal((8, 3))
+    return sc, zs[pair_positive(zt, zs)], zt
+
+
+def test_train_scorer_zero_steps_is_identity():
+    sc, paired, zt = scorer_batch(9)
+    before = [p.value.copy() for p in sc.parameters()]
+    train_scorer(sc, paired, zt, 0, OptimState(sc.parameters()))
+    assert all(np.array_equal(a, p.value)
+               for a, p in zip(before, sc.parameters()))
+    with pytest.raises(ContractError):
+        train_scorer(sc, paired, zt, -1, OptimState(sc.parameters()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_scorer_divergence_names_the_step():
+    sc, paired, zt = scorer_batch(10)
+    with pytest.raises(NumericError, match="step 1"):
+        train_scorer(sc, paired, zt, 3,
+                     OptimState(sc.parameters(), lr=1e160))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_scorer_gradient_names_its_parameter_and_changes_nothing():
     # A first layer scaled down by 1e-300 and the rest scaled up by

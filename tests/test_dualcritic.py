@@ -171,6 +171,15 @@ def test_full_objective_gradient_matches_finite_differences():
 # train_critic
 # ---------------------------------------------------------------------
 
+def test_zero_steps_leaves_parameters_untouched(batches):
+    c = Critic(3, SplitMix64(9), hidden=(6,), lam=1.0, beta=0.3)
+    before = [p.value.copy() for p in c.parameters()]
+    train_critic(c, *batches, steps=0,
+                 optim=OptimState(c.parameters(), lr=1e-3))
+    for p, b in zip(c.parameters(), before):
+        assert np.array_equal(p.value, b)
+
+
 def test_identical_batches_beta_zero_stays_near_zero():
     for seed in range(5):
         rng = SplitMix64(seed)
@@ -206,6 +215,14 @@ def test_training_is_deterministic():
     a, b = run(), run()
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_reports_step_index(batches):
+    c = Critic(3, SplitMix64(17), hidden=(4,), lam=1.0, beta=0.3)
+    with pytest.raises(NumericError, match="step"):
+        train_critic(c, *batches, steps=3,
+                     optim=OptimState(c.parameters(), lr=1e160))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -249,6 +266,13 @@ def test_overflowing_squared_gradient_fails_the_critic_step():
     assert optim.t == 0
     assert all(map(ref.same_bits, [p.value for p in c.parameters()], before))
     assert not optim.m.any() and not optim.v.any()
+
+
+def test_negative_steps_rejected(batches):
+    c = Critic(3, SplitMix64(1), hidden=(4,), lam=1.0, beta=0.3)
+    with pytest.raises(ContractError):
+        train_critic(c, *batches, steps=-1,
+                     optim=OptimState(c.parameters(), lr=1e-3))
 
 
 # ---------------------------------------------------------------------
