@@ -41,11 +41,6 @@ _SCORE_FLOOR = -30.0
 # 256 KiB at K=512, where the whole chunk's would be 16 MB at 4096 rows.
 _ROW_BLOCK = 64
 
-# pair_positive screens only when both sides have at least this many
-# rows. On a 2-vCPU x86 host (numpy 2.4, OpenBLAS) the screen took
-# 0.034 ms at 20 x 20 x 4, where the direct sums took 0.021, and 0.054 ms
-# at 50 x 50 x 8, where they took 0.098.
-_SCREEN_MIN_ROWS = 32
 
 @dataclass
 class DiscreteJoint:
@@ -335,9 +330,8 @@ def pair_positive(Zt, Zs):
     (squared Euclidean; ties go to the lowest index).
 
     The index is always that of ``_direct_pairing``, which sums
-    (a_k - b_k)**2 over the M features of every pair. When both sides
-    have at least ``_SCREEN_MIN_ROWS`` rows it is found by screen and
-    verify instead:
+    (a_k - b_k)**2 over the M features of every pair, but it is found
+    by screen and verify, at every batch size:
 
     - Screen. For a block of target rows, d~ = ||a||^2 + ||b||^2 - 2 a.b
       for every source row b, from one matmul, and its argmin j.
@@ -363,8 +357,6 @@ def pair_positive(Zt, Zs):
     Zs = np.asarray(Zs, dtype=np.float64)
     if Zt.shape[0] == 0 or Zs.shape[0] == 0:
         raise ContractError("empty batch")
-    if min(Zt.shape[0], Zs.shape[0]) < _SCREEN_MIN_ROWS:
-        return _direct_pairing(Zt, Zs)
     m = Zt.shape[1]
     gamma = (m + 2) * 2.0 ** -53 / (1 - (m + 2) * 2.0 ** -53)
     with np.errstate(over="ignore", invalid="ignore"):

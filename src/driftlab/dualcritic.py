@@ -7,7 +7,8 @@ penalty anchors the critic's input gradients to the scale the nested
 ground metric implies. Its graph writes that input gradient out as
 ordinary nodes, so a first-order backward through it gives the weight
 gradients; training runs a closed form that reproduces that graph bit
-for bit.
+for bit. Feature rows become measures through ``ot.measure_normalize``;
+this module keeps only its graph twin, ``measure_normalize_graph``.
 """
 
 from __future__ import annotations
@@ -61,22 +62,12 @@ def _features(batch):
     return f
 
 
-def measure_normalize(features):
-    """Rowwise softplus + L1 normalization (numeric path). It differs from
-    ``measure_normalize_graph`` in the last bit on about 16% of entries,
-    so merging the two would change every training report. A row whose
-    weights sum to 0 (all below about -745) or overflow raises."""
-    f = np.asarray(features, dtype=np.float64)
-    w = np.logaddexp(0.0, f)
-    total = w.sum(axis=1, keepdims=True)
-    if not ((total > 0) & (total < np.inf)).all():
-        raise NumericError("measure normalization: a row's weights sum to 0 or overflow")
-    return w / total
-
-
 def measure_normalize_graph(z):
-    """Rowwise softplus + L1 normalization as a differentiable graph; see
-    ``measure_normalize`` for how the two differ."""
+    """Rowwise softplus + L1 normalization as a differentiable graph: the
+    twin of ``ot.measure_normalize``. Its softplus is log1p(exp(.)),
+    not ``np.logaddexp``, and the two differ in the last bit on about
+    16% of entries, so merging them would change every training
+    report."""
     w = softplus(z)
     return div(w, tsum(w, axis=1, keepdims=True))
 

@@ -87,6 +87,8 @@ class RankTable:
             self.printed_avg = np.asarray(self.printed_avg, dtype=np.float64)
             if self.printed_avg.shape != (m,):
                 raise DimensionError("average-rank column length mismatch")
+            if not np.isfinite(self.printed_avg).all():
+                raise ContractError("reported average ranks must be finite")
             gap = np.abs(self.printed_avg - self.avg_ranks).max()
             if gap > _PRINTED_AVG_TOL:
                 raise ContractError(

@@ -3,10 +3,11 @@
 Contents: weighted point-set measures, a successive-shortest-path
 min-cost-flow solver used as the exact backend, the p-Wasserstein
 distance, the closed-form 1-D 2-Wasserstein distance between feature
-dimensions, the accompanying vector-as-distribution conversion, the
-nested distance over sample batches, and the relaxed primal problem
-whose value vanishes whenever the target measure is contained in the
-source measure scaled by 1/(1-beta).
+dimensions, the rowwise softplus + L1 normalization that turns feature
+rows into measures over their dimensions (shared with the critic and
+the evaluation), the nested distance over sample batches, and the
+relaxed primal problem whose value vanishes whenever the target measure
+is contained in the source measure scaled by 1/(1-beta).
 
 The min-cost-flow solver starts from a column reduction: each column's
 least unit cost is subtracted, and each column is routed to its first
@@ -412,26 +413,23 @@ def wasserstein_exact(mu, nu, cost, p=None):
     return res.cost ** (1.0 / p), res.flows
 
 
-def feature_to_measure(z):
-    """View a feature vector as a measure on positions {1/M, ..., 1}.
+def measure_normalize(features):
+    """Rowwise softplus + L1 normalization: row i of an (n, M) batch
+    becomes the weights softplus(f_ij) / sum_j softplus(f_ij).
 
-    The weight of atom j is softplus(z[j]), normalized to total mass 1.
+    The numeric path for the critic, the evaluation and the nested cost;
+    ``dualcritic.measure_normalize_graph`` is its graph twin. It works
+    on a C-contiguous copy of the batch (no copy when the batch already
+    is one), so each row sums in the order of a lone row whatever the
+    batch's layout. A row whose weights sum to 0 (all entries below
+    about -745) or overflow raises NumericError.
     """
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    M = z.size
-    if M < 1:
-        raise ContractError("empty feature vector")
-    if not np.all(np.isfinite(z)):
-        raise ContractError("feature vector is not finite")
-    w = np.logaddexp(0.0, z)
+    w = np.logaddexp(0.0, np.ascontiguousarray(features, dtype=np.float64))
     with np.errstate(over="ignore"):
-        s = w.sum()
-    if not np.isfinite(s):
-        raise ContractError("feature weights overflow: their sum is not finite")
-    if s <= 0:
-        raise ContractError("degenerate measure: all weights vanish after transform")
-    positions = np.arange(1, M + 1, dtype=np.float64) / M
-    return DiscreteMeasure(positions, w / s)
+        total = w.sum(axis=1, keepdims=True)
+    if not ((total > 0) & (total < np.inf)).all():
+        raise NumericError("measure normalization: a row's weights sum to 0 or overflow")
+    return w / total
 
 
 def w2_dimension(zA, zB):
@@ -474,26 +472,34 @@ def w2_dimension(zA, zB):
     return math.sqrt(total)
 
 
-def _batch_features(batch):
-    f = np.asarray(batch, dtype=np.float64)
-    if f.ndim != 2:
-        raise DimensionError("feature batch must be 2-D")
-    return f
-
-
 def nested_cost(batchA, batchB):
-    """Pairwise ground-cost matrix of per-sample dimension measures."""
-    A = _batch_features(batchA)
-    B = _batch_features(batchB)
-    if A.shape[1] != B.shape[1]:
+    """Pairwise ground-cost matrix of per-sample dimension measures.
+
+    Each row of a batch, normalized by :func:`measure_normalize`, is a
+    measure on the positions {1/M, ..., 1} of its M dimensions; entry
+    (a, b) is :func:`w2_dimension` between row a's and row b's.
+    """
+    A, B = (np.asarray(x, dtype=np.float64) for x in (batchA, batchB))
+    if A.ndim != 2 or B.ndim != 2:
+        raise DimensionError("feature batch must be 2-D")
+    M = A.shape[1]
+    if M != B.shape[1]:
         raise DimensionError(
-            f"feature widths differ: {A.shape[1]} in the source batch, "
+            f"feature widths differ: {M} in the source batch, "
             f"{B.shape[1]} in the target batch"
         )
-    measuresA = [feature_to_measure(row) for row in A]
-    measuresB = [feature_to_measure(row) for row in B]
-    G = np.zeros((len(measuresA), len(measuresB)))
-    for i, ma in enumerate(measuresA):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ContractError("feature batch is not finite")
+    try:
+        WA, WB = measure_normalize(A), measure_normalize(B)
+    except NumericError:
+        raise ContractError("feature weights vanish or overflow: a row's softplus "
+                            "weights must have a finite, positive sum") from None
+    positions = np.arange(1, M + 1, dtype=np.float64) / M
+    measuresB = [DiscreteMeasure(positions, w) for w in WB]
+    G = np.zeros((len(WA), len(WB)))
+    for i, w in enumerate(WA):
+        ma = DiscreteMeasure(positions, w)
         G[i] = [w2_dimension(ma, mb) for mb in measuresB]
     return CostMatrix(G, p=1.0)
 

@@ -31,7 +31,6 @@ from .dualcritic import (
     Critic,
     dual_objective,
     dual_objective_graph,
-    measure_normalize,
     measure_normalize_graph,
     train_critic,
 )
@@ -45,6 +44,7 @@ from .model import (
     regularizer,
     save_checkpoint,
 )
+from .ot import measure_normalize
 from .tensorcore import (
     MLP,
     OptimState,

@@ -12,6 +12,7 @@ from driftlab.errors import (ContractError, DimensionError, InfeasibleError,
 from driftlab.tensorcore import (LEAKY_SLOPE, SplitMix64, as_tensor, mul,
                                   sigmoid, sub, tmean)
 from driftlab.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from driftlab.ot import DiscreteMeasure
 
 
 def raw_words(rng, n):
@@ -208,6 +209,18 @@ def load_checkpoint(path):
         values = np.array([float(v) for v in data.split()])
         params[name] = values.reshape(tuple(int(d) for d in dims))
     return params
+
+
+def feature_to_measure(z):
+    """One feature row as ``ot.nested_cost`` sees it, built alone: a
+    measure on positions {1/M, ..., 1} whose weights are softplus(z_j),
+    L1-normalized over the contiguous row."""
+    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    w = np.logaddexp(0.0, z)
+    with np.errstate(over="ignore"):
+        s = w.sum()
+    positions = np.arange(1, z.size + 1, dtype=np.float64) / z.size
+    return DiscreteMeasure(positions, w / s)
 
 
 def w2_dimension(zA, zB):

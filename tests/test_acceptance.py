@@ -32,7 +32,6 @@ from driftlab.dualcritic import (
     dual_objective_graph,
     estimate_alignment_residual,
     gradient_penalty_graph,
-    measure_normalize,
     train_critic,
     training_objective_graph,
 )
@@ -49,6 +48,7 @@ from driftlab.ot import (
     DiscreteMeasure,
     ar_wwd_primal,
     containment_check,
+    measure_normalize,
     nested_cost,
     w2_dimension,
     wasserstein_exact,

@@ -616,6 +616,17 @@ class TestFriedman:
         code, _, _ = run(capsys, "friedman", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("avg", ["nan", "-nan", "inf"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_non_finite_reported_average_exits_2(self, capsys, tmp_path, avg, fmt):
+        # a NaN average once passed the deviation check (NaN > tol is
+        # False) and crashed in format_rank with a traceback, exit 1
+        bad = tmp_path / "ranks.csv"
+        bad.write_text(f"method,t1,t2,avg_rank\nA,1,2,{avg}\nB,2,1,1.5\n")
+        code, out, err = run(capsys, "friedman", str(bad), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: reported average ranks must be finite\n"
+
     def test_structured_matches_schema(self, capsys):
         code, out, _ = run(capsys, "friedman",
                            str(FIXTURES / "toy_two_methods.csv"),

@@ -409,8 +409,8 @@ def test_score_matrix_needs_candidate_indices():
        st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
 def test_pair_positive_equals_dense_oracle(nt, ns, m, seed):
-    # Half-unit grid values make exact distance ties common; sizes on
-    # both sides of _SCREEN_MIN_ROWS run the direct sums and the screen.
+    # Half-unit grid values make exact distance ties common, so the
+    # screen leaves rows open and the direct sums verify them.
     rng = np.random.default_rng(seed)
     zt = rng.integers(-2, 3, size=(nt, m)) / 2
     zs = rng.integers(-2, 3, size=(ns, m)) / 2

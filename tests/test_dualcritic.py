@@ -15,13 +15,13 @@ from driftlab.dualcritic import (
     dual_objective_graph,
     estimate_alignment_residual,
     gradient_penalty_graph,
-    measure_normalize,
     measure_normalize_graph,
     train_critic,
     training_objective_and_grads,
     training_objective_graph,
 )
 from driftlab.errors import ContractError, NumericError
+from driftlab.ot import measure_normalize
 from driftlab.tensorcore import (
     OptimState,
     SplitMix64,

@@ -26,13 +26,14 @@ from driftlab.ot import (
     _check_plan,
     ar_wwd_primal,
     containment_check,
-    feature_to_measure,
     load_measure,
+    measure_normalize,
     min_cost_flow,
     nested_cost,
     w2_dimension,
     wasserstein_exact,
 )
+from oracles import feature_to_measure
 from oracles import ssp as full_search_ssp
 from oracles import w2_dimension as scalar_w2_dimension
 
@@ -566,13 +567,11 @@ def test_duality_certificate_enforced(cost, u, v, message):
 
 
 # ---------------------------------------------------------------------
-# feature_to_measure
+# measure_normalize: feature rows as measures over their dimensions
 # ---------------------------------------------------------------------
 
 def test_uniform_vector_gives_uniform_weights():
-    m = feature_to_measure(np.ones(4))
-    assert np.allclose(m.weights, 0.25)
-    assert np.allclose(m.atoms, [0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(measure_normalize(np.ones((1, 4))), 0.25)
 
 
 def test_softplus_scalar_reference():
@@ -580,10 +579,17 @@ def test_softplus_scalar_reference():
     z = np.array([2.0, 0.0, 0.0])
     ref = np.array([math.log1p(math.exp(v)) for v in z])
     ref = ref / ref.sum()
-    m = feature_to_measure(z)
-    assert np.allclose(m.weights, ref, atol=1e-12)
+    weights = measure_normalize(z[None])[0]
+    assert np.allclose(weights, ref, atol=1e-12)
     # frozen fixture of the same computation
-    assert m.weights[0] == pytest.approx(0.6054065999054767, abs=1e-12)
+    assert weights[0] == pytest.approx(0.6054065999054767, abs=1e-12)
+
+
+def test_nested_cost_places_dimensions_at_k_over_m():
+    # nearly all of row a's mass sits on dimension 1 (position 1/2), and
+    # of row b's on dimension 2 (position 1)
+    value = nested_cost(np.array([[40.0, -40.0]]), np.array([[-40.0, 40.0]])).values
+    assert value[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_relu_one_hot_point_masses():
@@ -596,24 +602,31 @@ def test_relu_one_hot_point_masses():
     assert d02 == pytest.approx(2 / 3, abs=1e-12)
 
 
+def rejected_on_either_side(row, message):
+    """nested_cost refuses a batch holding ``row`` as source and as
+    target, with ``message`` and without a numpy warning."""
+    bad, good = np.array([[0.3, -0.2], row]), np.array([[0.1, 0.4]])
+    for batches in ((bad, good), (good, bad)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=message):
+                nested_cost(*batches)
+
+
 def test_degenerate_measure_rejected():
     # softplus of both entries underflows to exactly 0
-    with pytest.raises(ContractError, match="degenerate"):
-        feature_to_measure(np.array([-800.0, -900.0]))
+    rejected_on_either_side([-800.0, -900.0], "weights vanish")
 
 
 @pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.5]])
 def test_non_finite_feature_vector_rejected(z):
     # softplus(nan) once warned and then failed as "weights overflow"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ContractError, match="feature vector is not finite"):
-            feature_to_measure(np.array(z))
+    rejected_on_either_side(z, "feature batch is not finite")
 
 
 def test_finite_overflow_keeps_its_message():
-    with pytest.raises(ContractError, match="feature weights overflow"):
-        feature_to_measure(np.array([1e308, 1e308]))
+    # each softplus weight is finite, but their sum is not
+    rejected_on_either_side([1e308, 1e308], "overflow")
 
 
 # ---------------------------------------------------------------------
@@ -743,6 +756,44 @@ def test_nested_cost_fixture_bit_equal_to_scalar_oracle():
     G = nested_cost(A, B).values
     assert G.shape == (len(A), len(B))
     assert np.array_equal(G, scalar_nested_grid(A, B))
+
+
+def laid_out(X, layout):
+    """X as a C-ordered, Fortran-ordered or strided (every other row
+    and column of a larger array) batch."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    if layout == "F":
+        return np.asfortranarray(X)
+    big = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
+    big[::2, ::2] = X
+    return big[::2, ::2]
+
+
+@given(st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
+                 st.tuples(st.integers(1, 6), st.just(1)),
+                 st.tuples(st.integers(1, 6), st.integers(1, 6))),
+       st.one_of(st.integers(1, 16), st.integers(120, 140), st.integers(1, 140)),
+       st.sampled_from(["C", "F", "strided"]), st.sampled_from(["C", "F", "strided"]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_nested_cost_bit_equal_to_rows_measured_alone(sizes, width, layout_a,
+                                                      layout_b, seed):
+    # Each row's weights must be those of the row normalized alone,
+    # whatever the batch's layout. Widths cross numpy's 8-term and
+    # 128-term sum blocks, and rows are scaled by 1e-3 to 1e2.
+    rng = np.random.default_rng(seed)
+    A, B = (rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-3, 2, size=(n, 1))
+            for n in sizes)
+    A, B = laid_out(A, layout_a), laid_out(B, layout_b)
+    want = np.array([[w2_dimension(feature_to_measure(a), feature_to_measure(b))
+                      for b in B] for a in A])
+    assert np.array_equal(nested_cost(A, B).values, want)
+
+
+def test_nested_cost_rejects_a_batch_that_is_not_2d():
+    with pytest.raises(DimensionError, match="must be 2-D"):
+        nested_cost(np.ones(3), np.ones((2, 3)))
 
 
 def test_nested_cost_rejects_width_mismatch():
@@ -895,9 +946,9 @@ def test_plan_marginal_invariants_enforced(flows, supplies, demands, message):
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_feature_measure_is_probability(z):
-    m = feature_to_measure(np.array(z))
-    assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(m.weights >= 0)
+    weights = measure_normalize(np.array([z]))
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(weights >= 0)
 
 
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))

@@ -18,10 +18,11 @@ from driftlab import cmi, pipeline
 from driftlab.cli import main
 from driftlab.cmi import BilinearScorer, contrastive_from_features, pair_positive
 from driftlab.data import LabeledDomain, gen_two_moons_shift
-from driftlab.dualcritic import Critic, dual_objective, measure_normalize
+from driftlab.dualcritic import Critic, dual_objective
 from driftlab.errors import ContractError, NumericError, ParseError
 from driftlab.evalstats import emit_report
 from driftlab.model import cross_entropy_loss, extract, predict, regularizer
+from driftlab.ot import measure_normalize
 from driftlab.pipeline import (
     TrainConfig,
     TrainState,
@@ -505,10 +506,9 @@ class TestAdversarialStep:
         assert emit_report(rep_a) == emit_report(rep_b)
 
     def test_screened_pairing_leaves_the_report_unchanged(self, monkeypatch):
-        # 50-row batches and 100-row evaluations take pair_positive's
-        # screen; the dense oracle computes every distance directly.
+        # pair_positive screens the 50-row batches and the 100-row
+        # evaluations; the dense oracle computes every distance directly.
         cfg = tiny_config(n_per_domain=100, batch_size=50)
-        assert cfg.batch_size >= cmi._SCREEN_MIN_ROWS
         screened = emit_report(train(cfg)[1])
         monkeypatch.setattr(cmi, "pair_positive", oracles.dense_pair_positive)
         monkeypatch.setattr(pipeline, "pair_positive", oracles.dense_pair_positive)

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftlab
+from driftlab.dualcritic import Critic
+from driftlab.tensorcore import SplitMix64
 from test_acceptance import ADAPT_SETTINGS
 
 
@@ -64,6 +66,25 @@ def test_infinity_times_a_zero_weight_row_is_nan_through_matmul(rows, width, out
     assert np.isnan(z[hit]).all(), "inf * 0 inside a matmul did not give NaN"
     rest = np.setdiff1d(np.arange(rows), hit)
     assert np.isfinite(z[rest]).all()
+
+
+def test_stacking_two_batches_changes_their_rows_through_matmul():
+    # Assumption: a row of a matmul may change in the last bit when other
+    # rows are stacked with it, as the BLAS picks its kernel and blocking
+    # from the row count. At the critic's output layer, (n, 32)@(32, 1),
+    # rows of np.vstack([A, B]) @ W differed from A @ W in most random
+    # instances at n = 10 and n = 50, and in none at n = 20, at one and at
+    # two BLAS threads. Relied on by the closed forms that mirror the
+    # graph, such as dualcritic.training_objective_and_grads: each batch
+    # goes through its own forward, as in the graph, so a closed form
+    # must not merge the source and target batches into one matmul.
+    w = Critic(4, SplitMix64(0)).net.layers[-1].w.value
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(10, 32)), rng.normal(size=(10, 32))
+    assert w.shape == (32, 1)
+    assert not np.array_equal((np.vstack([a, b]) @ w)[:10], a @ w), (
+        "stacking batches no longer changes their rows; a merged matmul "
+        "may now keep the graph's bits")
 
 
 REPORT_SHA256 = """

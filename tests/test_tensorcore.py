@@ -12,10 +12,10 @@ import oracles
 import tensorcore_reference as ref
 from driftlab import tensorcore as tc
 from driftlab.cmi import BilinearScorer, pair_positive, train_scorer
-from driftlab.dualcritic import (Critic, measure_normalize, train_critic,
-                                 training_objective_and_grads)
+from driftlab.dualcritic import Critic, train_critic, training_objective_and_grads
 from driftlab.errors import ContractError, DimensionError, NumericError
 from driftlab.model import regularizer
+from driftlab.ot import measure_normalize
 
 # Frozen output of MLP([2,3,2], SplitMix64(7)) on the fixed input below,
 # computed once by the first verified build of the engine.
