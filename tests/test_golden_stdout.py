@@ -35,6 +35,12 @@ FEATURE_ROWS = {
                      for i in range(600)],
     "wide_tgt.csv": [[((23 * i + 5 * j + 2) % 31 - 15) / 8 for j in range(3)]
                      for i in range(600)],
+    # Width 12 sums each cross term as eight accumulators and a
+    # 4-column remainder, across several row blocks.
+    "wide12_src.csv": [[((41 * i + 13 * j) % 37 - 18) / 8 for j in range(12)]
+                       for i in range(600)],
+    "wide12_tgt.csv": [[((29 * i + 7 * j + 3) % 43 - 21) / 8 for j in range(12)]
+                       for i in range(600)],
 }
 
 
@@ -61,6 +67,9 @@ def _cases():
     cases["cmi/features/wide"] = ["cmi", "--source", "{tmp}/wide_src.csv",
                                   "--target", "{tmp}/wide_tgt.csv",
                                   "--train-steps", "2", "--seed", "4"]
+    cases["cmi/features/wide12"] = ["cmi", "--source", "{tmp}/wide12_src.csv",
+                                    "--target", "{tmp}/wide12_tgt.csv",
+                                    "--train-steps", "2", "--seed", "4"]
     cases["bound/equal_ln2"] = ["bound",
                                 str(FIXTURES / "bound" / "equal_ln2.cfg")]
     toy = ["train", "--config", str(FIXTURES / "train" / "toy.cfg"),
@@ -70,6 +79,9 @@ def _cases():
     cases["train/toy/no-global"] = [*toy, "--set", "use_global=false"]
     cases["train/toy/uniform"] = [*toy, "--set", "source_ratio=uniform",
                                   "--set", "target_ratio=uniform"]
+    # the default batch geometry: M=8 features, 500 evaluation rows
+    cases["train/toy/n500"] = [*toy, "--set", "n_per_domain=500",
+                               "--set", "batch_size=50"]
     return {f"{name}/{fmt}": argv + ["--format", fmt]
             for name, argv in cases.items() for fmt in FORMATS}
 
