@@ -34,12 +34,18 @@ from .textio import records
 
 _SCORE_FLOOR = -30.0
 
-# Rows per block in pair_positive and in both score_matrix methods. A
-# block's (rows, N, M) temporary is 2 MB at N=500, M=8, where the whole
-# (N, N, M) array would be 16 MB; the pairing screen's (rows, N_s)
-# distance block is 250 KB at N_s=500; a tabular block's flat index is
-# 256 KiB at K=512, where the whole chunk's would be 16 MB at 4096 rows.
+# Rows per block in pair_positive and TabularScorer.score_matrix. The
+# pairing screen's (rows, N_s) distance block is 250 KB at N_s=500, and
+# its direct sums' (rows, N_s, M) block 2 MB at M=8; a tabular block's
+# flat index is 256 KiB at K=512, where the whole chunk's would be 16 MB
+# at 4096 rows.
 _ROW_BLOCK = 64
+
+# Rows per block of BilinearScorer.score_matrix's cross-term passes. A
+# block keeps nine (rows, N) arrays: 1.1 MB at N=500, where 64 rows take
+# 2.3 MB and fall out of cache. On a 2-vCPU x86-64 guest, the N=500,
+# M=8 passes took 3.0 ms at 32 rows against 3.8 ms at 64.
+_PASS_BLOCK = 32
 
 
 @dataclass
@@ -212,13 +218,13 @@ class BilinearScorer:
         """(N, K) scores of an in-batch feature batch.
 
         Every candidate is one of the N anchors, so the network runs
-        once on the anchor rows. For a block of anchor rows, the cross
-        terms are computed against every anchor embedding and the
-        candidates are then gathered from them by index. Each kept
-        entry is the same M products reduced in the same order as the
-        gathered (N, K, M) form, so the blocks change no bit; no array
-        larger than (block, N, M) is built. Products of finite features
-        can overflow, so the scores are checked here.
+        once on the anchor rows. For a block of anchor rows, a (rows, N)
+        array of cross terms against every anchor embedding is summed in
+        column passes (see :func:`_cross_terms`), and the candidates are
+        then gathered from it by index. Each kept entry has the bits of
+        the gathered (N, K, M) form's last-axis sum, and no array larger
+        than (rows, N) is built. Products of finite features can
+        overflow, so the scores are checked here.
         """
         anchors = np.asarray(batch.anchors, dtype=np.float64)
         sources = np.asarray(batch.sources, dtype=np.float64)
@@ -226,11 +232,15 @@ class BilinearScorer:
         ga = mlp_forward(self.net, anchors)[0]
         own = (gs * anchors).sum(axis=1)
         idx = batch.candidates
+        gT = np.ascontiguousarray(ga.T)
         cross = np.empty(idx.shape)
-        for a in range(0, idx.shape[0], _ROW_BLOCK):
-            b = a + _ROW_BLOCK
-            pairs = (ga[None] * anchors[a:b, None]).sum(axis=2)
-            cross[a:b] = np.take_along_axis(pairs, idx[a:b], axis=1)
+        pairs = np.empty((_PASS_BLOCK, ga.shape[0]))
+        scratch = np.empty((8, *pairs.shape))
+        for a in range(0, idx.shape[0], _PASS_BLOCK):
+            b = a + _PASS_BLOCK
+            rows = min(b, idx.shape[0]) - a
+            _cross_terms(anchors[a:b], gT, pairs[:rows], scratch[:, :rows])
+            cross[a:b] = np.take_along_axis(pairs[:rows], idx[a:b], axis=1)
         scores = 0.5 * (own[:, None] + cross)
         if not np.isfinite(scores).all():
             raise NumericError("scorer produced non-finite values")
@@ -282,6 +292,60 @@ class BilinearScorer:
             mlp_backward(self.net, u_inputs, u_masks, own_grad * anchors),
             mlp_backward(self.net, g_inputs, g_masks, (anchors.T @ grad).T))]
         return float(value), grads
+
+
+def _cross_terms(x, gT, out, scratch):
+    """``out[i, j] = sum_k x[i, k] * gT[k, j]``, with the bits of
+    ``(gT.T[None] * x[:, None]).sum(axis=2)``.
+
+    numpy's ``add.reduce`` sums a contiguous axis of n terms in a fixed
+    pairwise order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §4.2), from a +0.0 start. Here each term is one
+    column pass, ``x[:, k, None] * gT[k]``, over the whole (rows, N)
+    block, and the passes are added in that order; ``scratch`` holds
+    eight (rows, N) arrays. ``tests/test_platform.py`` pins the order.
+    """
+    _pairwise_columns(x, gT, 0, x.shape[1], out, scratch)
+    # the +0.0 start: a sum of -0.0 terms comes out +0.0
+    out += 0.0
+
+
+def _pairwise_columns(x, gT, lo, hi, out, scratch):
+    """Columns lo..hi-1 of ``_cross_terms`` in numpy's pairwise order:
+    below 8 a left fold; up to 128 eight accumulators fed columns j,
+    j+8, ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    columns left over in order; above 128 two halves, split at a
+    multiple of 8, summed alone and added."""
+    n = hi - lo
+    if n > 128:
+        n2 = n // 2 - (n // 2) % 8
+        _pairwise_columns(x, gT, lo, lo + n2, out, scratch)
+        right = np.empty_like(out)
+        _pairwise_columns(x, gT, lo + n2, hi, right, scratch)
+        out += right
+        return
+    tmp = scratch[0]
+    if n < 8:
+        np.multiply(x[:, lo, None], gT[lo], out=out)
+        rest = lo + 1
+    else:
+        acc = [out, *scratch[1:]]
+        for j, r in enumerate(acc):
+            np.multiply(x[:, lo + j, None], gT[lo + j], out=r)
+        rest = hi - n % 8
+        for i in range(lo + 8, rest, 8):
+            for j, r in enumerate(acc):
+                r += np.multiply(x[:, i + j, None], gT[i + j], out=tmp)
+        r0, r1, r2, r3, r4, r5, r6, r7 = acc
+        r0 += r1
+        r2 += r3
+        r0 += r2
+        r4 += r5
+        r6 += r7
+        r4 += r6
+        r0 += r4
+    for k in range(rest, hi):
+        out += np.multiply(x[:, k, None], gT[k], out=tmp)
 
 
 def train_scorer(scorer, paired, anchors, steps, optim):

@@ -384,7 +384,7 @@ def test_score_matrix_matches_nk_row_reference(n, m, hidden, seed):
     sc = BilinearScorer(m, rng.spawn(1), hidden=tuple(hidden))
     batch = contrastive_from_features(rng.normal((n, m)), rng.normal((n, m)))
     scores = sc.score_matrix(batch)
-    assert np.array_equal(scores, gathered_score_matrix(sc, batch))
+    assert same_bits(scores, gathered_score_matrix(sc, batch))
     ref = nk_row_scores(sc, batch)
     # A GEMM over N*K rows may round an embedding differently in the last
     # ulp than one over N rows; where own and cross terms cancel, that ulp
@@ -482,8 +482,75 @@ def test_blocked_forms_equal_dense_oracles_across_blocks(nt, ns, m):
     assert np.array_equal(pair_positive(zt, zs), dense_pair_positive(zt, zs))
     sc = BilinearScorer(m, SplitMix64(m))
     batch = contrastive_from_features(zs, zt)
-    assert np.array_equal(sc.score_matrix(batch),
-                          gathered_score_matrix(sc, batch))
+    assert same_bits(sc.score_matrix(batch), gathered_score_matrix(sc, batch))
+
+
+def feature_rows(rng, n, m, kind, layout):
+    """An (n, m) feature batch of one kind in one memory layout."""
+    # products of huge batches overflow from about 1e154 on, and
+    # products of tiny ones are subnormal
+    scale = {"normal": 1.0, "signed-zeros": 1.0,
+             "huge": 10.0 ** rng.uniform(152, 155),
+             "tiny": 10.0 ** rng.uniform(-170, -150, size=(n, 1))}[kind]
+    z = rng.normal(size=(n, m)) * scale
+    if kind == "signed-zeros":
+        z[rng.random((n, m)) < 0.3] = 0.0
+        z[rng.random((n, m)) < 0.3] = -0.0
+        z[0] = -0.0
+        z[n // 2] = 0.0
+    if layout == "F":
+        return np.asfortranarray(z)
+    if layout == "strided":
+        return np.repeat(z, 2, axis=1)[::-1, ::2][::-1]
+    return z
+
+
+@given(st.integers(1, 300), st.integers(2, 70),
+       st.sampled_from(["normal", "signed-zeros", "huge", "tiny"]),
+       st.sampled_from(["C", "F", "strided"]), st.integers(0, 2 ** 32))
+# the left fold, eight accumulators with a remainder, and the split
+# above 128 columns, each on both sides of the pass block
+@example(7, 31, "signed-zeros", "C", 0)
+@example(12, 33, "normal", "F", 1)
+@example(300, 65, "normal", "strided", 2)
+@example(8, 40, "huge", "C", 3)
+@settings(max_examples=80, deadline=None)
+def test_score_matrix_same_bits_as_gathered_oracle(m, n, kind, layout, seed):
+    # The column passes must give every score the bits of the gathered
+    # (N, K, M) form's last-axis sum, whatever the width, the zero signs
+    # and the anchors' memory layout.
+    rng = np.random.default_rng(seed)
+    sc = BilinearScorer(m, SplitMix64(seed), hidden=(4,))
+    with np.errstate(all="ignore"):
+        batch = contrastive_from_features(feature_rows(rng, n, m, kind, "C"),
+                                          feature_rows(rng, n, m, kind, layout))
+        want = gathered_score_matrix(sc, batch)
+    if np.isfinite(want).all():
+        assert same_bits(sc.score_matrix(batch), want)
+    else:
+        # overflowing products still exit 3
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            sc.score_matrix(batch)
+
+
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 40),
+       st.integers(0, 2 ** 32))
+@example(8, 3, 5, 0)
+@settings(max_examples=60, deadline=None)
+def test_cross_term_passes_keep_the_sign_of_zero_sums(m, rows, n, seed):
+    # Zero signs cannot reach the scores, since the own term is never
+    # -0.0, so the passes are checked alone: a row of -0.0 anchors
+    # against positive embedding rows sums -0.0 products, and numpy's
+    # +0.0 start makes that +0.0.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    g = rng.normal(size=(n, m))
+    x[0] = -0.0
+    x[rng.random((rows, m)) < 0.2] = -0.0
+    g[::2] = np.abs(g[::2])
+    out, scratch = np.empty((rows, n)), np.empty((8, rows, n))
+    cmi._cross_terms(x, np.ascontiguousarray(g.T), out, scratch)
+    assert same_bits(out, (g[None] * x[:, None]).sum(axis=2))
 
 
 def test_cnce_estimate_equals_dense_oracle_at_default_size():
@@ -497,8 +564,8 @@ def test_cnce_estimate_equals_dense_oracle_at_default_size():
                              anchors=zt, candidates=idx)
     gathered = SimpleNamespace(
         score_matrix=lambda batch: gathered_score_matrix(sc, batch))
-    assert (cnce_estimate(sc, contrastive_from_features(zs, zt))
-            == cnce_estimate(gathered, dense))
+    assert same_bits(cnce_estimate(sc, contrastive_from_features(zs, zt)),
+                     cnce_estimate(gathered, dense))
 
 
 def test_cnce_estimate_memory_stays_below_one_nnm_array():
@@ -665,8 +732,8 @@ def test_flat_gather_equals_indexed_table(seed, n, k):
     table = rng.normal(size=(a, b, c))
     batch = ContrastiveBatch(sources=rng.integers(a, size=n), anchors=rng.integers(b, size=n),
                              candidates=rng.integers(b, size=(n, k)), z=rng.integers(c, size=n))
-    assert np.array_equal(TabularScorer(table).score_matrix(batch),
-                          oracles.indexed_table_scores(table, batch))
+    assert same_bits(TabularScorer(table).score_matrix(batch),
+                     oracles.indexed_table_scores(table, batch))
 
 
 @pytest.mark.parametrize("field, value, axis", [

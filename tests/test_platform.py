@@ -27,8 +27,7 @@ def test_short_last_axis_sum_is_the_same_for_any_row_count(rows, width, seed):
     # an order fixed by the width alone, so each row's sum has the same
     # bits whether it is reduced alone, in a block or in the whole array.
     # Relied on by cmi._direct_pairing (blocks of target rows against
-    # every source row) and by the row blocks of both score_matrix
-    # methods, which promise the bits of one unblocked array.
+    # every source row), which promises the bits of one unblocked array.
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
     whole = a.sum(axis=1)
@@ -43,6 +42,48 @@ def test_short_last_axis_sum_is_the_same_for_any_row_count(rows, width, seed):
                               for lo in range(0, rows, 64)])
     assert full.tobytes() == blocked.tobytes(), (
         "a row block of a 3-D last-axis sum differs from the whole array's")
+
+
+def pairwise_order_sum(row):
+    """One row's sum in the order numpy's add.reduce takes on a
+    contiguous axis, one scalar addition at a time."""
+    n = len(row)
+    if n > 128:
+        n2 = n // 2 - (n // 2) % 8
+        return pairwise_order_sum(row[:n2]) + pairwise_order_sum(row[n2:])
+    if n < 8:
+        total = row[0]
+        for v in row[1:]:
+            total += v
+        return total
+    r = list(row[:8])
+    for i in range(8, n - n % 8, 8):
+        for j in range(8):
+            r[j] += row[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in row[n - n % 8:]:
+        total += v
+    return total
+
+
+@given(st.integers(1, 300), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_short_axis_sum_follows_pairwise_order(width, rows, seed):
+    # Assumption: numpy sums a contiguous axis from a +0.0 start, adding
+    # a pairwise sum (Higham 2002, section 4.2) whose order is fixed by
+    # the width: below 8 terms a left fold; up to 128, eight running
+    # sums over columns j, j+8, ..., joined as ((0+1)+(2+3))+((4+5)+(6+7)),
+    # then the terms left over in order; above 128, two halves split at
+    # a multiple of 8. Relied on by cmi._cross_terms, whose column passes
+    # in BilinearScorer.score_matrix add whole (rows, N) arrays in this
+    # order to give the bits of the gathered (N, K, M) form's sum.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    a[rng.random(a.shape) < 0.1] = -0.0
+    a[0] = -0.0  # sums to +0.0 only through the +0.0 start
+    want = np.array([0.0 + pairwise_order_sum([float(v) for v in row]) for row in a])
+    assert a.sum(axis=-1).tobytes() == want.tobytes(), (
+        "numpy's last-axis sum left the pairwise order with a +0.0 start")
 
 
 @pytest.mark.parametrize("rows,width,out", [(20, 4, 32), (500, 32, 32)])
