@@ -55,6 +55,10 @@ def _cases():
         cases[f"ot/{a}-{b}/balanced"] = ["ot", *pair, "--beta", "0"]
         cases[f"ot/{a}-{b}/beta0.4"] = ["ot", *pair, "--beta", "0.4"]
         cases[f"ot/{a}-{b}/nested"] = ["ot", *pair, "--nested"]
+    # the exact AR-WWD: the relaxed primal on the nested W2 ground cost
+    cases["ot/nested_a-nested_b/nested-beta0.4"] = [
+        "ot", str(ot / "nested_a.csv"), str(ot / "nested_b.csv"),
+        "--nested", "--beta", "0.4"]
     for joint in ("independent", "ln2"):
         path = str(FIXTURES / "cmi" / f"{joint}.csv")
         cases[f"cmi/{joint}/exact"] = ["cmi", "--joint", path]
