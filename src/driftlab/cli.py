@@ -110,7 +110,7 @@ def _euclidean_cost(a, b):
             f"{b.shape[1]} in the target"
         )
     diff = a[:, None, :] - b[None, :, :]
-    return CostMatrix(np.sqrt((diff ** 2).sum(axis=2)), p=1.0)
+    return CostMatrix(np.sqrt((diff ** 2).sum(axis=2)))
 
 
 def _save_plan(plan, path):
@@ -134,7 +134,7 @@ def cmd_ot(args):
     a, b = (m.atoms.reshape(len(m), -1) for m in (mu, nu))
     cost = nested_cost(a, b) if args.nested else _euclidean_cost(a, b)
     if args.beta == 0.0:
-        value, plan = wasserstein_exact(mu, nu, cost, p=cost.p)
+        value, plan = wasserstein_exact(mu, nu, cost)
     else:
         value, plan = ar_wwd_primal(mu, nu, cost, args.beta)
     if args.plan:

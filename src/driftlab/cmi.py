@@ -370,14 +370,11 @@ def cnce_terms(scorer, batch):
     positive attains the maximum, and >= exp(pos - max) otherwise.
     """
     s = np.asarray(scorer.score_matrix(batch), dtype=np.float64)
-    k = s.shape[1]
-    if k == 1:
-        return np.zeros(s.shape[0])
     m = s.max(axis=1, keepdims=True)
     e = s - m
     np.exp(e, out=e)
     lse = m[:, 0] + np.log(e.sum(axis=1))
-    return (s[:, 0] - lse) + np.log(k)
+    return (s[:, 0] - lse) + np.log(s.shape[1])
 
 
 def cnce_estimate(scorer, batch):

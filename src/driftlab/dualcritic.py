@@ -22,6 +22,7 @@ from .tensorcore import (
     ascend,
     backward,  # unused here; benchmark tracing and a test reach it by this name
     div,
+    layer_gradients,
     matmul,
     mlp_backward,
     mlp_forward,
@@ -126,7 +127,7 @@ def training_objective_graph(critic, zs, zt):
     return sub(dual, pen)
 
 
-def _penalty_and_grads(critic, z, inputs, masks, s, slope):
+def _penalty_and_grads(critic, z, masks, s, slope):
     """One batch's slope penalty, its gradient at the critic's
     pre-activation, and the weight gradients of the input-gradient pass.
 
@@ -136,13 +137,8 @@ def _penalty_and_grads(critic, z, inputs, masks, s, slope):
     """
     weights = [layer.w.value for layer in critic.net.layers]
     depth = len(weights)
-    d = [None] * depth
-    g = slope
-    for i in range(depth - 1, -1, -1):
-        d[i] = g
-        e = g @ weights[i].T
-        if i:
-            g = e * masks[i - 1]
+    d = layer_gradients(critic.net, masks, slope)
+    e = d[0] @ weights[0].T
     sq = e * e
     r = sq * z - 1.0
     half = critic.lam / 2.0
@@ -184,7 +180,7 @@ def training_objective_and_grads(critic, zs, zt):
     total = [x + y for x, y in zip(*grads)]
     pens = []
     for z, inputs, masks, s, slope in passes:
-        pen, g, through = _penalty_and_grads(critic, z, inputs, masks, s, slope)
+        pen, g, through = _penalty_and_grads(critic, z, masks, s, slope)
         pens.append(pen)
         grads = mlp_backward(net, inputs, masks, g)
         for i, w in enumerate(through):

@@ -89,10 +89,9 @@ class DiscreteMeasure:
 
 @dataclass
 class CostMatrix:
-    """Ground distances between source and target atoms, with exponent p."""
+    """Ground distances between source and target atoms."""
 
     values: np.ndarray
-    p: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -100,8 +99,6 @@ class CostMatrix:
             raise DimensionError("cost matrix must be 2-D")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ContractError("cost entries must be finite and nonnegative")
-        if self.p <= 0:
-            raise ContractError("exponent p must be positive")
 
 
 # ---------------------------------------------------------------------
@@ -391,15 +388,13 @@ def _check_duals(cost, costs, caps, demands, u, v):
 # Wasserstein distances
 # ---------------------------------------------------------------------
 
-def wasserstein_exact(mu, nu, cost, p=None):
+def wasserstein_exact(mu, nu, cost, p=1.0):
     """p-Wasserstein distance between two equal-mass discrete measures.
 
     ``cost`` holds ground distances; the solver raises them to the
     power p internally and takes the 1/p root of the optimum. Returns
     the distance and its (n, m) flow plan.
     """
-    if p is None:
-        p = cost.p
     if p <= 0:
         raise ContractError("p must be positive")
     mass = max(mu.total_mass, nu.total_mass)
@@ -407,8 +402,6 @@ def wasserstein_exact(mu, nu, cost, p=None):
         raise InfeasibleError(
             f"mass mismatch: {mu.total_mass} vs {nu.total_mass}"
         )
-    if cost.values.shape != (len(mu), len(nu)):
-        raise DimensionError("cost matrix shape does not match the measures")
     res = min_cost_flow(mu.weights, nu.weights, cost.values ** p)
     return res.cost ** (1.0 / p), res.flows
 
@@ -501,37 +494,39 @@ def nested_cost(batchA, batchB):
     for i, w in enumerate(WA):
         ma = DiscreteMeasure(positions, w)
         G[i] = [w2_dimension(ma, mb) for mb in measuresB]
-    return CostMatrix(G, p=1.0)
+    return CostMatrix(G)
+
+
+def _caps(source, beta):
+    """Relaxed source supplies P_s(i)/(1-beta), for 0 < beta < 1."""
+    if not (0 < beta < 1):
+        raise ContractError("beta must lie strictly between 0 and 1")
+    return source.weights / (1.0 - beta)
 
 
 def ar_wwd_primal(source, target, cost, beta):
-    """Relaxed primal transport: source atom i may emit up to
-    P_s(i)/(1-beta), target atom j receives exactly P_t(j).
+    """Relaxed primal transport with exponent 1: source atom i may emit
+    up to P_s(i)/(1-beta), target atom j receives exactly P_t(j).
 
     The optimum is zero exactly when the target is contained in the
     scaled source (every P_t(j) <= P_s(j)/(1-beta) with zero self-cost).
     Monotone nonincreasing in beta; reduces to the balanced problem as
     beta -> 0. Returns the value and its (n, m) flow plan.
     """
-    if not (0 < beta < 1):
-        raise ContractError("beta must lie strictly between 0 and 1")
+    caps = _caps(source, beta)
     if any(abs(m.total_mass - 1.0) > _MASS_RTOL for m in (source, target)):
         raise ContractError("both measures must have total mass 1")
-    if cost.values.shape != (len(source), len(target)):
-        raise DimensionError("cost matrix shape does not match the measures")
-    caps = source.weights / (1.0 - beta)
-    res = min_cost_flow(caps, target.weights, cost.values ** cost.p)
-    return res.cost ** (1.0 / cost.p), res.flows
+    res = min_cost_flow(caps, target.weights, cost.values)
+    return res.cost, res.flows
 
 
 def containment_check(source, target, beta):
     """True iff target weight <= source weight/(1-beta) at every atom."""
-    if not (0 < beta < 1):
-        raise ContractError("beta must lie strictly between 0 and 1")
+    caps = _caps(source, beta)
     if len(source) != len(target):
         raise ContractError("containment_check needs shared atom indexing")
     slack = _STOP_RTOL * target.total_mass
-    return bool(np.all(target.weights <= source.weights / (1.0 - beta) + slack))
+    return bool(np.all(target.weights <= caps + slack))
 
 
 # ---------------------------------------------------------------------

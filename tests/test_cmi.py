@@ -152,9 +152,17 @@ def test_optimal_scorer_converges_to_exact():
 # ---------------------------------------------------------------------
 
 def test_k1_returns_exact_zero():
+    # Every term is +0.0, also where the score is -0.0: compared by
+    # bytes, since a pooled mean compared with == cannot see a -0.0.
     j = ln2_joint()
-    batches = sample_contrastive(j, 500, 1, seed=9, chunk=500)
-    assert pooled_estimate(optimal_scorer(j), batches) == 0.0
+    table = np.full((2, 2, 2), -0.0)  # the drawn cells are (x, x, z)
+    table[0, 0, 1], table[1, 1, 0] = 2.5, -3.75
+    for sc in (optimal_scorer(j), TabularScorer(table)):
+        for b in sample_contrastive(j, 500, 1, seed=9, chunk=200):
+            assert same_bits(cnce_terms(sc, b), np.zeros(len(b.sources)))
+    s = TabularScorer(table).score_matrix(
+        next(sample_contrastive(j, 500, 1, seed=9, chunk=500)))
+    assert np.any(np.signbit(s) & (s == 0.0))
 
 
 def test_constant_scorer_is_zero():

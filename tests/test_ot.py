@@ -124,6 +124,26 @@ def test_mass_mismatch_rejected():
         wasserstein_exact(tiny1, tiny2, CostMatrix(np.array([[1.0]])), p=1)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_nonpositive_exponent_rejected(p):
+    m = measure_1d([0.0], [1.0])
+    with pytest.raises(ContractError, match="p must be positive"):
+        wasserstein_exact(m, m, CostMatrix(np.array([[1.0]])), p=p)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 4)])
+def test_wrong_cost_shape_raises_dimension_error(shape):
+    # both wrappers leave the shape check to min_cost_flow
+    mu = measure_1d([0.0, 1.0], [0.5, 0.5])
+    nu = measure_1d([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+    cost = CostMatrix(np.ones(shape))
+    message = "supply/demand shapes do not match the cost matrix"
+    with pytest.raises(DimensionError, match=message):
+        wasserstein_exact(mu, nu, cost)
+    with pytest.raises(DimensionError, match=message):
+        ar_wwd_primal(mu, nu, cost, 0.4)
+
+
 def test_empty_measure_rejected():
     with pytest.raises(ContractError):
         DiscreteMeasure(np.zeros((0,)), np.zeros((0,)))
