@@ -22,9 +22,10 @@ def main():
         rnk = load_ranks(FIXTURES / f"{name}_ranks.csv")
         for route in ("reported", "exact"):
             fr = friedman(rnk, averages=route)
-            f_stat = "undefined" if fr.f_stat is None else f"{fr.f_stat:.2f}"
-            dof = f"({fr.dof[0]},{fr.dof[1]})"
-            print(f"{name:<12} {fr.chi2:>8.2f} {f_stat:>8} "
+            f_stat = ("undefined" if fr["f_stat"] is None
+                      else f"{fr['f_stat']:.2f}")
+            dof = f"({fr['dof_between']},{fr['dof_residual']})"
+            print(f"{name:<12} {fr['chi2']:>8.2f} {f_stat:>8} "
                   f"{dof:>10}   {route}")
 
 

@@ -130,9 +130,7 @@ def cmd_ot(args):
     """
     mu = load_measure(args.source)
     nu = load_measure(args.target)
-    # both ground costs take (n, d) atoms; 1-D atoms become one column
-    a, b = (m.atoms.reshape(len(m), -1) for m in (mu, nu))
-    cost = nested_cost(a, b) if args.nested else _euclidean_cost(a, b)
+    cost = (nested_cost if args.nested else _euclidean_cost)(mu.atoms, nu.atoms)
     if args.beta == 0.0:
         value, plan = wasserstein_exact(mu, nu, cost)
     else:
@@ -215,7 +213,7 @@ def cmd_friedman(args):
     """
     rnk = load_ranks(args.table)
     averages = "reported" if rnk.printed_avg is not None else "exact"
-    stats = friedman(rnk, averages=averages).as_report()
+    stats = friedman(rnk, averages=averages)
 
     lines = [",".join(["method", *rnk.tasks, "avg_rank"])]
     avgs = rnk.printed_avg if rnk.printed_avg is not None else rnk.avg_ranks

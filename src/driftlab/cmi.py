@@ -172,6 +172,13 @@ class TabularScorer:
         return scores
 
 
+def _target_given_z(table):
+    """P(x_t | z) of a joint table as a (b, c) array, 0 where P(z) = 0."""
+    p_tz = table.sum(axis=0)
+    pz = table.sum(axis=(0, 1))
+    return np.divide(p_tz, pz, out=np.zeros_like(p_tz), where=pz > 0)
+
+
 def optimal_scorer(joint):
     """Log density ratio log[P(x_t|x_s,z) / P(x_t|z)] as a table.
 
@@ -180,25 +187,11 @@ def optimal_scorer(joint):
     sampled and score 0.
     """
     t = joint.table
-    p_sz = t.sum(axis=1)            # (a, c)
-    p_tz = t.sum(axis=0)            # (b, c)
-    pz = t.sum(axis=(0, 1))         # (c,)
-    a, b, c = t.shape
-    table = np.zeros((a, b, c))
-    for i in range(a):
-        for k in range(c):
-            if p_sz[i, k] <= 0 or pz[k] <= 0:
-                continue
-            for j in range(b):
-                denom = p_tz[j, k] / pz[k]
-                if denom <= 0:
-                    continue
-                num = t[i, j, k] / p_sz[i, k]
-                if num <= 0:
-                    table[i, j, k] = _SCORE_FLOOR
-                else:
-                    table[i, j, k] = max(np.log(num / denom), _SCORE_FLOOR)
-    return TabularScorer(table)
+    p_sz = t.sum(axis=1)[:, None, :]        # (a, 1, c)
+    cond = _target_given_z(t)[None]         # (1, b, c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        score = np.maximum(np.log(t / p_sz / cond), _SCORE_FLOOR)
+    return TabularScorer(np.where((p_sz > 0) & (cond > 0), score, 0.0))
 
 
 class BilinearScorer:
@@ -208,8 +201,8 @@ class BilinearScorer:
     score(s, cand, anchor) = 0.5 (<g(s), anchor> + <g(cand), anchor>)
     """
 
-    def __init__(self, dim, rng, hidden=(32, 32, 32), name="scorer"):
-        self.net = MLP([dim, *hidden, dim], rng, name=name)
+    def __init__(self, dim, rng, hidden=(32, 32, 32)):
+        self.net = MLP([dim, *hidden, dim], rng, name="scorer")
 
     def parameters(self):
         return self.net.parameters()
@@ -511,25 +504,18 @@ def sample_contrastive(joint, n_samples, k, seed, chunk):
         raise ContractError("need chunk >= 1 samples")
     rng = SplitMix64(seed)
     t = joint.table
-    a, b, c = t.shape
-
     flat_cdf = np.cumsum(t.reshape(-1))
     flat_cdf[-1] = 1.0
     u = rng.uniform((n_samples,))
     cell = np.searchsorted(flat_cdf, u, side="right")
     xs, xt, z = np.unravel_index(cell, t.shape)
 
-    pz = t.sum(axis=(0, 1))
-    cond = np.zeros((c, b))
-    for v in range(c):
-        if pz[v] > 0:
-            cond[v] = t[:, :, v].sum(axis=0) / pz[v]
-    cond_cdf = np.cumsum(cond, axis=1)
+    cond_cdf = np.cumsum(_target_given_z(t).T, axis=1)
     cond_cdf[:, -1] = 1.0
 
     # Python ints: k may lie past the int64 range, and the first chunk's
     # allocation, not this arithmetic, must be what refuses it.
-    group_rows = np.bincount(z, minlength=c).tolist()
+    group_rows = np.bincount(z, minlength=t.shape[2]).tolist()
     counters = [n_samples + (k - 1) * before
                 for before in itertools.accumulate([0, *group_rows[:-1]])]
     return (draw_chunk(rng, xs[i:i + chunk], xt[i:i + chunk], z[i:i + chunk],

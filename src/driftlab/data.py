@@ -17,16 +17,12 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensorcore import SplitMix64
 
-_DOMAIN_TAGS = ("source", "target")
-
-
 @dataclass
 class LabeledDomain:
-    """Feature matrix with integer labels and a domain tag."""
+    """Feature matrix with integer labels."""
 
     X: np.ndarray
     labels: np.ndarray
-    domain: str
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -37,15 +33,16 @@ class LabeledDomain:
             raise ContractError("label count differs from row count")
         if self.labels.size and self.labels.min() < 0:
             raise ContractError("negative label")
-        if self.domain not in _DOMAIN_TAGS:
-            raise ContractError(f"domain tag must be one of {_DOMAIN_TAGS}")
 
     def __len__(self):
         return self.X.shape[0]
 
 
-def _parse_ratio(ratio):
-    """The class-0 fraction of an 'a:b' ratio string."""
+def parse_ratio(ratio):
+    """The class-0 fraction of an 'a:b' ratio string, or None for
+    'uniform' (any case, surrounding blanks ignored)."""
+    if ratio.strip().lower() == "uniform":
+        return None
     parts = ratio.split(":")
     if len(parts) != 2:
         raise ContractError(f"ratio must look like '3:7', got {ratio!r}")
@@ -132,7 +129,8 @@ def _sample_moon_class(rng, cls, count, noise_sigma):
 def gen_two_moons_shift(n=500, rotation_deg=30.0, noise_sigma=0.1,
                         class_ratio_t="5:5", seed=0):
     """Two interleaved half-circles; the target domain is the same
-    manifold rigidly rotated, sampled with its own class ratio.
+    manifold rigidly rotated, sampled with its own class ratio
+    ('uniform' balances its classes, as '1:1' does).
 
     Labels in both domains come from the nearest-arc rule in the
     pre-rotation frame, so relabeling either domain with the shared
@@ -144,7 +142,7 @@ def gen_two_moons_shift(n=500, rotation_deg=30.0, noise_sigma=0.1,
         raise ContractError("rotation must lie in [0, 90) degrees")
     if noise_sigma < 0:
         raise ContractError("noise_sigma must be nonnegative")
-    frac0 = _parse_ratio(class_ratio_t)
+    frac0 = parse_ratio(class_ratio_t)
 
     rng = SplitMix64(seed)
     src_rng, tgt_rng = rng.spawn(1), rng.spawn(2)
@@ -156,7 +154,7 @@ def gen_two_moons_shift(n=500, rotation_deg=30.0, noise_sigma=0.1,
     ])
     ys = np.concatenate([np.zeros(s0, np.int64), np.ones(s1, np.int64)])
 
-    t0, t1 = _class_counts(n, frac0)
+    t0, t1 = _class_counts(n, 0.5 if frac0 is None else frac0)
     pre = np.concatenate([
         _sample_moon_class(tgt_rng, 0, t0, noise_sigma),
         _sample_moon_class(tgt_rng, 1, t1, noise_sigma),
@@ -165,5 +163,4 @@ def gen_two_moons_shift(n=500, rotation_deg=30.0, noise_sigma=0.1,
     rot = _rotation(rotation_deg).T  # forward rotation for row vectors
     xt = pre @ rot
 
-    return (LabeledDomain(xs, ys, "source"),
-            LabeledDomain(xt, yt, "target"))
+    return LabeledDomain(xs, ys), LabeledDomain(xt, yt)

@@ -42,13 +42,12 @@ from .tensorcore import (
 class Critic:
     """Critic ``sigmoid(net.forward(z))`` with its penalty weight and relaxation."""
 
-    def __init__(self, dim, rng, hidden=(32, 32, 32), lam=10.0, beta=0.4,
-                 name="critic"):
+    def __init__(self, dim, rng, hidden=(32, 32, 32), lam=10.0, beta=0.4):
         if lam < 0:
             raise ContractError("penalty weight must be nonnegative")
         if not (0 < beta < 1):
             raise ContractError("beta must lie strictly between 0 and 1")
-        self.net = MLP([dim, *hidden, 1], rng, name=name)
+        self.net = MLP([dim, *hidden, 1], rng, name="critic")
         self.lam = float(lam)
         self.beta = float(beta)
 

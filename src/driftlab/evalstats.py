@@ -141,24 +141,6 @@ class BoundInputs:
             raise ContractError("need at least two classes")
 
 
-@dataclass
-class FriedmanResult:
-    """Friedman rank statistics with the derived F form; ``f_stat`` is
-    None where F is undefined."""
-
-    chi2: float
-    f_stat: float | None
-    dof: tuple
-
-    def as_report(self):
-        return {
-            "chi2": float(self.chi2),
-            "f_stat": None if self.f_stat is None else float(self.f_stat),
-            "dof_between": int(self.dof[0]),
-            "dof_residual": int(self.dof[1]),
-        }
-
-
 def accuracy(predictions, labels):
     """Percent agreement between two equal-length label arrays."""
     predictions = np.asarray(predictions)
@@ -224,11 +206,12 @@ def competition_ranks(table):
 def friedman(ranks, averages="exact"):
     """Friedman test over a rank table: methods are treatments, tasks blocks.
 
-    Returns the chi-square form, the Iman-Davenport F form, and the F
-    degrees of freedom (m - 1, (m - 1)(n - 1)). A rank grid where every
-    task agrees exactly saturates the statistic and makes the F form's
-    denominator vanish; there ``f_stat`` is None rather than an
-    infinity, and the chi-square form is still returned.
+    Returns the report ``{"chi2", "f_stat", "dof_between",
+    "dof_residual"}``: the chi-square form, the Iman-Davenport F form,
+    and the F degrees of freedom m - 1 and (m - 1)(n - 1). A rank grid
+    where every task agrees exactly saturates the statistic and makes
+    the F form's denominator vanish; there ``f_stat`` is None rather
+    than an infinity, and the chi-square form is still returned.
 
     ``averages`` selects the per-method average ranks fed into the
     statistic: "exact" uses the mean of the rank grid, "reported" uses
@@ -253,7 +236,8 @@ def friedman(ranks, averages="exact"):
     chi2 = 12.0 * n / (m * (m + 1.0)) * (ssq - m * (m + 1.0) ** 2 / 4.0)
     denom = n * (m - 1.0) - chi2
     f_stat = (n - 1.0) * chi2 / denom if denom > 1e-12 else None
-    return FriedmanResult(chi2=chi2, f_stat=f_stat, dof=(m - 1, (m - 1) * (n - 1)))
+    return {"chi2": chi2, "f_stat": f_stat,
+            "dof_between": m - 1, "dof_residual": (m - 1) * (n - 1)}
 
 
 def _to_plain(obj, path="report"):

@@ -430,13 +430,15 @@ def w2_dimension(zA, zB):
 
     Merges the two measures' sorted quantiles on Python floats; each
     step moves the least of the two atoms' remaining weights and the
-    mass still to match (the first of them on ties).
+    mass still to match (the first of them on ties). A weight or a
+    remainder at most ``1e-15 * mass`` counts as spent.
     """
     if zA.atoms.ndim != 1 or zB.atoms.ndim != 1:
         raise DimensionError("w2_dimension expects 1-D measures")
     mass = zA.total_mass
     if abs(mass - zB.total_mass) > _MASS_RTOL * mass:
         raise InfeasibleError("mass mismatch between dimension measures")
+    slack = 1e-15 * mass
     pa, wa = zA._quantiles
     pb, wb = zB._quantiles
     last_a, last_b = len(wa) - 1, len(wb) - 1
@@ -444,11 +446,11 @@ def w2_dimension(zA, zB):
     remaining_a, remaining_b = wa[0], wb[0]
     done = 0.0
     total = 0.0
-    while done < mass - 1e-15:
-        while remaining_a <= 1e-15 and ia < last_a:
+    while done < mass - slack:
+        while remaining_a <= slack and ia < last_a:
             ia += 1
             remaining_a = wa[ia]
-        while remaining_b <= 1e-15 and ib < last_b:
+        while remaining_b <= slack and ib < last_b:
             ib += 1
             remaining_b = wb[ib]
         step = remaining_a
@@ -456,7 +458,7 @@ def w2_dimension(zA, zB):
             step = remaining_b
         if mass - done < step:
             step = mass - done
-        if step <= 1e-15:
+        if step <= slack:
             break
         total += step * (pa[ia] - pb[ib]) ** 2
         remaining_a -= step
@@ -535,9 +537,9 @@ def containment_check(source, target, beta):
 
 def load_measure(path):
     """Read a measure from delimited text: one atom per line,
-    ``weight,coord1[,coord2,...]``, through :func:`textio.read_rows`."""
+    ``weight,coord1[,coord2,...]``, through :func:`textio.read_rows`.
+    The atoms are (n, d), d >= 1."""
     rows = read_rows(path)
     if rows.shape[1] < 2:
         raise ParseError(f"{path}: expected weight,coord1[,coord2,...]")
-    atoms = rows[:, 1] if rows.shape[1] == 2 else rows[:, 1:]
-    return DiscreteMeasure(atoms, rows[:, 0])
+    return DiscreteMeasure(rows[:, 1:], rows[:, 0])

@@ -26,7 +26,7 @@ from .cmi import (
     pair_positive,
     train_scorer,
 )
-from .data import LabeledDomain, _parse_ratio, gen_two_moons_shift
+from .data import LabeledDomain, gen_two_moons_shift, parse_ratio
 from .dualcritic import (
     Critic,
     dual_objective,
@@ -179,29 +179,22 @@ def apply_overrides(config, assignments):
 # data plumbing
 # ---------------------------------------------------------------------
 
-def _generation_ratio(ratio):
-    """'uniform' batching draws from a balanced generated domain."""
-    if ratio.strip().lower() == "uniform":
-        return "1:1"
-    return ratio
-
-
 def make_dataset(config):
     """Build the configured source/target pair (always two moons)."""
     return gen_two_moons_shift(
         n=config.n_per_domain,
         rotation_deg=config.rotation_deg,
         noise_sigma=config.noise_sigma,
-        class_ratio_t=_generation_ratio(config.target_ratio),
+        class_ratio_t=config.target_ratio,
         seed=config.seed,
     )
 
 
 def _ratio_counts(batch_size, ratio):
     """Exact per-class counts for a stratified batch, or None for uniform."""
-    if ratio.strip().lower() == "uniform":
+    frac0 = parse_ratio(ratio)
+    if frac0 is None:
         return None
-    frac0 = _parse_ratio(ratio)
     c0 = frac0 * batch_size
     if abs(c0 - round(c0)) > 1e-9:
         raise ContractError(
@@ -246,7 +239,7 @@ def _stratified_indices(domain, rng, counts, batch_size):
 
 
 def _take(domain, idx):
-    return LabeledDomain(domain.X[idx], domain.labels[idx], domain.domain)
+    return LabeledDomain(domain.X[idx], domain.labels[idx])
 
 
 def epoch_batches(dataset, rng, config):

@@ -374,12 +374,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 2 ** 15
 
 
-def _word_count(shape):
-    """Entries in an array of ``shape``, an int or a sequence of them,
-    multiplied as Python ints so that no count wraps."""
-    return math.prod(map(operator.index, shape if np.iterable(shape) else (shape,)))
-
-
 class SplitMix64:
     """Counter-based 64-bit generator (SplitMix64).
 
@@ -438,18 +432,21 @@ class SplitMix64:
         self.counter += n
         return out
 
-    def uniform(self, shape=()):
-        u = self._raw(_word_count(shape), np.float64)
-        return u.reshape(shape) if shape else float(u[0])
+    def uniform(self, shape):
+        """Uniform doubles in [0, 1), an array of the ``shape`` tuple.
+        Entry counts are products of Python ints, so no count wraps."""
+        n = math.prod(map(operator.index, shape))
+        return self._raw(n, np.float64).reshape(shape)
 
-    def normal(self, shape=()):
-        n = _word_count(shape)
+    def normal(self, shape):
+        """Standard normals, an array of the ``shape`` tuple."""
+        n = math.prod(map(operator.index, shape))
         m = (n + 1) // 2
         u1 = 1.0 - self.uniform((m,))
         u2 = self.uniform((m,))
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
-        return z.reshape(shape) if shape else float(z[0])
+        return z.reshape(shape)
 
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n). Memoryviews give each word

@@ -33,22 +33,22 @@ def raw_words(rng, n):
     return z
 
 
-def uniform(rng, shape=()):
+def uniform(rng, shape):
     """``SplitMix64.uniform`` on the whole array of words."""
-    n = int(np.prod(shape)) if shape else 1
+    n = int(np.prod(shape))
     u = (raw_words(rng, n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return u.reshape(shape) if shape else float(u[0])
+    return u.reshape(shape)
 
 
-def normal(rng, shape=()):
+def normal(rng, shape):
     """``SplitMix64.normal`` with its own conversion of each half."""
-    n = int(np.prod(shape)) if shape else 1
+    n = int(np.prod(shape))
     m = (n + 1) // 2
     u1 = 1.0 - (raw_words(rng, m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
     u2 = (raw_words(rng, m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
-    return z.reshape(shape) if shape else float(z[0])
+    return z.reshape(shape)
 
 
 def permutation(rng, n):
@@ -127,6 +127,32 @@ def gathered_score_matrix(scorer, batch):
     own = (gs * anchors).sum(axis=1)
     cross = (ga[batch.candidates] * anchors[:, None, :]).sum(axis=2)
     return 0.5 * (own[:, None] + cross)
+
+
+def optimal_scorer_table(joint):
+    """``cmi.optimal_scorer``'s table, cell by cell: the log of
+    P(x_t | x_s, z) / P(x_t | z), floored at -30, and 0 where P(x_s, z)
+    or P(x_t | z) is 0."""
+    t = joint.table
+    p_sz = t.sum(axis=1)            # (a, c)
+    p_tz = t.sum(axis=0)            # (b, c)
+    pz = t.sum(axis=(0, 1))         # (c,)
+    a, b, c = t.shape
+    table = np.zeros((a, b, c))
+    for i in range(a):
+        for k in range(c):
+            if p_sz[i, k] <= 0 or pz[k] <= 0:
+                continue
+            for j in range(b):
+                denom = p_tz[j, k] / pz[k]
+                if denom <= 0:
+                    continue
+                num = t[i, j, k] / p_sz[i, k]
+                if num <= 0:
+                    table[i, j, k] = -30.0
+                else:
+                    table[i, j, k] = max(np.log(num / denom), -30.0)
+    return table
 
 
 def sample_contrastive(joint, n_samples, k, seed, chunk):
@@ -232,6 +258,7 @@ def w2_dimension(zA, zB):
     if abs(zA.total_mass - zB.total_mass) > 1e-9:
         raise InfeasibleError("mass mismatch between dimension measures")
     mass = zA.total_mass
+    slack = 1e-15 * mass
     oa = np.argsort(zA.atoms, kind="stable")
     ob = np.argsort(zB.atoms, kind="stable")
     pa, wa = zA.atoms[oa], zA.weights[oa]
@@ -240,15 +267,15 @@ def w2_dimension(zA, zB):
     remaining_a, remaining_b = wa[0], wb[0]
     done = 0.0
     total = 0.0
-    while done < mass - 1e-15:
-        while remaining_a <= 1e-15 and ia + 1 < len(wa):
+    while done < mass - slack:
+        while remaining_a <= slack and ia + 1 < len(wa):
             ia += 1
             remaining_a = wa[ia]
-        while remaining_b <= 1e-15 and ib + 1 < len(wb):
+        while remaining_b <= slack and ib + 1 < len(wb):
             ib += 1
             remaining_b = wb[ib]
         step = min(remaining_a, remaining_b, mass - done)
-        if step <= 1e-15:
+        if step <= slack:
             break
         total += step * (pa[ia] - pb[ib]) ** 2
         remaining_a -= step

@@ -80,9 +80,9 @@ def test_criterion_1_rank_statistics_reproduction():
     for name, (chi2, f_stat, dof) in PUBLISHED_STATS.items():
         rnk = load_ranks(FIXTURES / f"{name}_ranks.csv")
         fr = friedman(rnk, averages="reported")
-        assert fr.chi2 == pytest.approx(chi2, abs=1.0), name
-        assert fr.f_stat == pytest.approx(f_stat, abs=0.5), name
-        assert fr.dof == dof, name
+        assert fr["chi2"] == pytest.approx(chi2, abs=1.0), name
+        assert fr["f_stat"] == pytest.approx(f_stat, abs=0.5), name
+        assert (fr["dof_between"], fr["dof_residual"]) == dof, name
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -292,9 +292,9 @@ def test_criterion_6_gradient_integrity():
         rng=rng.spawn(14),
     )
     bs = LabeledDomain(np.array([[0.0, 1.0], [2.0, -1.0]]),
-                       np.array([0, 1]), "source")
+                       np.array([0, 1]))
     bt = LabeledDomain(np.array([[1.5, 0.5], [-0.5, -1.5]]),
-                       np.array([0, 1]), "target")
+                       np.array([0, 1]))
     params = state.phi.parameters() + state.psi.parameters()
 
     def objective():

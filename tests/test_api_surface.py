@@ -14,7 +14,8 @@ real caller or is deleted.
 Every name a ``src/driftlab`` module imports is also used in that
 module, unless ``perfbench/tracing.py`` names it as a string: tracing
 wraps a function in each module that calls it, so a module may import a
-name only for tracing to find there.
+name only for tracing to find there. No module imports another module's
+private (``_``-prefixed) name.
 
 An MLP's graph forward, ``.forward(``, runs only where a gradient is
 taken through its output; value-only forwards use ``mlp_forward``.
@@ -146,6 +147,16 @@ def test_every_import_is_used():
     unused = [u for path in sorted(PACKAGE.glob("*.py"))
               for u in _unused_imports(path, wrapped)]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = [f"{path.stem}:{node.lineno} {alias.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(_parse(path))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.partition(".")[0] == "driftlab")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, "private name imported across modules: " + ", ".join(private)
 
 
 def _writes_output(node):

@@ -138,6 +138,43 @@ def test_optimal_scorer_ln2_closed_form():
             assert sc.table[x, 1 - x, z] == -30.0
 
 
+@st.composite
+def sparse_joints(draw):
+    """Joint tables with zero cells, and cells down to the least
+    subnormal, whose log ratios sit far below the -30 floor. One z and
+    one (x_s, z) pair are often emptied, so P(z) or P(x_s, z) is 0."""
+    a, b, c = (draw(st.integers(1, 4)) for _ in range(3))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0),
+                     st.floats(1e-300, 1e-12), st.just(5e-324))
+    t = np.array(draw(st.lists(cell, min_size=a * b * c, max_size=a * b * c)))
+    t = t.reshape(a, b, c)
+    heavy = (draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1)),
+             draw(st.integers(0, c - 1)))
+    empty_z = draw(st.integers(0, c - 1))
+    if draw(st.booleans()) and empty_z != heavy[2]:
+        t[:, :, empty_z] = 0.0
+    empty_s = draw(st.integers(0, a - 1))
+    if draw(st.booleans()) and (empty_s, empty_z) != (heavy[0], heavy[2]):
+        t[empty_s, :, empty_z] = 0.0
+    t[heavy] = 1.0
+    return DiscreteJoint(t / t.sum())
+
+
+@given(sparse_joints())
+@example(ln2_joint())
+@example(DiscreteJoint(np.array([[[0.5], [5e-324]], [[0.0], [0.5]]])))  # log ratio -742
+@example(DiscreteJoint(np.array([[[0.0], [1.0]], [[5e-324], [0.0]]])))  # ratio overflows
+@settings(max_examples=300, deadline=None)
+def test_optimal_scorer_same_bits_as_cell_loop(joint):
+    with np.errstate(over="ignore"):
+        want = oracles.optimal_scorer_table(joint)
+    if np.isfinite(want).all():
+        assert same_bits(optimal_scorer(joint).table, want)
+    else:  # a ratio past the float range, as at P(x_t | z) = 5e-324
+        with pytest.raises(ContractError, match="scorer table must be finite"):
+            optimal_scorer(joint)
+
+
 def test_optimal_scorer_converges_to_exact():
     rng = np.random.default_rng(33)
     j = random_joint(rng)
@@ -698,6 +735,20 @@ def test_streamed_draw_equals_one_draw(seed, n_samples, k, chunk):
     sc = optimal_scorer(j)
     assert (pooled_estimate(sc, streamed)
             == float(np.concatenate([oracles.cnce_terms(sc, b) for b in whole]).mean()))
+
+
+def test_draw_pinned_on_a_joint_with_a_zero_mass_z():
+    # z = 1 has no mass; P(x_t | z) is (0.5, 0.25, 0.25) at z = 0 and
+    # (0.25, 0.5, 0.25) at z = 2
+    t = np.zeros((2, 3, 3))
+    t[0, 0, 0], t[0, 2, 0], t[1, 1, 0] = 0.2, 0.1, 0.1
+    t[0, 1, 2], t[1, 0, 2], t[1, 2, 2] = 0.3, 0.15, 0.15
+    (batch,) = sample_contrastive(DiscreteJoint(t), 8, 5, seed=3, chunk=8)
+    assert batch.sources.tolist() == [0, 1, 1, 0, 0, 1, 0, 1]
+    assert batch.z.tolist() == [0, 2, 2, 0, 2, 2, 0, 2]
+    assert batch.candidates.tolist() == [
+        [0, 0, 2, 1, 1], [0, 2, 2, 1, 0], [0, 1, 2, 0, 0], [0, 0, 0, 1, 2],
+        [1, 1, 2, 1, 1], [0, 0, 2, 1, 0], [0, 0, 0, 0, 1], [2, 1, 1, 1, 1]]
 
 
 def assert_draws_equal(j, n_samples, k, seed, chunk):

@@ -111,8 +111,6 @@ def test_shared_label_mode_passes_assumption1():
 
 def test_labeled_domain_validation():
     with pytest.raises(ContractError):
-        LabeledDomain(np.zeros((3, 2)), np.array([0, 1]), "source")
+        LabeledDomain(np.zeros((3, 2)), np.array([0, 1]))
     with pytest.raises(ContractError):
-        LabeledDomain(np.zeros((2, 2)), np.array([0, -1]), "source")
-    with pytest.raises(ContractError):
-        LabeledDomain(np.zeros((2, 2)), np.array([0, 1]), "both")
+        LabeledDomain(np.zeros((2, 2)), np.array([0, -1]))

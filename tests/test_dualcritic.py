@@ -314,7 +314,7 @@ def random_critic(m, hidden, lam, seed, zero_units=False):
     """A critic with nonzero biases; ``zero_units`` zeroes the first unit
     of every layer, so its pre-activation is exactly 0."""
     rng = SplitMix64(seed)
-    c = Critic(m, rng.spawn(1), hidden=hidden, lam=lam, beta=0.05 + 0.9 * rng.uniform())
+    c = Critic(m, rng.spawn(1), hidden=hidden, lam=lam, beta=0.05 + 0.9 * rng.uniform(()))
     for p in c.parameters():
         p.value = p.value + 0.5 * rng.normal(p.value.shape)
         if zero_units:

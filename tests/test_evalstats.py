@@ -192,16 +192,16 @@ class TestFixtures:
     def test_reported_route_reproduces_published_digits(self):
         rnk = load_ranks(FIXTURES / "digits_ranks.csv")
         fr = friedman(rnk, averages="reported")
-        assert fr.chi2 == pytest.approx(69.77, abs=0.01)
-        assert fr.f_stat == pytest.approx(11.48, abs=0.01)
-        assert fr.dof == (22, 66)
+        assert fr["chi2"] == pytest.approx(69.77, abs=0.01)
+        assert fr["f_stat"] == pytest.approx(11.48, abs=0.01)
+        assert (fr["dof_between"], fr["dof_residual"]) == (22, 66)
 
     def test_exact_route_sits_near_reported_digits(self):
         # means of the printed ranks, before their one-decimal rounding
         rnk = load_ranks(FIXTURES / "digits_ranks.csv")
         fr = friedman(rnk)
-        assert fr.chi2 == pytest.approx(69.707, abs=0.01)
-        assert fr.f_stat == pytest.approx(11.431, abs=0.01)
+        assert fr["chi2"] == pytest.approx(69.707, abs=0.01)
+        assert fr["f_stat"] == pytest.approx(11.431, abs=0.01)
 
 
 class TestFriedman:
@@ -211,17 +211,16 @@ class TestFriedman:
         ranks[1, :] = 2.0
         ranks[0, 0], ranks[1, 0] = 2.0, 1.0
         fr = friedman(RankTable(["A", "B"], [f"t{i}" for i in range(10)], ranks))
-        assert fr.chi2 == pytest.approx(6.4, abs=1e-12)
-        assert fr.f_stat == pytest.approx(16.0, abs=1e-12)
-        assert fr.dof == (1, 9)
+        assert fr["chi2"] == pytest.approx(6.4, abs=1e-12)
+        assert fr["f_stat"] == pytest.approx(16.0, abs=1e-12)
+        assert (fr["dof_between"], fr["dof_residual"]) == (1, 9)
 
     def test_perfect_agreement_is_degenerate(self):
         ranks = np.tile(np.array([[1.0], [2.0]]), (1, 6))
         fr = friedman(RankTable(["A", "B"], [f"t{i}" for i in range(6)], ranks))
-        assert fr.f_stat is None
+        assert fr["f_stat"] is None
         # the chi-square form saturates at n * (m - 1) = 6
-        assert fr.chi2 == pytest.approx(6.0, abs=1e-12)
-        assert fr.as_report()["f_stat"] is None
+        assert fr["chi2"] == pytest.approx(6.0, abs=1e-12)
 
     def test_method_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -231,8 +230,8 @@ class TestFriedman:
         perm = rng.permutation(6)
         t1 = friedman(RankTable([f"m{i}" for i in perm],
                                 [f"t{j}" for j in range(5)], base[perm]))
-        assert t1.chi2 == pytest.approx(t0.chi2, abs=1e-12)
-        assert t1.f_stat == pytest.approx(t0.f_stat, abs=1e-12)
+        assert t1["chi2"] == pytest.approx(t0["chi2"], abs=1e-12)
+        assert t1["f_stat"] == pytest.approx(t0["f_stat"], abs=1e-12)
 
     def test_requires_rank_table(self):
         with pytest.raises(ContractError):
@@ -248,10 +247,9 @@ class TestFriedman:
         with pytest.raises(ContractError):
             friedman(ranks, averages="rounded")
 
-    def test_as_report_keys(self):
+    def test_report_keys(self):
         ranks = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
-        fr = friedman(RankTable(["a", "b", "c"], ["t0", "t1"], ranks))
-        rep = fr.as_report()
+        rep = friedman(RankTable(["a", "b", "c"], ["t0", "t1"], ranks))
         assert set(rep) == {"chi2", "f_stat", "dof_between", "dof_residual"}
 
 

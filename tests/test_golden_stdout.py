@@ -4,6 +4,13 @@
 Regenerate the golden file (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden_stdout.py
+
+The file was pinned at OpenBLAS's default thread count (two threads on
+a 2-vCPU x86-64 host). The ``cmi/features/wide/structured`` and
+``cmi/features/wide12/structured`` entries train a scorer on 600-row
+batches, past the size (N²·M ≈ 1.1e6) from which the scorer step's
+``anchors.T @ grad`` gives different bits at one and at two threads, so
+they fail under ``OPENBLAS_NUM_THREADS=1``; see README "Determinism".
 """
 
 import io

@@ -715,6 +715,21 @@ def test_w2_rejects_mass_mismatch(scale):
     assert w2_dimension(close, a) >= 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e-18, 1e-14, 1e12],
+                         ids=["1e-30", "1e-18", "1e-14", "1e12"])
+def test_w2_matches_generic_solver_at_every_mass_scale(scale):
+    # the merge's slack is relative to the mass; an absolute 1e-15 gave
+    # 0 at masses of 1e-18 and below, and values up to 54% off at 1e-14
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n, m = rng.integers(1, 13), rng.integers(1, 13)
+        a = measure_1d(rng.normal(size=n), scale * rng.dirichlet(np.ones(n)))
+        b = measure_1d(rng.normal(size=m), scale * rng.dirichlet(np.ones(m)))
+        cost = CostMatrix(np.abs(a.atoms[:, None] - b.atoms[None, :]))
+        oracle, _ = wasserstein_exact(a, b, cost, p=2.0)
+        assert w2_dimension(a, b) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 @st.composite
 def dimension_measure_pairs(draw):
     """Two 1-D measures of sizes 1..12 and equal mass: unsorted atoms,
@@ -1010,8 +1025,8 @@ def test_measure_scalar_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("0.5,0.25\n0.5,0.75\n")
     back = load_measure(path)
-    assert back.atoms.ndim == 1
-    assert np.allclose(back.atoms, m.atoms)
+    assert back.atoms.shape == (2, 1)
+    assert np.allclose(back.atoms[:, 0], m.atoms)
 
 
 def test_measure_parse_errors(tmp_path):

@@ -353,9 +353,9 @@ class TestObjective:
             rng=rng.spawn(5),
         )
         bs = LabeledDomain(np.array([[0.0, 1.0], [2.0, -1.0]]),
-                           np.array([0, 1]), "source")
+                           np.array([0, 1]))
         bt = LabeledDomain(np.array([[1.5, 0.5], [-0.5, -1.5]]),
-                           np.array([0, 1]), "target")
+                           np.array([0, 1]))
         params = state.phi.parameters() + state.psi.parameters()
         err = finite_diff_check(
             lambda: objective(state, bs, bt, cfg)[0], params)
