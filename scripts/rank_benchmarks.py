@@ -4,7 +4,7 @@ Usage: python3 scripts/rank_benchmarks.py
 
 Prints the chi-square and F statistics for each fixture, using the
 tables' reported average-rank columns, plus the exact recomputation
-for comparison. An F statistic that is undefined prints as "undefined".
+for comparison. A statistic that is undefined prints as "undefined".
 """
 
 from pathlib import Path
@@ -22,10 +22,10 @@ def main():
         rnk = load_ranks(FIXTURES / f"{name}_ranks.csv")
         for route in ("reported", "exact"):
             fr = friedman(rnk, averages=route)
-            f_stat = ("undefined" if fr["f_stat"] is None
-                      else f"{fr['f_stat']:.2f}")
+            chi2, f_stat = ("undefined" if fr[key] is None
+                            else f"{fr[key]:.2f}" for key in ("chi2", "f_stat"))
             dof = f"({fr['dof_between']},{fr['dof_residual']})"
-            print(f"{name:<12} {fr['chi2']:>8.2f} {f_stat:>8} "
+            print(f"{name:<12} {chi2:>8} {f_stat:>8} "
                   f"{dof:>10}   {route}")
 
 

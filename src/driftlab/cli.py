@@ -49,8 +49,8 @@ from .ot import (
     wasserstein_exact,
 )
 from .pipeline import (
+    TrainConfig,
     apply_overrides,
-    load_config,
     run_experiment,
     run_sweep,
 )
@@ -70,7 +70,7 @@ def _fmt(value):
 
 def cmd_train(args):
     """Exit codes: 0 success, 2 invalid config, 3 numeric failure."""
-    config = load_config(args.config)
+    config = read_fields(args.config, TrainConfig)
     if args.set:
         config = apply_overrides(config, args.set)
     report_path = args.report
@@ -85,7 +85,7 @@ def cmd_train(args):
 
 def cmd_sweep(args):
     """Exit codes: 0 success, 2 invalid config or values, 3 numeric."""
-    config = load_config(args.config)
+    config = read_fields(args.config, TrainConfig)
     if args.set:
         config = apply_overrides(config, args.set)
     values = [v for v in args.values.split(",") if v.strip()]
@@ -205,7 +205,7 @@ def cmd_cmi(args):
 # ---------------------------------------------------------------------
 
 def cmd_friedman(args):
-    """Exit codes: 0 success (even when F is undefined), 2 malformed table.
+    """Exit codes: 0 success (a statistic may be undefined), 2 bad table.
 
     Accuracy tables are ranked per task first; rank tables are used as
     shipped, preferring their printed rank averages for the statistic
@@ -220,9 +220,9 @@ def cmd_friedman(args):
     for i, name in enumerate(rnk.methods):
         cells = [format_rank(r) for r in [*rnk.ranks[i], avgs[i]]]
         lines.append(",".join([name] + cells))
-    f_stat = "undefined" if stats["f_stat"] is None else _fmt(stats["f_stat"])
-    lines += [f"chi2 {_fmt(stats['chi2'])}", f"f_stat {f_stat}",
-              f"dof {stats['dof_between']} {stats['dof_residual']}"]
+    lines += [f"{key} {'undefined' if stats[key] is None else _fmt(stats[key])}"
+              for key in ("chi2", "f_stat")]
+    lines.append(f"dof {stats['dof_between']} {stats['dof_residual']}")
     return stats, lines
 
 

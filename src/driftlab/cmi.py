@@ -115,13 +115,14 @@ class ContrastiveBatch:
 # ---------------------------------------------------------------------
 
 def mutual_information(table2d):
-    """I(A;B) in nats for a 2-D probability table, 0 log 0 = 0."""
+    """I(A;B) in nats for a 2-D probability table, 0 log 0 = 0: the sum
+    of t (log t - log P(a) - log P(b)), since the ratio can overflow."""
     t = np.asarray(table2d, dtype=np.float64)
-    pa = t.sum(axis=1)
-    pb = t.sum(axis=0)
-    mask = t > 0
-    ratio = t[mask] / (pa[:, None] * pb[None, :])[mask]
-    return float((t[mask] * np.log(ratio)).sum())
+    a, b = np.nonzero(t > 0)
+    cells = t[a, b]
+    log_ratio = (np.log(cells) - np.log(t.sum(axis=1)[a])
+                 - np.log(t.sum(axis=0)[b]))
+    return float((cells * log_ratio).sum())
 
 
 def exact_cmi(joint):
@@ -180,18 +181,21 @@ def _target_given_z(table):
 
 
 def optimal_scorer(joint):
-    """Log density ratio log[P(x_t|x_s,z) / P(x_t|z)] as a table.
-
+    """Log density ratio log[P(x_t|x_s,z) / P(x_t|z)] as a table, taken
+    as (log t - log P(x_s,z)) - (log P(x_t,z) - log P(z)) since the
+    ratio itself can overflow where a marginal is subnormal.
     Zero-probability ratios are floored at -30 so log-sums stay finite;
     cells whose conditioning event has probability zero are never
     sampled and score 0.
     """
     t = joint.table
     p_sz = t.sum(axis=1)[:, None, :]        # (a, 1, c)
-    cond = _target_given_z(t)[None]         # (1, b, c)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        score = np.maximum(np.log(t / p_sz / cond), _SCORE_FLOOR)
-    return TabularScorer(np.where((p_sz > 0) & (cond > 0), score, 0.0))
+    p_tz = t.sum(axis=0)[None]              # (1, b, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.maximum((np.log(t) - np.log(p_sz))
+                           - (np.log(p_tz) - np.log(t.sum(axis=(0, 1)))),
+                           _SCORE_FLOOR)
+    return TabularScorer(np.where((p_sz > 0) & (p_tz > 0), score, 0.0))
 
 
 class BilinearScorer:

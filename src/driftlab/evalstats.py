@@ -24,45 +24,6 @@ from .textio import records
 _PRINTED_AVG_TOL = 0.055
 
 
-def _method_grid(methods, tasks, grid, noun):
-    """The checks both tables share: names as strings and a finite
-    float64 grid of one row per distinct method and one column per task."""
-    methods, tasks = [str(m) for m in methods], [str(t) for t in tasks]
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
-        raise DimensionError(f"{noun} grid must be 2-D")
-    m, n = grid.shape
-    if m != len(methods) or n != len(tasks):
-        raise DimensionError(
-            f"{noun} grid {m}x{n} does not match {len(methods)} methods "
-            f"x {len(tasks)} tasks"
-        )
-    if m < 2:
-        raise ContractError("need at least two methods to compare")
-    if n < 1:
-        raise ContractError("need at least one task")
-    if len(set(methods)) != m:
-        raise ContractError("duplicate method name")
-    if not np.all(np.isfinite(grid)):
-        raise ContractError(f"{noun} values must be finite")
-    return methods, tasks, grid
-
-
-@dataclass
-class AccuracyTable:
-    """Percent accuracies for methods (rows) across tasks (columns)."""
-
-    methods: list
-    tasks: list
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.methods, self.tasks, self.values = _method_grid(
-            self.methods, self.tasks, self.values, "accuracy")
-        if self.values.min() < 0.0 or self.values.max() > 100.0:
-            raise ContractError("accuracies are percentages in [0, 100]")
-
-
 @dataclass
 class RankTable:
     """Per-task method ranks plus the per-method average rank.
@@ -78,9 +39,25 @@ class RankTable:
     printed_avg: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        self.methods, self.tasks, self.ranks = _method_grid(
-            self.methods, self.tasks, self.ranks, "rank")
-        m = len(self.methods)
+        self.methods = [str(name) for name in self.methods]
+        self.tasks = [str(task) for task in self.tasks]
+        self.ranks = np.asarray(self.ranks, dtype=np.float64)
+        if self.ranks.ndim != 2:
+            raise DimensionError("rank grid must be 2-D")
+        m, n = self.ranks.shape
+        if m != len(self.methods) or n != len(self.tasks):
+            raise DimensionError(
+                f"rank grid {m}x{n} does not match {len(self.methods)} "
+                f"methods x {len(self.tasks)} tasks"
+            )
+        if m < 2:
+            raise ContractError("need at least two methods to compare")
+        if n < 1:
+            raise ContractError("need at least one task")
+        if len(set(self.methods)) != m:
+            raise ContractError("duplicate method name")
+        if not np.all(np.isfinite(self.ranks)):
+            raise ContractError("rank values must be finite")
         if self.ranks.min() < 1.0 or self.ranks.max() > m:
             raise ContractError(f"ranks must lie in [1, {m}]")
         if self.printed_avg is not None:
@@ -187,20 +164,13 @@ def bayes_bound(inputs):
     return out
 
 
-def competition_ranks(table):
-    """Rank methods within every task column, higher accuracy first.
-
-    Tied methods share the smallest position they occupy and the
-    following positions are skipped ("1224").
-    """
-    vals = table.values
-    m, n = vals.shape
-    ranks = np.empty((m, n), dtype=np.float64)
-    for j in range(n):
-        col = vals[:, j]
-        for i in range(m):
-            ranks[i, j] = int(np.sum(col > col[i])) + 1
-    return RankTable(list(table.methods), list(table.tasks), ranks)
+def competition_ranks(grid):
+    """Rank the rows of an (m, n) accuracy grid within every column,
+    higher accuracy first: a cell's rank is one plus the number of cells
+    above it in its column, so tied methods share the smallest position
+    they occupy and the following positions are skipped ("1224")."""
+    grid = np.asarray(grid, dtype=np.float64)
+    return 1.0 + (grid[None, :, :] > grid[:, None, :]).sum(axis=1)
 
 
 def friedman(ranks, averages="exact"):
@@ -211,7 +181,10 @@ def friedman(ranks, averages="exact"):
     and the F degrees of freedom m - 1 and (m - 1)(n - 1). A rank grid
     where every task agrees exactly saturates the statistic and makes
     the F form's denominator vanish; there ``f_stat`` is None rather
-    than an infinity, and the chi-square form is still returned.
+    than an infinity, and the chi-square form is still returned. With
+    one task ``f_stat`` has no residual degrees of freedom and is None.
+    Tied competition ranks or a rounded reported average column can
+    make the chi-square form negative; there both forms are None.
 
     ``averages`` selects the per-method average ranks fed into the
     statistic: "exact" uses the mean of the rank grid, "reported" uses
@@ -235,8 +208,10 @@ def friedman(ranks, averages="exact"):
     ssq = float(np.sum(rj * rj))
     chi2 = 12.0 * n / (m * (m + 1.0)) * (ssq - m * (m + 1.0) ** 2 / 4.0)
     denom = n * (m - 1.0) - chi2
-    f_stat = (n - 1.0) * chi2 / denom if denom > 1e-12 else None
-    return {"chi2": chi2, "f_stat": f_stat,
+    defined = chi2 >= 0.0
+    f_stat = ((n - 1.0) * chi2 / denom
+              if defined and n > 1 and denom > 1e-12 else None)
+    return {"chi2": chi2 if defined else None, "f_stat": f_stat,
             "dof_between": m - 1, "dof_residual": (m - 1) * (n - 1)}
 
 
@@ -283,11 +258,6 @@ def emit_report(report, path=None):
     return text
 
 
-def _split_table_line(line):
-    sep = "\t" if "\t" in line else ","
-    return [cell.strip() for cell in line.split(sep)]
-
-
 def load_ranks(path):
     """Read a delimited benchmark table as a RankTable.
 
@@ -297,7 +267,9 @@ def load_ranks(path):
     average. Any other table holds percent accuracies, which are ranked
     per task with :func:`competition_ranks`.
     """
-    rows = [(lineno, _split_table_line(line)) for lineno, line in records(path)]
+    rows = [(lineno, [cell.strip() for cell in
+                      line.split("\t" if "\t" in line else ",")])
+            for lineno, line in records(path)]
     if len(rows) < 2:
         raise ParseError("table needs a header row and at least one data row")
     (header_no, header), body = rows[0], rows[1:]
@@ -321,7 +293,12 @@ def load_ranks(path):
         if ranked:
             return RankTable(methods, tasks, grid[:, :-1],
                              printed_avg=grid[:, -1])
-        return competition_ranks(AccuracyTable(methods, tasks, grid))
+        # NaN compares False, so it would rank first: check before ranking
+        if not np.all(np.isfinite(grid)):
+            raise ContractError("accuracy values must be finite")
+        if grid.min() < 0.0 or grid.max() > 100.0:
+            raise ContractError("accuracies are percentages in [0, 100]")
+        return RankTable(methods, tasks, competition_ranks(grid))
     except ContractError as exc:
         raise ParseError(str(exc))
 

@@ -81,18 +81,12 @@ def predict(psi, features):
 # checkpoints
 # ---------------------------------------------------------------------
 
-def collect_params(nets):
-    """Named parameter arrays from a dict of networks, prefixed by key."""
-    out = {}
-    for prefix, net in nets.items():
-        for p in net.parameters():
-            out[f"{prefix}/{p.name}"] = p.value.copy()
-    return out
-
-
-def save_checkpoint(path, params):
-    """Write named arrays as flat text: a version header, then per
+def save_checkpoint(path, nets):
+    """Write the parameters of a dict of networks as flat text: a
+    version header, then, sorted by name "{key}/{parameter name}", per
     parameter a shape line followed by one row-major value line."""
+    params = {f"{key}/{p.name}": p.value
+              for key, net in nets.items() for p in net.parameters()}
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n")
         for name in sorted(params):

@@ -34,10 +34,9 @@ from .dualcritic import (
     measure_normalize_graph,
     train_critic,
 )
-from .errors import ContractError, ParseError, prefixed
+from .errors import ContractError, prefixed
 from .evalstats import accuracy, emit_report
 from .model import (
-    collect_params,
     cross_entropy_loss,
     extract,
     predict,
@@ -54,7 +53,7 @@ from .tensorcore import (
     select_rows,
     step,
 )
-from .textio import coerce_field, read_fields
+from .textio import coerce_field
 
 DATASETS = ("two-moons",)
 
@@ -152,15 +151,6 @@ def canonical_config_text(config):
 
 def config_hash(config):
     return hashlib.sha256(canonical_config_text(config).encode()).hexdigest()
-
-
-def load_config(path):
-    """Parse a key=value config file; unknown keys and bad values are
-    parse errors naming the offending line."""
-    try:
-        return read_fields(path, TrainConfig)
-    except ContractError as exc:
-        raise ParseError(str(exc))
 
 
 def apply_overrides(config, assignments):
@@ -443,7 +433,7 @@ def run_experiment(config, report_path=None, checkpoint_path=None):
     if checkpoint_path is not None:
         nets = {"phi": state.phi, "psi": state.psi,
                 "critic": state.critic, "scorer": state.scorer}
-        save_checkpoint(checkpoint_path, collect_params(nets))
+        save_checkpoint(checkpoint_path, nets)
     if report_path is not None:
         emit_report(report, report_path)
     return report

@@ -131,8 +131,9 @@ def gathered_score_matrix(scorer, batch):
 
 def optimal_scorer_table(joint):
     """``cmi.optimal_scorer``'s table, cell by cell: the log of
-    P(x_t | x_s, z) / P(x_t | z), floored at -30, and 0 where P(x_s, z)
-    or P(x_t | z) is 0."""
+    P(x_t | x_s, z) / P(x_t | z) as the difference of logs
+    (log t - log P(x_s, z)) - (log P(x_t, z) - log P(z)), floored at -30,
+    and 0 where P(x_s, z) or P(x_t, z) is 0."""
     t = joint.table
     p_sz = t.sum(axis=1)            # (a, c)
     p_tz = t.sum(axis=0)            # (b, c)
@@ -141,17 +142,17 @@ def optimal_scorer_table(joint):
     table = np.zeros((a, b, c))
     for i in range(a):
         for k in range(c):
-            if p_sz[i, k] <= 0 or pz[k] <= 0:
+            if p_sz[i, k] <= 0:
                 continue
             for j in range(b):
-                denom = p_tz[j, k] / pz[k]
-                if denom <= 0:
+                if p_tz[j, k] <= 0:
                     continue
-                num = t[i, j, k] / p_sz[i, k]
-                if num <= 0:
+                if t[i, j, k] <= 0:
                     table[i, j, k] = -30.0
                 else:
-                    table[i, j, k] = max(np.log(num / denom), -30.0)
+                    log_num = np.log(t[i, j, k]) - np.log(p_sz[i, k])
+                    log_denom = np.log(p_tz[j, k]) - np.log(pz[k])
+                    table[i, j, k] = max(log_num - log_denom, -30.0)
     return table
 
 

@@ -433,6 +433,20 @@ class TestCmi:
         assert code == 0
         assert "cnce 0.000000000" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--samples", "100", "--k", "4"]])
+    def test_subnormal_marginal_keeps_the_exact_value_finite(
+            self, capsys, tmp_path, extra):
+        # P(x_t = 0 | z) = 5e-324: the ratio 1 / 5e-324 overflows, while
+        # log 1 - log 5e-324 = 744.4 does not; exact is 5e-324 * 744.4
+        joint = tmp_path / "joint.csv"
+        joint.write_text("0,1,0,1.0\n1,0,0,5e-324\n")
+        code, out, err = run(capsys, "cmi", "--joint", str(joint), *extra)
+        assert (code, err) == (0, "")
+        exact = float(dict(line.split() for line in out.splitlines())["exact"])
+        assert math.isfinite(exact) and exact >= 0.0
+        assert exact == pytest.approx(5e-324 * -math.log(5e-324),
+                                      rel=0.01, abs=0.0)
+
     def test_k_below_one_exits_2(self, capsys):
         code, _, _ = run(capsys, "cmi", "--joint", str(CMI / "ln2.csv"),
                          "--k", "0")

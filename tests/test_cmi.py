@@ -166,13 +166,33 @@ def sparse_joints(draw):
 @example(DiscreteJoint(np.array([[[0.0], [1.0]], [[5e-324], [0.0]]])))  # ratio overflows
 @settings(max_examples=300, deadline=None)
 def test_optimal_scorer_same_bits_as_cell_loop(joint):
-    with np.errstate(over="ignore"):
-        want = oracles.optimal_scorer_table(joint)
-    if np.isfinite(want).all():
-        assert same_bits(optimal_scorer(joint).table, want)
-    else:  # a ratio past the float range, as at P(x_t | z) = 5e-324
-        with pytest.raises(ContractError, match="scorer table must be finite"):
-            optimal_scorer(joint)
+    # a difference of logs stays finite where the ratio 1 / 5e-324 would
+    # overflow, so every table is finite
+    want = oracles.optimal_scorer_table(joint)
+    assert np.isfinite(want).all()
+    assert same_bits(optimal_scorer(joint).table, want)
+
+
+@given(sparse_joints())
+@example(DiscreteJoint(np.array([[[0.0], [1.0]], [[5e-324], [0.0]]])))
+@settings(max_examples=300, deadline=None)
+def test_exact_cmi_matches_a_log_form_sum(joint):
+    # Each positive cell adds t (log t - log P(x_s,z) - log P(x_t,z) +
+    # log P(z)), summed with fsum. The tolerance scales with the sum of
+    # t times the logs' magnitudes, since the logs may cancel, plus a
+    # subnormal cell's rounding (half of 5e-324) times its log factor.
+    t = joint.table
+    p_sz, p_tz, pz = t.sum(axis=1), t.sum(axis=0), t.sum(axis=(0, 1))
+    terms, scale = [], []
+    for i, j, k in zip(*np.nonzero(t)):
+        logs = [math.log(t[i, j, k]), -math.log(p_sz[i, k]),
+                -math.log(p_tz[j, k]), math.log(pz[k])]
+        terms.append(t[i, j, k] * math.fsum(logs))
+        scale.append(t[i, j, k] * math.fsum(map(abs, logs)))
+    got = exact_cmi(joint)
+    assert math.isfinite(got) and got >= 0.0
+    tol = 1e-12 * math.fsum(scale) + len(terms) * 1500 * 5e-324
+    assert abs(got - max(math.fsum(terms), 0.0)) <= tol
 
 
 def test_optimal_scorer_converges_to_exact():

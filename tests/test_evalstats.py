@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.errors import ContractError, ParseError
+from driftlab.errors import ContractError, DimensionError, ParseError
 from driftlab.evalstats import (
-    AccuracyTable,
     BoundInputs,
     RankTable,
     accuracy,
@@ -32,14 +31,6 @@ PUBLISHED = {
     "domainnet": (249.94, 83.17, (22, 264)),
     "digits": (69.77, 11.48, (22, 66)),
 }
-
-
-def table(values, methods=None, tasks=None):
-    values = np.asarray(values, dtype=np.float64)
-    m, n = values.shape
-    methods = methods or [f"m{i}" for i in range(m)]
-    tasks = tasks or [f"t{j}" for j in range(n)]
-    return AccuracyTable(methods, tasks, values)
 
 
 class TestAccuracy:
@@ -148,25 +139,24 @@ class TestBayesBound:
 
 class TestCompetitionRanks:
     def test_shared_top_skips(self):
-        t = table([[100.0], [100.0], [99.8]])
-        r = competition_ranks(t)
-        assert r.ranks[:, 0].tolist() == [1.0, 1.0, 3.0]
+        r = competition_ranks([[100.0], [100.0], [99.8]])
+        assert r[:, 0].tolist() == [1.0, 1.0, 3.0]
 
     def test_strictly_decreasing_column(self):
-        t = table([[90.0], [80.0], [70.0], [60.0]])
-        r = competition_ranks(t)
-        assert r.ranks[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        r = competition_ranks([[90.0], [80.0], [70.0], [60.0]])
+        assert r[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    @given(st.lists(st.integers(0, 1000), min_size=2, max_size=12),
-           st.integers(1, 3))
+    @given(st.lists(st.lists(st.integers(0, 1000), min_size=3, max_size=3),
+                    min_size=2, max_size=12))
     @settings(max_examples=150, deadline=None)
-    def test_competition_definition(self, scores, ncols):
-        vals = np.tile(np.array(scores, dtype=float)[:, None] / 10.0, (1, ncols))
-        r = competition_ranks(table(vals))
-        col = vals[:, 0]
-        for i in range(len(scores)):
-            assert r.ranks[i, 0] == 1 + np.sum(col > col[i])
-        assert r.ranks.min() == 1.0
+    def test_competition_definition(self, scores):
+        # each cell counts the cells above it in its own column only
+        vals = np.array(scores, dtype=float) / 10.0
+        r = competition_ranks(vals)
+        assert r.dtype == np.float64 and r.shape == vals.shape
+        for i, j in np.ndindex(vals.shape):
+            assert r[i, j] == 1 + np.sum(vals[:, j] > vals[i, j])
+        assert (r.min(axis=0) == 1.0).all()
 
 
 class TestFixtures:
@@ -247,6 +237,36 @@ class TestFriedman:
         with pytest.raises(ContractError):
             friedman(ranks, averages="rounded")
 
+    def test_tied_methods_leave_both_forms_undefined(self):
+        # competition ranks of a full tie are all 1, below the null mean
+        # rank 1.5, so the chi-square form would be -5 * n
+        for n in (1, 4):
+            ranks = np.ones((2, n))
+            fr = friedman(RankTable(["A", "B"], [f"t{j}" for j in range(n)],
+                                    ranks))
+            assert (fr["chi2"], fr["f_stat"]) == (None, None)
+            assert (fr["dof_between"], fr["dof_residual"]) == (1, n - 1)
+
+    def test_rounded_reported_average_can_leave_chi2_undefined(self):
+        # (1.5, 1.45) is within rounding of the exact (1.5, 1.5), but its
+        # sum of squares falls below the null value m(m + 1)^2 / 4 = 4.5
+        ranks = RankTable(["a", "b"], ["t0", "t1"],
+                          np.array([[1.0, 2.0], [2.0, 1.0]]),
+                          printed_avg=np.array([1.5, 1.45]))
+        fr = friedman(ranks, averages="reported")
+        assert (fr["chi2"], fr["f_stat"]) == (None, None)
+        assert friedman(ranks)["chi2"] == 0.0
+
+    def test_one_task_leaves_f_undefined(self):
+        # the F form has (m - 1)(n - 1) = 0 residual degrees of freedom;
+        # shared ranks keep its denominator n(m - 1) - chi2 = 0.5 positive
+        ranks = RankTable(["a", "b", "c"], ["t0"],
+                          np.array([[1.0], [2.5], [2.5]]))
+        fr = friedman(ranks)
+        assert fr["chi2"] == pytest.approx(1.5, abs=1e-12)
+        assert fr["f_stat"] is None
+        assert fr["dof_residual"] == 0
+
     def test_report_keys(self):
         ranks = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
         rep = friedman(RankTable(["a", "b", "c"], ["t0", "t1"], ranks))
@@ -302,12 +322,12 @@ class TestEmitReport:
 class TestTableIO:
     def test_accuracy_roundtrip(self, tmp_path):
         # an accuracy table loads ranked per task
-        t = table([[70.0, 80.5], [60.25, 90.0]], ["alpha", "beta"], ["t0", "t1"])
         path = tmp_path / "acc.csv"
         path.write_text("method,t0,t1\nalpha,70.0,80.5\nbeta,60.25,90.0\n")
         back = load_ranks(path)
-        assert back.methods == t.methods and back.tasks == t.tasks
-        assert np.array_equal(back.ranks, competition_ranks(t).ranks)
+        assert back.methods == ["alpha", "beta"] and back.tasks == ["t0", "t1"]
+        assert np.array_equal(back.ranks, competition_ranks(
+            [[70.0, 80.5], [60.25, 90.0]]))
         assert back.printed_avg is None
 
     def test_rank_roundtrip_keeps_reported_column(self, tmp_path):
@@ -370,6 +390,7 @@ class TestTableIO:
     def test_out_of_range_value_wrapped(self, tmp_path):
         path = tmp_path / "over.csv"
         for text in ("method,t0\nalpha,70\nbeta,101\n",
+                     "method,t0\nalpha,70\nbeta,-0.5\n",
                      "method,t0,avg_rank\na,1,1\nb,3,3\n",
                      # a reported average that the ranks do not give
                      "method,t0,avg_rank\na,1,1.5\nb,2,2\n"):
@@ -384,14 +405,43 @@ class TestTableIO:
         assert t.methods == ["alpha", "beta"]
 
 
-class TestTableValidation:
-    def test_duplicate_method(self):
-        with pytest.raises(ContractError):
-            table([[1.0], [2.0]], methods=["a", "a"])
+    @pytest.mark.parametrize("cell", ["nan", "-nan", "inf", "-inf"])
+    def test_non_finite_accuracy_rejected(self, tmp_path, cell):
+        # NaN compares False, so it would rank as a tie with the best
+        path = tmp_path / "acc.csv"
+        path.write_text(f"method,t0,t1\nalpha,70,80\nbeta,{cell},60\n")
+        with pytest.raises(ParseError, match="accuracy values must be finite"):
+            load_ranks(path)
 
-    def test_single_method_rejected(self):
-        with pytest.raises(ContractError):
-            AccuracyTable(["only"], ["t0"], np.array([[50.0]]))
+
+class TestTableValidation:
+    def test_duplicate_method(self, tmp_path):
+        with pytest.raises(ContractError, match="duplicate method name"):
+            RankTable(["a", "a"], ["t0"], np.array([[1.0], [2.0]]))
+        path = tmp_path / "acc.csv"
+        path.write_text("method,t0\na,1\na,2\n")
+        with pytest.raises(ParseError, match="duplicate method name"):
+            load_ranks(path)
+
+    def test_single_method_rejected(self, tmp_path):
+        with pytest.raises(ContractError, match="at least two methods"):
+            RankTable(["only"], ["t0"], np.array([[1.0]]))
+        path = tmp_path / "acc.csv"
+        path.write_text("method,t0\nonly,50\n")
+        with pytest.raises(ParseError, match="at least two methods"):
+            load_ranks(path)
+
+    def test_grid_shape_must_match_names(self):
+        with pytest.raises(DimensionError, match="must be 2-D"):
+            RankTable(["a", "b"], ["t0"], np.array([1.0, 2.0]))
+        with pytest.raises(DimensionError, match="does not match"):
+            RankTable(["a", "b"], ["t0", "t1"], np.array([[1.0], [2.0]]))
+        with pytest.raises(ContractError, match="at least one task"):
+            RankTable(["a", "b"], [], np.empty((2, 0)))
+
+    def test_non_finite_rank_rejected(self):
+        with pytest.raises(ContractError, match="rank values must be finite"):
+            RankTable(["a", "b"], ["t0"], np.array([[1.0], [np.nan]]))
 
     def test_out_of_range_rank(self):
         with pytest.raises(ContractError):

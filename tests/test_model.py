@@ -8,7 +8,6 @@ import pytest
 
 from driftlab.errors import ContractError, DimensionError
 from driftlab.model import (
-    collect_params,
     cross_entropy_loss,
     extract,
     predict,
@@ -229,19 +228,21 @@ def test_predict_golden_fixture():
 # ---------------------------------------------------------------------
 
 def test_checkpoint_roundtrip_exact(tmp_path):
-    phi = golden_extractor()
-    psi = MLP([3, 4, 2], SplitMix64(5), name="psi")
-    params = collect_params({"phi": phi, "psi": psi})
+    nets = {"phi": golden_extractor(),
+            "psi": MLP([3, 4, 2], SplitMix64(5), name="psi")}
+    params = {f"{key}/{p.name}": p.value
+              for key, net in nets.items() for p in net.parameters()}
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, nets)
     back = load_checkpoint(path)
     assert set(back) == set(params)
+    assert "psi/psi.layer1.b" in back
     for k in params:
         assert np.array_equal(back[k], params[k])
 
 
 def test_checkpoint_version_field(tmp_path):
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, {"a": np.array([1.0])})
+    save_checkpoint(path, {"psi": MLP([1, 1], SplitMix64(0), name="psi")})
     first = path.read_text().splitlines()[0]
     assert first == "driftlab-checkpoint v1"

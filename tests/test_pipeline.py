@@ -32,7 +32,6 @@ from driftlab.pipeline import (
     config_hash,
     epoch_batches,
     init_state,
-    load_config,
     make_dataset,
     rlglc_objective,
     run_experiment,
@@ -49,6 +48,7 @@ from driftlab.tensorcore import (
     finite_diff_check,
     step,
 )
+from driftlab.textio import read_fields
 
 TINY = dict(n_per_domain=60, batch_size=10, epochs=1,
             critic_steps=2, scorer_steps=2)
@@ -117,7 +117,7 @@ class TestConfigFiles:
         cfg = tiny_config(beta=0.25, lr_model=0.005, use_local=False)
         path = tmp_path / "run.cfg"
         path.write_text(canonical_config_text(cfg))
-        assert load_config(path) == cfg
+        assert read_fields(path, TrainConfig) == cfg
 
     def test_canonical_text_sorted(self):
         text = canonical_config_text(TrainConfig())
@@ -135,7 +135,7 @@ class TestConfigFiles:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nbeta=0.3\n")
-        assert load_config(path).beta == 0.3
+        assert read_fields(path, TrainConfig).beta == 0.3
 
     @pytest.mark.parametrize("text,fragment", [
         ("beta 0.4\n", "line 1"),
@@ -147,13 +147,21 @@ class TestConfigFiles:
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ParseError, match=fragment):
-            load_config(path)
+            read_fields(path, TrainConfig)
 
-    def test_invalid_values_become_parse_errors(self, tmp_path):
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_invalid_values_exit_2(self, tmp_path, capsys, command):
+        # TrainConfig's own ContractError reaches the CLI unchanged
         path = tmp_path / "bad.cfg"
         path.write_text("beta=1.5\n")
-        with pytest.raises(ParseError):
-            load_config(path)
+        with pytest.raises(ContractError, match="beta must lie strictly"):
+            read_fields(path, TrainConfig)
+        argv = [command, "--config", str(path)]
+        if command == "sweep":
+            argv += ["--values", "0.2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: beta must lie strictly between 0 and 1\n")
 
     def test_overrides(self):
         cfg = apply_overrides(TrainConfig(), ["beta=0.7", "use_local=false",

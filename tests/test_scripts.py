@@ -35,20 +35,36 @@ def test_rank_benchmarks_prints_both_routes_for_every_table(tmp_path):
     assert cells[-2][1:4] == ["69.77", "11.48", "(22,66)"]
 
 
-def test_rank_benchmarks_prints_an_undefined_f(tmp_path, monkeypatch, capsys):
+def rank_benchmark_rows(tmp_path, monkeypatch, capsys, table):
+    """The rows rank_benchmarks.py prints for one rank table."""
     spec = importlib.util.spec_from_file_location(
         "rank_benchmarks", SCRIPTS / "rank_benchmarks.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    # every task ranks the two methods alike, so F is undefined
-    (tmp_path / "toy_ranks.csv").write_text(
-        "method,T1,T2,T3,T4,avg_rank\nAlpha,1,1,1,1,1\nBeta,2,2,2,2,2\n")
+    (tmp_path / "toy_ranks.csv").write_text(table)
     monkeypatch.setattr(script, "FIXTURES", tmp_path)
     monkeypatch.setattr(script, "TABLES", ("toy",))
     script.main()
-    rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    return [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_rank_benchmarks_prints_an_undefined_f(tmp_path, monkeypatch, capsys):
+    # every task ranks the two methods alike, so F is undefined
+    rows = rank_benchmark_rows(
+        tmp_path, monkeypatch, capsys,
+        "method,T1,T2,T3,T4,avg_rank\nAlpha,1,1,1,1,1\nBeta,2,2,2,2,2\n")
     assert rows == [["toy", "4.00", "undefined", "(1,3)", "reported"],
                     ["toy", "4.00", "undefined", "(1,3)", "exact"]]
+
+
+def test_rank_benchmarks_prints_an_undefined_chi2(tmp_path, monkeypatch,
+                                                   capsys):
+    # two methods tied on every task share rank 1, where chi2 would be -10
+    rows = rank_benchmark_rows(
+        tmp_path, monkeypatch, capsys,
+        "method,T1,T2,avg_rank\nAlpha,1,1,1\nBeta,1,1,1\n")
+    assert rows == [["toy", "undefined", "undefined", "(1,1)", "reported"],
+                    ["toy", "undefined", "undefined", "(1,1)", "exact"]]
 
 
 def test_run_adaptation_writes_its_report(tmp_path):
